@@ -4,8 +4,8 @@ E_B is the best constant in the Gaussian-weighted Hoelder inequality; it is
 attained by Gaussian test functions and reduces to maximizing
 prod b_i^{1/(2p)} / det(B + diag(b))^{1/2} over positive diagonal loadings.
 In log(b) coordinates the objective is concave (log det of a sum of
-exponentials of linear maps), so the damped stationarity fixed point finds
-the global optimum; a general determinant bound caps it from above.
+exponentials of linear maps), so damped Newton in log(b) from a single start
+finds the global optimum; a general determinant bound caps it from above.
 """
 
 import numpy as np

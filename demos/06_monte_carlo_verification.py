@@ -14,6 +14,7 @@ from gaussdecoup import (
     build_dense,
     decoupling_coefficient,
     from_stationary,
+    stationary_exponent,
     verify_khatri_sidak,
     verify_kls,
     verify_theorem1,
@@ -42,12 +43,14 @@ print()
 print("=" * 72)
 print("two-sided probability sandwich, MA(1) a = 0.5, n = 5, eps = 1")
 print("=" * 72)
-C = from_stationary(np.array([1.25, 0.5]) / 1.25, 5)
-ks = verify_khatri_sidak(C, np.ones(5), 4.0, N, SEED, kls_exponent=1.4)
+gamma = [1.25, 0.5]
+p_kls = stationary_exponent(gamma)  # 1 + 2 sum_{k>=1} |gamma(k)| / gamma(0)
+C = from_stationary(np.array(gamma) / gamma[0], 5)
+ks = verify_khatri_sidak(C, np.ones(5), 4.0, N, SEED, kls_exponent=p_kls)
 print(f"product of marginals  = {ks.lower.lhs_mc:.5f}  <=")
 print(f"P(all |X_i| <= 1)     = {ks.lower.rhs:.5f} (MC)  <=")
 print(f"sup-bound constant    = {ks.upper.rhs:.5f}")
-print(f"stationary-exponent   = {ks.kls_upper.rhs:.5f} (marginals^(1/1.4))")
+print(f"stationary-exponent   = {ks.kls_upper.rhs:.5f} (marginals^(1/{p_kls:g}))")
 print(f"verdicts: lower {ks.lower.verdict}, upper {ks.upper.verdict}, "
       f"exponent-form {ks.kls_upper.verdict}")
 
@@ -55,8 +58,8 @@ print()
 print("=" * 72)
 print("stationary decoupling inequality with the full-sequence exponent")
 print("=" * 72)
-rep = verify_kls([1.25, 0.5], 5, [TestFunctionSpec.indicator(1.0)] * 5, N, SEED)
+rep = verify_kls(gamma, 5, [TestFunctionSpec.indicator(1.0)] * 5, N, SEED)
 print(
-    f"p_KLS = 1.4: lhs = {rep.lhs_mc:.5f} (+-{rep.lhs_stderr:.5f})  "
+    f"p_KLS = {p_kls:g}: lhs = {rep.lhs_mc:.5f} (+-{rep.lhs_stderr:.5f})  "
     f"rhs = {rep.rhs:.5f}  -> {rep.verdict}"
 )

@@ -85,6 +85,7 @@ from .verify import (
     VerificationReport,
     marginal_p_norm,
     sample_gaussian,
+    stationary_exponent,
     verify_khatri_sidak,
     verify_kls,
     verify_theorem1,

@@ -8,10 +8,11 @@ The sharp constant in the Gaussian-weighted Hoelder-type inequality is
 attained by Gaussian test functions.  The supremum has no closed form, but in
 log(b) coordinates the objective is concave: det(B + diag(e^u)) expands over
 principal minors into a nonnegative combination of exp(linear) terms, so its
-log is convex and the objective is linear minus convex.  A damped fixed-point
-iteration on the stationarity condition b_i = 1/(p [(B+diag(b))^{-1}]_{ii})
-therefore converges to the global optimizer; multiple starts are kept as a
-cross-check and surfaced in the convergence flag.
+log is convex and the objective is linear minus convex.  Its only stationary
+point, b_i = 1/(p [(B+diag(b))^{-1}]_{ii}), is the global optimizer, so a
+damped Newton method in log b from a single start finds it.  ``converged``
+reports whether the stationarity residual met the tolerance; it is false, not
+an error, when rounding stalls the residual on an ill-conditioned B.
 
 Also provides the determinant inequalities used alongside E_B: the
 log-concavity (Minkowski) inequality det(lU+(1-l)V) >= det(U)^l det(V)^{1-l},
@@ -46,13 +47,31 @@ __all__ = [
     "random_spd",
 ]
 
+# Damped Newton for E_B: largest step in log b, Armijo slope fraction,
+# backtracking factors, and full steps allowed once the line search can no
+# longer resolve the gain.
+_MAX_LOG_STEP = 5.0
+_ARMIJO = 1e-4
+_DAMPING = 0.5 ** np.arange(31)
+_POLISH_STEPS = 4
+_EPS = float(np.finfo(float).eps)
+
+
+def _factor(A: np.ndarray):
+    """Cholesky factor and log-det of A, or None when A is not positive definite."""
+    try:
+        cf = cho_factor(A, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
+    return (cf, logdet) if math.isfinite(logdet) else None
+
 
 def _logdet_spd(A: np.ndarray, what: str = "matrix") -> float:
-    try:
-        chol = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{what} is not positive definite: {exc}") from exc
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+    factor = _factor(A)
+    if factor is None:
+        raise NotPositiveDefinite(f"{what} is not positive definite")
+    return factor[1]
 
 
 def matrix_B(C: CovarianceMatrix, p: float) -> np.ndarray:
@@ -102,8 +121,9 @@ class EbProblem:
 
     ``value_log`` is the bare sup'd ratio log(prod b^{1/(2p)} / det^{1/2});
     ``eb_log`` includes the (2 pi)/p prefactor; ``upper_log`` is the general
-    bound, so eb_log <= upper_log always.  ``converged`` requires every start
-    to have met the residual tolerance and all starts to agree.
+    bound, so eb_log <= upper_log always.  ``converged`` means the
+    stationarity residual max |1/(2 p b) - diag((B + diag b)^{-1})/2| at
+    ``b_opt`` is below the solver tolerance; ``n_iter`` counts Newton steps.
     """
 
     B: np.ndarray
@@ -115,7 +135,6 @@ class EbProblem:
     converged: bool
     residual: float
     n_iter: int
-    start_values: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
@@ -129,69 +148,101 @@ class EbProblem:
             "residual": self.residual,
             "n_iter": self.n_iter,
             "b_opt": [float(x) for x in self.b_opt],
-            "start_values": [float(x) for x in self.start_values],
         }
 
 
-def _stationarity_residual(B: np.ndarray, p: float, b: np.ndarray) -> tuple[float, np.ndarray]:
-    inv_diag = np.diag(np.linalg.inv(B + np.diag(b)))
-    return float(np.abs(1.0 / (2.0 * p * b) - 0.5 * inv_diag).max()), inv_diag
+def _newton_step(b: np.ndarray, M: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Ascent direction in u = log b: the negative Hessian solved against g.
+
+    The negative Hessian 0.5 [diag(b m) - (M o M) o b b^T], m = diag(M), is
+    positive definite.
+    """
+    neg_hess = -0.5 * (M * M) * np.outer(b, b)
+    neg_hess[np.diag_indices_from(neg_hess)] += 0.5 * b * np.diag(M)
+    return cho_solve(cho_factor(neg_hess, lower=True, check_finite=False), g)
 
 
 def eb_optimize(
     B: np.ndarray,
     p: float,
-    n_starts: int = 8,
-    max_iter: int = 10_000,
+    max_iter: int = 100,
     tol: float = 1e-10,
-    seed: int = 0,
 ) -> EbProblem:
-    """Maximize the E_B ratio over b > 0 by damped fixed-point iteration.
+    """Maximize the E_B ratio over b > 0 by damped Newton in u = log b.
 
-    Starts are log-uniform in [1e-3, 1e3]^n; each runs
-    b <- b/2 + 1/(2 p diag((B+diag(b))^{-1})) until the stationarity residual
-    drops below ``tol`` or ``max_iter`` is hit.  Non-convergence is never
-    silently truncated: the flag records it and the best value found stands
-    as a lower estimate of the sup.
+    The objective u . 1/(2p) - (1/2) log det(B + diag(e^u)) is concave, so one
+    start suffices: b0 = diag(B)/(p-1), exact when B is diagonal.  With
+    M = (B + diag b)^{-1} and m = diag(M) the gradient is 1/(2p) - b m / 2.
+    Steps are capped in log space and damped by Armijo backtracking; trial
+    points that are not positive definite are rejected.  Once the predicted
+    gain drops below the rounding of the objective, the line search can no
+    longer tell steps apart and at most ``_POLISH_STEPS`` full steps follow.
+    The iteration stops when the stationarity residual max |1/(2 p b) - m/2|
+    is below ``tol`` and the predicted gain is below rounding, or when it can
+    make no more progress.  ``converged`` means the residual is below ``tol``;
+    otherwise the last point's value stands as a lower estimate of the sup.
     """
     if p <= 1:
         raise ValueError(f"E_B optimization needs p > 1, got {p}")
     n = B.shape[0]
     _logdet_spd(B, "B")
-    rng = np.random.default_rng(seed)
-    best = None  # (value, b, residual, iters, hit_tol)
-    start_values = []
-    for _ in range(n_starts):
-        b = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
-        residual = math.inf
-        iters = 0
-        for iters in range(1, max_iter + 1):
-            residual, inv_diag = _stationarity_residual(B, p, b)
-            if residual < tol:
+    half_p = 1.0 / (2.0 * p)
+    u = np.log(np.diag(B) / (p - 1.0))
+
+    def phi(u, logdet):
+        return half_p * float(np.sum(u)) - 0.5 * logdet
+
+    b = np.exp(u)
+    A = B + np.diag(b)
+    cf, logdet = _factor(A)
+    value = phi(u, logdet)
+    n_iter = 0
+    polish = 0
+    while True:
+        M = cho_solve(cf, np.eye(n), check_finite=False)
+        m = np.diag(M)
+        residual = float(np.abs(half_p / b - 0.5 * m).max())
+        g = half_p - 0.5 * b * m
+        step = _newton_step(b, M, g)
+        longest = float(np.abs(step).max())
+        if longest > _MAX_LOG_STEP:
+            step *= _MAX_LOG_STEP / longest
+        gain = float(g @ step)
+        # Rounding of phi: a Cholesky log det of A = B + diag(b) is off by up
+        # to about n eps sum |M o A| (first order in relative entry errors).
+        rounding = _EPS * (half_p * float(np.abs(u).sum()) + n * float(np.sum(np.abs(M * A))))
+        # The residual is absolute in 1/b: large b can pass it while a
+        # resolvable gain is left, hence both tests.
+        if (residual < tol and gain <= rounding) or n_iter >= max_iter or polish >= _POLISH_STEPS:
+            break
+        if polish or gain <= rounding:
+            polish += 1
+        for t in _DAMPING:
+            trial_u = u + t * step
+            trial_A = B + np.diag(np.exp(trial_u))
+            trial = _factor(trial_A)
+            if trial is not None and (
+                polish or phi(trial_u, trial[1]) >= value + _ARMIJO * t * gain
+            ):
                 break
-            b = 0.5 * b + 0.5 / (p * inv_diag)
-        value = eb_objective(B, p, b)
-        start_values.append(value)
-        if best is None or value > best[0]:
-            best = (value, b, residual, iters, residual < tol)
-    start_values = np.array(start_values)
-    spread = float(start_values.max() - start_values.min())
-    all_hit = best[4] and spread <= 1e-6
-    value_log, b_opt, residual, n_iter = best[0], best[1], best[2], best[3]
-    n_half = n / 2.0
-    prefactor = n_half * (1.0 - 1.0 / p) * math.log(2.0 * math.pi) + (n / (2.0 * p)) * math.log(p)
-    bare = value_log - prefactor
+        else:
+            break  # no acceptable point along the step
+        u, A, (cf, logdet) = trial_u, trial_A, trial
+        value = phi(u, logdet)
+        b = np.exp(u)
+        n_iter += 1
+    eb_log = eb_objective(B, p, b)
+    prefactor = (n / 2.0) * (1.0 - 1.0 / p) * math.log(2.0 * math.pi) + (n / (2.0 * p)) * math.log(p)
     return EbProblem(
         B=B,
         p=p,
-        b_opt=b_opt,
-        value_log=bare,
-        eb_log=value_log,
+        b_opt=b,
+        value_log=eb_log - prefactor,
+        eb_log=eb_log,
         upper_log=eb_upper_bound(B, p),
-        converged=bool(all_hit),
+        converged=residual < tol,
         residual=residual,
         n_iter=n_iter,
-        start_values=start_values,
     )
 
 

@@ -371,7 +371,7 @@ def _functions_for(cfg: ScenarioConfig, n: int) -> list:
 
 def _report_row(cfg, n, p, suite, report) -> dict:
     if cfg.self_test_negate:
-        report = verify.with_rhs(report, 1.0 / report.rhs)
+        report = verify.with_rhs(report, 1.0 / report.rhs if report.rhs else math.inf)
     return {
         "model": cfg.model,
         "n": n,
@@ -403,9 +403,7 @@ def cmd_verify(cfg: ScenarioConfig) -> tuple[list, int]:
             suite = "+".join(sorted({f.label() for f in fns}))
             report = verify.verify_theorem1(C, p, fns, cfg.mc_samples, cfg.seed)
             rows.append(_report_row(cfg, n, p, f"theorem1:{suite}", report))
-            kls_exp = None
-            if kls_g is not None:
-                kls_exp = float(np.abs(kls_g).sum() / kls_g[0])
+            kls_exp = None if kls_g is None else verify.stationary_exponent(kls_g)
             ks = verify.verify_khatri_sidak(
                 C,
                 np.full(n, cfg.eps),
@@ -460,7 +458,7 @@ def cmd_eb(cfg: ScenarioConfig) -> tuple[list, int]:
             p_x = decoupling.decoupling_coefficient(C)
             p = cfg.resolve_p(p_x)
             B = brascamp.matrix_B(C, p)
-            prob = brascamp.eb_optimize(B, p, seed=cfg.seed)
+            prob = brascamp.eb_optimize(B, p)
             row.update(prob.to_json_dict())
         except (GaussDecoupError, np.linalg.LinAlgError, OSError) as exc:
             row["error"] = str(exc)

@@ -29,7 +29,6 @@ from pathlib import Path
 import mpmath
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.signal import fftconvolve
 from scipy.special import zeta
 
 from .errors import (
@@ -209,13 +208,15 @@ class MovingAverageSpec:
         dense = np.zeros(hi - lo + 1)
         dense[self.offsets - lo] = self.values
         if dense.size <= _DIRECT_CORR_LIMIT:
-            ac = np.correlate(dense, dense, mode="full")
+            ac = np.correlate(dense, dense, mode="full")[dense.size - 1 :]
         else:
-            ac = fftconvolve(dense, dense[::-1], mode="full")
-        center = dense.size - 1
+            # Zero-padded to >= 2 len - 1 points, so the circular
+            # autocorrelation has no wrap-around at lags 0..len-1.
+            size = 1 << (2 * dense.size - 2).bit_length()
+            ac = np.fft.irfft(np.abs(np.fft.rfft(dense, size)) ** 2, size)[: dense.size]
         out = np.zeros(max_lag + 1)
         avail = min(max_lag, dense.size - 1)
-        out[: avail + 1] = ac[center : center + avail + 1]
+        out[: avail + 1] = ac[: avail + 1]
         return out
 
 

@@ -45,6 +45,11 @@ __all__ = [
 ]
 
 
+def _exp(log_value: float) -> float:
+    """exp for display, saturating to inf where math.exp would overflow."""
+    return math.exp(log_value) if log_value < 700 else math.inf
+
+
 def decoupling_coefficient(C: CovarianceMatrix) -> float:
     """p(X): max over rows of the absolute row sum normalized by the variance."""
     rows = np.abs(C.entries).sum(axis=1)
@@ -102,8 +107,8 @@ def theorem1_log_constant(C: CovarianceMatrix, p: float) -> float:
 
 
 def theorem1_constant(C: CovarianceMatrix, p: float) -> float:
-    """Linear-space generic constant; may overflow to inf for very large n."""
-    return math.exp(theorem1_log_constant(C, p))
+    """Linear-space generic constant; inf where it exceeds the float range."""
+    return _exp(theorem1_log_constant(C, p))
 
 
 @dataclass(frozen=True)
@@ -115,12 +120,12 @@ class RefinedBound:
 
     @property
     def value(self) -> float:
-        return math.exp(self.log_value)
+        return _exp(self.log_value)
 
     @property
     def tightness(self) -> float:
         """refined / generic, <= 1 whenever both are defined."""
-        return math.exp(self.log_value - self.log_generic)
+        return _exp(self.log_value - self.log_generic)
 
 
 def refined_constant(C: CovarianceMatrix, p: float) -> RefinedBound:
@@ -174,15 +179,15 @@ def corollary1_log_bound(C: CovarianceMatrix, p: float, eps) -> float:
 
 
 def corollary1_bound(C: CovarianceMatrix, p: float, eps) -> float:
-    return math.exp(corollary1_log_bound(C, p, eps))
+    return _exp(corollary1_log_bound(C, p, eps))
 
 
 @dataclass(frozen=True)
 class DecouplingBound:
     """Everything Theorem-1-shaped about (C, p) in one record.
 
-    Constants live in log space; the linear-space properties may overflow to
-    inf for very large n and are meant for display.
+    Constants live in log space; the linear-space properties are inf for
+    very large n and are meant for display.
     """
 
     p_X: float
@@ -196,13 +201,13 @@ class DecouplingBound:
     def constant_generic(self) -> float | None:
         if self.log_constant_generic is None:
             return None
-        return math.exp(self.log_constant_generic)
+        return _exp(self.log_constant_generic)
 
     @property
     def constant_refined(self) -> float | None:
         if self.log_constant_refined is None:
             return None
-        return math.exp(self.log_constant_refined)
+        return _exp(self.log_constant_refined)
 
     def to_json_dict(self) -> dict:
         return {

@@ -231,7 +231,7 @@ def test_criterion_7_brascamp_lieb_constant():
             n = int(rng.integers(1, 9))
             B = random_spd(n, rng, log10_eig_range=(-1.5, 1.5))
             p = 1.0 + float(rng.uniform(0.2, 3.0))
-            prob = eb_optimize(B, p, seed=int(rng.integers(0, 2**31)))
+            prob = eb_optimize(B, p)
             assert eb_upper_bound(B, p) - prob.eb_log >= -1e-9
 
         def golden_max(f, lo, hi, tol=1e-13):

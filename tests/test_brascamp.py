@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussdecoup import (
     NotPositiveDefinite,
@@ -20,6 +22,7 @@ from gaussdecoup import (
     ostrowski_bound,
     random_spd,
 )
+from gaussdecoup.cli import build_covariance
 
 C_half = build_dense([[1.0, 0.5], [0.5, 1.0]])
 
@@ -44,6 +47,34 @@ def scalar_eb_log(B, p):
     u_star = golden_section_max(phi, -25.0, 25.0)
     prefactor = 0.5 * (1 - 1 / p) * math.log(2 * math.pi) + (1 / (2 * p)) * math.log(p)
     return prefactor + phi(u_star), math.exp(u_star)
+
+
+def fixed_point_eb(B, p, n_starts=8, max_iter=10_000, tol=1e-10, seed=0):
+    """Slow oracle for the E_B supremum: best of several damped fixed points.
+
+    Each start is log-uniform in [1e-3, 1e3]^n and iterates
+    b <- b/2 + 1/(2 p diag((B + diag b)^{-1})) until the stationarity
+    residual drops below ``tol``.  Returns (eb_log, b, residual) of the best.
+    """
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(n_starts):
+        b = 10.0 ** rng.uniform(-3.0, 3.0, size=B.shape[0])
+        for _ in range(max_iter):
+            inv_diag = np.diag(np.linalg.inv(B + np.diag(b)))
+            residual = float(np.abs(1.0 / (2.0 * p * b) - 0.5 * inv_diag).max())
+            if residual < tol:
+                break
+            b = 0.5 * b + 0.5 / (p * inv_diag)
+        value = eb_objective(B, p, b)
+        if best is None or value > best[0]:
+            best = (value, b, residual)
+    return best
+
+
+def stationarity_residual(B, p, b):
+    inv_diag = np.diag(np.linalg.inv(B + np.diag(b)))
+    return float(np.abs(1.0 / (2.0 * p * b) - 0.5 * inv_diag).max())
 
 
 def random_stationary_cov(rng, n):
@@ -169,6 +200,56 @@ class TestEbOptimize:
     def test_needs_p_above_one(self):
         with pytest.raises(ValueError):
             eb_optimize(np.eye(2), 1.0)
+
+    def test_diagonal_start_is_exact(self):
+        prob = eb_optimize(np.diag([0.5, 2.0, 7.0]), 2.5)
+        assert prob.n_iter == 0 and prob.converged
+        assert np.abs(prob.b_opt - np.array([0.5, 2.0, 7.0]) / 1.5).max() < 1e-14
+
+    def test_near_one_exponent(self):
+        # The fixed point crawls as p -> 1; Newton still converges quickly.
+        B = random_spd(3, np.random.default_rng(44), log10_eig_range=(-1, 1))
+        prob = eb_optimize(B, 1.02)
+        assert prob.converged and prob.n_iter <= 15
+        assert prob.eb_log >= fixed_point_eb(B, 1.02)[0] - 1e-12
+
+    def test_ma1_n192_few_newton_steps(self):
+        C = build_covariance("ma1:a=0.5", 192)
+        p = 2.0 * decoupling_coefficient(C)
+        prob = eb_optimize(matrix_B(C, p), p)
+        assert prob.converged and prob.n_iter <= 10
+        assert stationarity_residual(prob.B, p, prob.b_opt) < 1e-9
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        p=st.floats(1.2, 4.0),
+    )
+    def test_matches_fixed_point_oracle(self, seed, n, p):
+        B = random_spd(n, np.random.default_rng(seed), log10_eig_range=(-1.5, 1.5))
+        prob = eb_optimize(B, p)
+        oracle, _, _ = fixed_point_eb(B, p)
+        assert prob.converged and prob.n_iter <= 15
+        assert abs(prob.eb_log - oracle) <= 1e-9
+        assert stationarity_residual(B, p, prob.b_opt) < 1e-9
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        p=st.floats(1.01, 11.0),
+    )
+    def test_ill_conditioned_never_below_oracle(self, seed, n, p):
+        # Rounding may stall the residual short of tol here; the flag must
+        # then say so, and the value must still reach the sup.
+        B = random_spd(n, np.random.default_rng(seed), log10_eig_range=(-4.0, 4.0))
+        prob = eb_optimize(B, p)
+        oracle, _, _ = fixed_point_eb(B, p)
+        assert prob.eb_log >= oracle - 1e-9
+        assert prob.n_iter < 100
+        if prob.converged:
+            assert prob.residual < 1e-10
 
 
 class TestEbUpperBound:

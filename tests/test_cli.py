@@ -126,6 +126,16 @@ class TestAnalyze:
         assert row["error"] is None and row["note"] is not None
         assert row["log_det"] is None and row["p_X"] > 0
 
+    def test_overflowing_constant_is_inf_not_a_crash(self, capsys):
+        # The generic constant exceeds the float range here; the log-space
+        # value stands and the linear one saturates to inf.
+        assert run(["analyze", "--model", "sparse:support=1+4", "--n", "2048"]) == 0
+        row = json.loads(capsys.readouterr().out)[0]
+        assert row["error"] is None
+        assert math.isfinite(row["log_constant_generic"]) and row["log_constant_generic"] > 700
+        assert math.isfinite(row["log_constant_refined"])
+        assert row["constant_generic"] == math.inf
+
 
 class TestSzegoCommand:
     def test_ma1_ratio_converges(self, capsys):
@@ -213,6 +223,50 @@ class TestVerifyCommand:
         rows = load_json(out.with_suffix(".json"))
         assert any(r["verdict"] == "hard_fail" for r in rows)
 
+    def test_self_test_negate_with_zero_rhs(self, tmp_path):
+        # No sample lands in the 64-dimensional box, so the lower sandwich's
+        # RHS (the Monte Carlo center) is 0 and its reciprocal is inf.
+        out = tmp_path / "neg0"
+        code = run(
+            [
+                "verify",
+                "--model",
+                "ma1:a=0.5",
+                "--n",
+                "64",
+                "--samples",
+                "1000",
+                "--self-test-negate",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code in (0, 3)
+        rows = {r["function_suite"]: r for r in load_json(out.with_suffix(".json"))}
+        assert rows["khatri_sidak:lower"]["rhs"] == math.inf
+
+    def test_kls_two_sided_exponent_counterexample(self, tmp_path):
+        # With the one-sided exponent 1.4 this run exited 3 with a kls
+        # hard_fail; the two-sided exponent 1 + 2|a|/(1+a^2) = 1.8 holds.
+        cfg = tmp_path / "kls.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "model": "ma1:a=0.5",
+                    "n_list": [5],
+                    "functions": [{"kind": "bounded_poly", "coeffs": [1.0, 0.3], "clip": 2.0}],
+                }
+            )
+        )
+        out = tmp_path / "kls"
+        assert run(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = load_json(out.with_suffix(".json"))
+        kls_rows = [r for r in rows if "kls" in r["function_suite"]]
+        assert len(kls_rows) == 2
+        for row in kls_rows:
+            assert row["p"] == pytest.approx(1.8)
+            assert row["verdict"] == "pass"
+
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "rep"
         run(
@@ -298,6 +352,8 @@ class TestEbCommand:
             assert row["error"] is None
             assert row["sandwich_ok"] is True
             assert row["eb_log"] <= row["upper_log"] + 1e-9
+            assert row["converged"] is True and row["residual"] < 1e-10
+            assert "start_values" not in row
 
 
 class TestExamplesCommand:

@@ -160,6 +160,19 @@ class TestMovingAverage:
         with pytest.raises(InvalidSpec):
             MovingAverageSpec(offsets=np.array([0, 0]), values=np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("support", [8193, 12001])
+    def test_fft_branch_matches_direct_correlation(self, support):
+        # Past the direct-correlation limit the autocovariance goes through a
+        # zero-padded FFT; np.correlate stays the oracle.
+        rng = np.random.default_rng(support)
+        values = rng.standard_normal(support)
+        offsets = np.arange(support) - support // 2
+        spec = MovingAverageSpec(offsets=offsets, values=values)
+        expected = np.correlate(values, values, mode="full")[support - 1 :]
+        gamma = spec.autocovariance(support + 5)
+        assert np.abs(gamma[:support] - expected).max() <= 1e-10 * expected[0]
+        assert np.all(gamma[support:] == 0.0)
+
 
 class TestInversePowerGamma:
     def test_mu1_telescopes_to_two(self):

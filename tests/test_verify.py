@@ -16,6 +16,7 @@ from gaussdecoup import (
     inverse_power_gamma_sequence,
     marginal_p_norm,
     sample_gaussian,
+    stationary_exponent,
     verify_khatri_sidak,
     verify_kls,
     verify_theorem1,
@@ -248,8 +249,8 @@ class TestVerifyKhatriSidak:
     def test_kls_form_upper_bound(self):
         gamma = np.array([1.25, 0.5])
         C = from_stationary(gamma / gamma[0], 5)
-        p_kls = float(np.abs(gamma).sum() / gamma[0])
-        assert p_kls == pytest.approx(1.4)
+        p_kls = stationary_exponent(gamma)
+        assert p_kls == pytest.approx(1.8)
         ks = verify_khatri_sidak(C, np.ones(5), 4.0, 10**5, seed=23, kls_exponent=p_kls)
         assert ks.kls_upper is not None
         assert ks.kls_upper.verdict == "pass"
@@ -272,8 +273,30 @@ class TestVerifyKls:
         gamma = [1.25, 0.5]
         report = verify_kls(gamma, 5, [IND1] * 5, 10**5, seed=32)
         assert report.verdict == "pass"
-        expected_rhs = marginal_p_norm(IND1, 1.0, 1.4) ** 5
+        expected_rhs = marginal_p_norm(IND1, 1.0, 1.8) ** 5
         assert report.rhs == pytest.approx(expected_rhs, rel=1e-12)
+
+    def test_exponent_is_two_sided(self):
+        assert stationary_exponent([1.0]) == 1.0
+        assert stationary_exponent([1.25, 0.5]) == pytest.approx(1.8, rel=1e-15)
+        assert stationary_exponent([2.0, -0.5, 0.25]) == pytest.approx(1.75, rel=1e-15)
+        # It bounds the top eigenvalue of every correlation section.
+        c = np.array([1.0, 0.5, -0.3, 0.2])
+        gamma = np.correlate(c, c, mode="full")[c.size - 1 :]
+        for n in (2, 5, 40):
+            C = from_stationary(gamma / gamma[0], n)
+            assert np.linalg.eigvalsh(C.entries).max() <= stationary_exponent(gamma)
+        with pytest.raises(ValueError):
+            stationary_exponent([0.0, 1.0])
+
+    def test_ma1_clipped_poly_counterexample(self):
+        # The one-sided exponent 1.4 hard-failed here (z about -14).
+        f = TestFunctionSpec.bounded_poly((1.0, 0.3), clip=2.0)
+        report = verify_kls([1.25, 0.5], 5, [f] * 5, 10**5, seed=20260809)
+        assert report.verdict == "pass"
+        assert report.rhs == pytest.approx(marginal_p_norm(f, 1.0, 1.8) ** 5, rel=1e-12)
+        one_sided = with_rhs(report, marginal_p_norm(f, 1.0, 1.4) ** 5)
+        assert one_sided.verdict == "hard_fail"
 
     def test_inverse_power_r2_truncated(self):
         gamma = inverse_power_gamma_sequence(500, 2.0)
