@@ -25,6 +25,7 @@ from .brascamp import (
 from .covmodel import (
     CovarianceMatrix,
     HilbertSpec,
+    ModelSpec,
     MovingAverageSpec,
     SparseSupportSpec,
     SpectralSymbol,
@@ -38,6 +39,7 @@ from .covmodel import (
     inverse_power_gamma_sequence,
     inverse_power_symbol,
     ma1_symbol,
+    parse_model,
     sparse_support_covariance,
     symbol_from_grid,
     symbol_from_name,

@@ -96,13 +96,27 @@ _EB_COLUMNS = [
 ]
 
 
+def _parse_p_policy(policy) -> float | None:
+    """None for "auto2pX", else the exponent of "fixed:4", "fixed(4)", "fixed=4" or a number."""
+    if policy == "auto2pX":
+        return None
+    text = policy.removeprefix("fixed").strip(":()= ") if isinstance(policy, str) else policy
+    try:
+        p = float(text)
+    except (TypeError, ValueError):
+        p = math.nan
+    if not (math.isfinite(p) and p > 0):
+        raise ConfigError(f"p_policy must be auto2pX, fixed:<p> or a number > 0, got {policy!r}")
+    return p
+
+
 @dataclass
 class ScenarioConfig:
     """One scenario: a covariance (or symbol) family swept over dimensions."""
 
     model: str = "ma1:a=0.5"
     n_list: list = field(default_factory=lambda: [8])
-    p_policy: object = "auto2pX"  # "auto2pX" or a number
+    p_policy: object = "auto2pX"  # "auto2pX", "fixed:<p>" or a number
     functions: list = field(default_factory=lambda: [verify.TestFunctionSpec.indicator(1.0)])
     mc_samples: int = 100_000
     seed: int = 20260809
@@ -111,6 +125,9 @@ class ScenarioConfig:
     eps: float = 1.0
     jobs: int = 1
     self_test_negate: bool = False
+    # Parsed from ``model`` and ``p_policy`` by ``validate``.
+    spec: covmodel.ModelSpec | None = field(default=None, init=False, repr=False)
+    p_fixed: float | None = field(default=None, init=False, repr=False)
 
     def validate(self, command: str) -> None:
         if not self.n_list:
@@ -123,140 +140,31 @@ class ScenarioConfig:
             raise ConfigError("mc_samples must be >= 1000 for verify runs")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
-        if isinstance(self.p_policy, str):
-            if self.p_policy != "auto2pX" and not self.p_policy.startswith("fixed"):
-                raise ConfigError(f"p_policy must be auto2pX or fixed(<p>), got {self.p_policy!r}")
+        try:
+            self.spec = covmodel.parse_model(self.model)
+        except GaussDecoupError as exc:
+            raise ConfigError(f"model {self.model!r}: {exc}") from exc
+        self.p_fixed = _parse_p_policy(self.p_policy)
         if self.eps <= 0:
             raise ConfigError("eps must be positive")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
 
     def resolve_p(self, p_x: float) -> float:
-        if self.p_policy == "auto2pX":
-            return 2.0 * p_x
-        if isinstance(self.p_policy, str):
-            # accepted spellings: "fixed:4", "fixed(4)", "fixed=4"
-            digits = self.p_policy.replace("fixed", "").strip(":()= ")
-            try:
-                return float(digits)
-            except ValueError as exc:
-                raise ConfigError(f"cannot parse p_policy {self.p_policy!r}") from exc
-        return float(self.p_policy)
+        return 2.0 * p_x if self.p_fixed is None else self.p_fixed
 
 
-# ---------------------------------------------------------------------------
-# Model families
-# ---------------------------------------------------------------------------
-
-
-def _parse_model(model: str) -> tuple[str, dict]:
-    head, _, argstr = model.partition(":")
-    args = {}
-    if argstr:
-        for item in argstr.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise ConfigError(f"malformed model argument {item!r} in {model!r}")
-            args[key.strip()] = val.strip()
-    return head.strip(), args
-
-
-def _float_arg(args: dict, key: str, model: str) -> float:
-    if key not in args:
-        raise ConfigError(f"model {model!r} needs {key}=<real>")
-    try:
-        return float(args[key])
-    except ValueError as exc:
-        raise ConfigError(f"model {model!r}: bad value for {key}") from exc
-
-
-def model_gamma(model: str, max_lag: int) -> np.ndarray | None:
-    """Autocovariance gamma(0..max_lag) for stationary families, else None."""
-    head, args = _parse_model(model)
-    if head == "identity":
-        gamma = np.zeros(max_lag + 1)
-        gamma[0] = 1.0
-        return gamma
-    if head == "equicorr":
-        rho = _float_arg(args, "rho", model)
-        gamma = np.full(max_lag + 1, rho)
-        gamma[0] = 1.0
-        return gamma
-    if head == "ma1":
-        a = _float_arg(args, "a", model)
-        gamma = np.zeros(max_lag + 1)
-        gamma[0] = 1.0 + a * a
-        if max_lag >= 1:
-            gamma[1] = a
-        return gamma
-    if head == "inverse_power":
-        r = _float_arg(args, "r", model)
-        return covmodel.inverse_power_gamma_sequence(max_lag, r)
-    if head == "sparse":
-        if "support" not in args:
-            raise ConfigError(f"model {model!r} needs support=<m1+m2+...>")
-        support = [int(tok) for tok in args["support"].split("+")]
-        return covmodel.SparseSupportSpec.unit(support).autocovariance(max_lag)
-    if head == "stationary":
-        if "file" not in args:
-            raise ConfigError(f"model {model!r} needs file=<path>")
-        gamma = covmodel.load_values(args["file"])
-        out = np.zeros(max_lag + 1)
-        m = min(max_lag + 1, gamma.size)
-        out[:m] = gamma[:m]
-        return out
-    return None
-
-
-def build_covariance(model: str, n: int) -> covmodel.CovarianceMatrix:
-    """Materialize the n x n covariance of a named family."""
-    head, args = _parse_model(model)
-    if head == "hilbert":
-        return covmodel.hilbert_covariance(
-            covmodel.HilbertSpec(np.arange(1, n + 1, dtype=float)), n
-        )
-    if head == "dense":
-        if "file" not in args:
-            raise ConfigError(f"model {model!r} needs file=<path>")
-        return covmodel.build_dense(covmodel.load_matrix(args["file"]))
-    gamma = model_gamma(model, n - 1)
-    if gamma is None:
-        raise ConfigError(f"unknown model family {head!r}")
-    return covmodel.from_stationary(gamma, n)
-
-
-def closed_form_p(model: str, n: int) -> float | None:
+def closed_form_p(spec: covmodel.ModelSpec, n: int) -> float | None:
     """p(X^n) without materializing the matrix, where the family allows it."""
-    head, _ = _parse_model(model)
-    if head == "hilbert":
+    if spec.family == "hilbert":
         # Row sums of {1/(k+l)}: p = max_k 2k (H_{n+k} - H_k).
         H = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, 2 * n + 1))])
         k = np.arange(1, n + 1)
         return float((2.0 * k * (H[n + k] - H[k])).max())
-    gamma = model_gamma(model, n - 1)
+    gamma = spec.gamma(n - 1)
     if gamma is None:
         return None
     return decoupling.stationary_decoupling_coefficient(gamma, n)
-
-
-def kls_gamma(model: str) -> np.ndarray | None:
-    """Full (absolutely summable) autocovariance for the stationary-exponent check."""
-    head, args = _parse_model(model)
-    if head == "identity":
-        return np.array([1.0])
-    if head == "ma1":
-        a = _float_arg(args, "a", model)
-        return np.array([1.0 + a * a, a])
-    if head == "sparse":
-        support = [int(tok) for tok in args["support"].split("+")]
-        spec = covmodel.SparseSupportSpec.unit(support)
-        return spec.autocovariance(2 * max(support))
-    if head == "inverse_power":
-        r = _float_arg(args, "r", model)
-        if r >= 2.0:
-            # Summable tail; truncated at a fixed horizon.
-            return covmodel.inverse_power_gamma_sequence(4096, r)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -293,26 +201,26 @@ def cmd_analyze(cfg: ScenarioConfig) -> tuple[list, int]:
         try:
             if n > ANALYZE_N_CAP:
                 raise ConfigError(f"n={n} exceeds the analyze cap {ANALYZE_N_CAP}")
-            # p(X) is a row-sum statistic: the closed-form route needs neither
-            # the dense matrix nor its (possibly failing) factorization.
-            p_x = closed_form_p(cfg.model, n)
             C = None
             det_note = None
             if n <= MATRIX_N_CAP:
                 try:
-                    C = build_covariance(cfg.model, n)
+                    C = cfg.spec.covariance(n)
                 except (GaussDecoupError, np.linalg.LinAlgError) as exc:
                     det_note = str(exc)
             if C is not None:
-                # The matrix coefficient and the closed form agree to rounding;
-                # resolving p from the same value the validity check uses keeps
+                # Resolving p from the same value the validity check uses keeps
                 # the strict p >= 2 p(X) hypothesis exact at auto2pX.
                 p_x = decoupling.decoupling_coefficient(C)
-            elif p_x is None:
-                raise ConfigError(
-                    f"no closed-form p(X) for model {cfg.model!r} and the matrix "
-                    f"route failed: {det_note or f'n={n} exceeds cap {MATRIX_N_CAP}'}"
-                )
+            else:
+                # p(X) is a row-sum statistic: the closed-form route needs neither
+                # the dense matrix nor its (possibly failing) factorization.
+                p_x = closed_form_p(cfg.spec, n)
+                if p_x is None:
+                    raise ConfigError(
+                        f"no closed-form p(X) for model {cfg.model!r} and the matrix "
+                        f"route failed: {det_note or f'n={n} exceeds cap {MATRIX_N_CAP}'}"
+                    )
             p = cfg.resolve_p(p_x)
             row.update({"p_X": p_x, "p": p, "valid": p >= 2.0 * p_x})
             if C is not None:
@@ -330,21 +238,11 @@ def cmd_analyze(cfg: ScenarioConfig) -> tuple[list, int]:
     return rows, (EXIT_CONFIG if any(r["error"] for r in rows) else EXIT_OK)
 
 
-def _load_symbol(model: str) -> covmodel.SpectralSymbol:
-    """Named built-in, or grid samples from a file: "grid:file=<path>"."""
-    head, args = _parse_model(model)
-    if head == "grid":
-        if "file" not in args:
-            raise ConfigError(f"model {model!r} needs file=<path>")
-        return covmodel.symbol_from_grid(covmodel.load_values(args["file"]))
-    return covmodel.symbol_from_name(model)
-
-
 def cmd_szego(cfg: ScenarioConfig) -> tuple[list, int]:
     symbol = None
     symbol_error = None
     try:
-        symbol = szego.log_symbol_coefficients(_load_symbol(cfg.model))
+        symbol = szego.log_symbol_coefficients(cfg.spec.symbol())
     except (GaussDecoupError, OSError) as exc:
         symbol_error = str(exc)
 
@@ -388,7 +286,7 @@ def _report_row(cfg, n, p, suite, report) -> dict:
 
 
 def cmd_verify(cfg: ScenarioConfig) -> tuple[list, int]:
-    kls_g = kls_gamma(cfg.model)
+    kls_g = cfg.spec.summable_gamma()
 
     def task(n: int):
         n = int(n)
@@ -396,7 +294,7 @@ def cmd_verify(cfg: ScenarioConfig) -> tuple[list, int]:
         try:
             if n > MATRIX_N_CAP:
                 raise ConfigError(f"n={n} exceeds the sampling cap {MATRIX_N_CAP}")
-            C = build_covariance(cfg.model, n)
+            C = cfg.spec.covariance(n)
             p_x = decoupling.decoupling_coefficient(C)
             p = cfg.resolve_p(p_x)
             fns = _functions_for(cfg, n)
@@ -454,7 +352,7 @@ def cmd_eb(cfg: ScenarioConfig) -> tuple[list, int]:
         try:
             if n > MATRIX_N_CAP:
                 raise ConfigError(f"n={n} exceeds the matrix cap {MATRIX_N_CAP}")
-            C = build_covariance(cfg.model, n)
+            C = cfg.spec.covariance(n)
             p_x = decoupling.decoupling_coefficient(C)
             p = cfg.resolve_p(p_x)
             B = brascamp.matrix_B(C, p)
@@ -472,8 +370,9 @@ def cmd_examples(cfg: ScenarioConfig) -> tuple[list, int]:
     records = []
     print("inverse-power moving average (c_m = 1/|m|): growth of p(X^n)")
     print(f"{'n':>8} {'p(X^n)':>12} {'4(log n)^2':>12} {'ratio':>8}")
+    inverse_power = covmodel.parse_model("inverse_power:r=1")
     for n in (100, 1000, 10_000, 100_000):
-        p_x = closed_form_p("inverse_power:r=1", n)
+        p_x = closed_form_p(inverse_power, n)
         ref = 4.0 * math.log(n) ** 2
         print(f"{n:>8} {p_x:>12.4f} {ref:>12.4f} {p_x / ref:>8.4f}")
         records.append(
@@ -482,8 +381,9 @@ def cmd_examples(cfg: ScenarioConfig) -> tuple[list, int]:
     print()
     print("Hilbert-type family a = (1..n): p(X^n) grows linearly")
     print(f"{'n':>8} {'p(X^n)':>12} {'p(X^n)/n':>10}")
+    hilbert = covmodel.parse_model("hilbert")
     for n in (10, 20, 40, 80, 160, 320):
-        p_x = closed_form_p("hilbert", n)
+        p_x = closed_form_p(hilbert, n)
         print(f"{n:>8} {p_x:>12.4f} {p_x / n:>10.6f}")
         records.append({"model": "hilbert", "n": n, "p_X": p_x, "p_over_n": p_x / n})
     return records, EXIT_OK
@@ -630,7 +530,7 @@ def make_config(args: argparse.Namespace) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"--n must be comma-separated integers: {exc}") from exc
     if args.p is not None:
-        cfg.p_policy = args.p if args.p == "auto2pX" or args.p.startswith("fixed") else float(args.p)
+        cfg.p_policy = args.p
     if args.samples is not None:
         cfg.mc_samples = args.samples
     if args.eps is not None:

@@ -15,6 +15,10 @@ Also houses the spectral-symbol representation: a 2*pi-periodic non-negative
 function sampled on a uniform grid over ``[-pi, pi)`` together with its
 Fourier coefficients ``d_k``, which generate the Toeplitz sections.
 
+``parse_model`` checks a model string ("ma1:a=0.5", "sparse:support=1+4",
+...) against the one table of families and returns a ``ModelSpec``, which
+yields the family's autocovariance, covariance matrix or spectral symbol.
+
 All returned objects are immutable after construction; every function here is
 pure and safe to call concurrently.
 """
@@ -25,6 +29,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import mpmath
 import numpy as np
@@ -139,6 +144,8 @@ def from_stationary(gamma, n: int) -> CovarianceMatrix:
     longer ones truncated to the first ``n`` lags.
     """
     gamma = np.asarray(gamma, dtype=float).ravel()
+    if not np.all(np.isfinite(gamma)):
+        raise NonFiniteInput("autocovariance contains NaN or infinity")
     if gamma.size == 0 or gamma[0] <= 0:
         raise NonPositiveDiagonal("gamma[0] (the variance) must be strictly positive")
     col = np.zeros(n)
@@ -485,51 +492,170 @@ def inverse_power_symbol(r: float, grid_size: int = DEFAULT_GRID_SIZE) -> Spectr
     return symbol_from_grid(u[np.abs(j - K)] ** 2)
 
 
-def symbol_from_name(name: str, grid_size: int = DEFAULT_GRID_SIZE) -> SpectralSymbol:
-    """Parse a named built-in: "constant", "ma1:a=<real>", "inverse_power:r=<real>"."""
-    head, _, argstr = name.partition(":")
-    args = {}
-    if argstr:
-        for item in argstr.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise InvalidSpec(f"malformed symbol argument {item!r} in {name!r}")
-            args[key.strip()] = float(val)
-    if head == "constant":
-        return constant_symbol(args.pop("value", 1.0), grid_size)
-    if head == "ma1":
-        if "a" not in args:
-            raise InvalidSpec("ma1 symbol needs a=<real>")
-        return ma1_symbol(args.pop("a"), grid_size)
-    if head == "inverse_power":
-        if "r" not in args:
-            raise InvalidSpec("inverse_power symbol needs r=<real>")
-        return inverse_power_symbol(args.pop("r"), grid_size)
-    raise InvalidSpec(f"unknown symbol family {head!r}")
-
-
 # ---------------------------------------------------------------------------
 # File ingestion (JSON arrays or CSV columns)
 # ---------------------------------------------------------------------------
 
 
 def load_values(path) -> np.ndarray:
-    """Read a 1-D value sequence from a JSON array or a one-value-per-line CSV."""
+    """Read a 1-D sequence from a JSON array or a one-value-per-line CSV (else InvalidSpec)."""
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        data = json.loads(path.read_text())
-        return np.asarray(data, dtype=float).ravel()
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    return np.array([float(row[0]) for row in rows])
+    try:
+        if path.suffix.lower() == ".json":
+            return np.asarray(json.loads(path.read_text()), dtype=float).ravel()
+        with open(path, newline="") as fh:
+            return np.array([float(row[0]) for row in csv.reader(fh) if row])
+    except (TypeError, ValueError, csv.Error) as exc:
+        raise InvalidSpec(f"cannot read values from {path}: {exc}") from exc
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a 2-D array from nested JSON arrays or CSV rows."""
+    """Read a 2-D array from nested JSON arrays or CSV rows (else InvalidSpec)."""
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        data = json.loads(path.read_text())
-        return np.asarray(data, dtype=float)
-    with open(path, newline="") as fh:
-        rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
-    return np.asarray(rows, dtype=float)
+    try:
+        if path.suffix.lower() == ".json":
+            return np.asarray(json.loads(path.read_text()), dtype=float)
+        with open(path, newline="") as fh:
+            return np.asarray([[float(x) for x in row] for row in csv.reader(fh) if row])
+    except (TypeError, ValueError, csv.Error) as exc:
+        raise InvalidSpec(f"cannot read a matrix from {path}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# Model strings: "family" or "family:key=value,key=value,..."
+# ---------------------------------------------------------------------------
+
+# Each family and the arguments it takes, with their defaults (None: required).
+# "file" is a path, read when the model is used; "support" is m1+m2+...;
+# every other argument is a finite real.
+MODEL_FAMILIES = {
+    "identity": {},
+    "equicorr": {"rho": None},
+    "ma1": {"a": None},
+    "inverse_power": {"r": None},
+    "sparse": {"support": None},
+    "hilbert": {},
+    "stationary": {"file": None},
+    "dense": {"file": None},
+    "constant": {"value": 1.0},
+    "grid": {"file": None},
+}
+
+
+def _model_arg(key: str, value: str):
+    """A checked argument: a path, a SparseSupportSpec or a finite real."""
+    if key == "file":
+        return value
+    try:
+        if key == "support":
+            return SparseSupportSpec.unit([int(tok) for tok in value.split("+")])
+        real = float(value)
+    except ValueError as exc:
+        raise InvalidSpec(f"bad value {value!r} for {key}") from exc
+    if not np.isfinite(real):
+        raise NonFiniteInput(f"{key} must be finite, got {value!r}")
+    return real
+
+
+def _padded(values, max_lag: int) -> np.ndarray:
+    """values[0..max_lag], zero-padded."""
+    gamma = np.zeros(max_lag + 1)
+    m = min(max_lag + 1, len(values))
+    gamma[:m] = values[:m]
+    return gamma
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """A family from MODEL_FAMILIES with its checked arguments; built by ``parse_model``.
+
+    Files named by ``file`` are read only when a method needs them.
+    """
+
+    family: str
+    args: MappingProxyType
+
+    def gamma(self, max_lag: int) -> np.ndarray | None:
+        """Autocovariance gamma(0..max_lag) of a stationary family, else None."""
+        family, args = self.family, self.args
+        if family == "identity":
+            return _padded([1.0], max_lag)
+        if family == "equicorr":
+            gamma = np.full(max_lag + 1, args["rho"])
+            gamma[0] = 1.0
+            return gamma
+        if family == "ma1":
+            a = args["a"]
+            return _padded([1.0 + a * a, a], max_lag)
+        if family == "inverse_power":
+            return inverse_power_gamma_sequence(max_lag, args["r"])
+        if family == "sparse":
+            return args["support"].autocovariance(max_lag)
+        if family == "stationary":
+            return _padded(load_values(args["file"]), max_lag)
+        return None
+
+    def summable_gamma(self) -> np.ndarray | None:
+        """gamma up to the lag past which it vanishes, where it is absolutely summable."""
+        family, args = self.family, self.args
+        horizon = {"identity": 0, "ma1": 1}.get(family)
+        if family == "sparse":
+            horizon = 2 * max(args["support"].support)
+        if family == "inverse_power" and args["r"] >= 2.0:
+            horizon = 4096  # summable tail, truncated at a fixed horizon
+        return None if horizon is None else self.gamma(horizon)
+
+    def covariance(self, n: int) -> CovarianceMatrix:
+        """The validated n x n covariance matrix."""
+        if self.family == "hilbert":
+            return hilbert_covariance(HilbertSpec(np.arange(1, n + 1, dtype=float)), n)
+        if self.family == "dense":
+            return build_dense(load_matrix(self.args["file"]))
+        gamma = self.gamma(n - 1)
+        if gamma is None:
+            raise InvalidSpec(f"model family {self.family!r} has no covariance matrix")
+        return from_stationary(gamma, n)
+
+    def symbol(self, grid_size: int = DEFAULT_GRID_SIZE) -> SpectralSymbol:
+        """The spectral symbol; a ``grid`` file sets its own grid size."""
+        family, args = self.family, self.args
+        if family == "constant":
+            return constant_symbol(args["value"], grid_size)
+        if family == "ma1":
+            return ma1_symbol(args["a"], grid_size)
+        if family == "inverse_power":
+            return inverse_power_symbol(args["r"], grid_size)
+        if family == "grid":
+            return symbol_from_grid(load_values(args["file"]))
+        raise InvalidSpec(f"model family {family!r} has no spectral symbol")
+
+
+def parse_model(text) -> ModelSpec:
+    """Parse "family" or "family:key=value,..." against MODEL_FAMILIES.
+
+    An unknown family, a malformed, unknown or missing argument, or a value
+    of the wrong kind raises InvalidSpec; a non-finite real, NonFiniteInput.
+    """
+    if not isinstance(text, str):
+        raise InvalidSpec(f"model must be a string, got {text!r}")
+    family, _, argstr = (part.strip() for part in text.partition(":"))
+    if family not in MODEL_FAMILIES:
+        raise InvalidSpec(f"unknown model family {family!r}; one of {', '.join(MODEL_FAMILIES)}")
+    args = dict(MODEL_FAMILIES[family])
+    for item in argstr.split(",") if argstr else ():
+        key, _, value = (part.strip() for part in item.partition("="))
+        if not value or key not in args:
+            takes = ", ".join(f"{name}=" for name in args) or "no arguments"
+            raise InvalidSpec(f"bad argument {item!r}; {family} takes {takes}")
+        args[key] = _model_arg(key, value)
+    for key, value in args.items():
+        if value is None:
+            raise InvalidSpec(f"{family} needs {key}=<value>")
+    if family == "inverse_power" and args["r"] < 1.0:
+        raise InvalidSpec(f"inverse-power family needs r >= 1, got {args['r']}")
+    return ModelSpec(family, MappingProxyType(args))
+
+
+def symbol_from_name(name: str, grid_size: int = DEFAULT_GRID_SIZE) -> SpectralSymbol:
+    """Symbol of a model string such as "constant", "ma1:a=0.5" or "inverse_power:r=2"."""
+    return parse_model(name).symbol(grid_size)

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import erf
 
 from .covmodel import CovarianceMatrix
-from .errors import ConditionViolated, NotPositiveDefinite
+from .errors import ConditionViolated, NonFiniteInput, NotPositiveDefinite
 
 __all__ = [
     "DecouplingBound",
@@ -63,6 +63,8 @@ def stationary_decoupling_coefficient(gamma, n: int) -> float:
     prefix-sum scan gives the exact coefficient in O(n).
     """
     gamma = np.asarray(gamma, dtype=float).ravel()
+    if not np.all(np.isfinite(gamma)):
+        raise NonFiniteInput("autocovariance contains NaN or infinity")
     if gamma.size == 0 or gamma[0] <= 0:
         raise ValueError("gamma[0] must be strictly positive")
     g = np.zeros(n)
@@ -226,16 +228,12 @@ def decoupling_bound(C: CovarianceMatrix, p: float) -> DecouplingBound:
     """Aggregate p(X), validity of the exponent hypothesis, and both constants."""
     p_x = decoupling_coefficient(C)
     valid = p >= 2.0 * p_x
-    log_generic = None
-    log_refined = None
-    if valid:
-        log_generic = theorem1_log_constant(C, p)
-        log_refined = refined_constant(C, p).log_value
+    refined = refined_constant(C, p) if valid else None
     return DecouplingBound(
         p_X=p_x,
         p=p,
         valid=valid,
         n=C.n,
-        log_constant_generic=log_generic,
-        log_constant_refined=log_refined,
+        log_constant_generic=None if refined is None else refined.log_generic,
+        log_constant_refined=None if refined is None else refined.log_value,
     )

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import erf
 
 from .covmodel import CovarianceMatrix, from_stationary
-from .decoupling import corollary1_bound, theorem1_log_constant
+from .decoupling import _exp, corollary1_bound, theorem1_log_constant
 from .errors import InvalidSpec
 
 __all__ = [
@@ -391,7 +391,7 @@ def verify_theorem1(
     for f, sigma in zip(fns, C.sigmas):
         log_rhs += math.log(marginal_p_norm(f, float(sigma), p))
     mean, stderr = _product_moments(C, fns, n_samples, seed)
-    return _make_report(abs(mean), stderr, math.exp(log_rhs), n_samples, seed)
+    return _make_report(abs(mean), stderr, _exp(log_rhs), n_samples, seed)
 
 
 @dataclass(frozen=True)

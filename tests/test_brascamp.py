@@ -22,7 +22,7 @@ from gaussdecoup import (
     ostrowski_bound,
     random_spd,
 )
-from gaussdecoup.cli import build_covariance
+from gaussdecoup.covmodel import parse_model
 
 C_half = build_dense([[1.0, 0.5], [0.5, 1.0]])
 
@@ -214,7 +214,7 @@ class TestEbOptimize:
         assert prob.eb_log >= fixed_point_eb(B, 1.02)[0] - 1e-12
 
     def test_ma1_n192_few_newton_steps(self):
-        C = build_covariance("ma1:a=0.5", 192)
+        C = parse_model("ma1:a=0.5").covariance(192)
         p = 2.0 * decoupling_coefficient(C)
         prob = eb_optimize(matrix_B(C, p), p)
         assert prob.converged and prob.n_iter <= 10

@@ -370,3 +370,88 @@ class TestExamplesCommand:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)[0]["p_X"] == 1.0
+
+
+# Each of these used to end in a traceback (exit 1), in a report holding NaN,
+# in error rows or in silently ignored arguments.
+CONFIG_ERRORS = [
+    (["verify", "--model", "sparse"], None),
+    (["verify", "--model", "sparse:support=x"], None),
+    (["eb", "--model", "sparse:support=1+x"], None),
+    (["verify", "--model", "sparse:support=-1"], None),
+    (["szego", "--model", "ma1:a=abc"], None),
+    (["analyze", "--model", "ma1:a=nan"], None),
+    (["analyze", "--model", "ma1:a=0.5,b=3"], None),
+    (["analyze", "--model", "hilbert:a=2"], None),
+    (["analyze", "--model", "no_such_family"], None),
+    (["analyze"], {"model": 5}),
+    (["analyze", "--p", "abc"], None),
+    (["analyze", "--p", "nan"], None),
+    (["analyze", "--p", "fixed:abc"], None),
+    (["analyze", "--p", "-2"], None),
+    (["analyze", "--p", "inf"], None),
+    (["analyze", "--p", "0"], None),
+    (["analyze"], {"p_policy": "fixed"}),
+    (["analyze"], {"p_policy": None}),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv, config",
+        CONFIG_ERRORS,
+        ids=[" ".join(argv) + (f" {cfg}" if cfg else "") for argv, cfg in CONFIG_ERRORS],
+    )
+    def test_config_error_before_any_row(self, argv, config, tmp_path, capsys):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        assert run(argv + ["--n", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("policy", ["fixed:4", "fixed(4)", "fixed=4", "4", 4, 4.0])
+    def test_p_policy_spellings(self, policy, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "identity", "n_list": [3], "p_policy": policy}))
+        assert run(["analyze", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["p"] == 4.0
+
+    def test_p_flag_number(self, capsys):
+        assert run(["analyze", "--model", "identity", "--n", "3", "--p", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["p"] == 4.0
+
+    @pytest.mark.parametrize(
+        "command, family, content",
+        [
+            ("verify", "stationary", "x\n"),
+            ("eb", "dense", "x\n"),
+            ("szego", "grid", "x\n"),
+            ("analyze", "stationary", "1\nnan\n0.2\n"),
+            ("verify", "stationary", "1\nnan\n0.2\n"),
+        ],
+    )
+    def test_bad_file_content_is_an_error_row(self, command, family, content, tmp_path, capsys):
+        path = tmp_path / "values.csv"
+        path.write_text(content)
+        argv = [command, "--model", f"{family}:file={path}", "--n", "3", "--samples", "1000"]
+        assert run(argv) == 2
+        out = capsys.readouterr().out
+        assert ": NaN" not in out
+        for row in json.loads(out):
+            assert row.get("error") or str(row.get("verdict")).startswith("error")
+
+    def test_theorem1_rhs_overflow_saturates(self, tmp_path):
+        # The log right-hand side passes 709; exp() used to raise OverflowError.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"functions": [{"kind": "bounded_poly", "coeffs": [1e6], "clip": 1e6}]})
+        )
+        out = tmp_path / "big"
+        argv = ["verify", "--config", str(cfg), "--model", "ma1:a=0.5", "--n", "64"]
+        assert run(argv + ["--samples", "1000", "--out", str(out)]) in (0, 3)
+        rows = load_json(out.with_suffix(".json"))
+        theorem1 = [r for r in rows if r["function_suite"].startswith("theorem1:")]
+        assert len(theorem1) == 1 and theorem1[0]["rhs"] == math.inf

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gaussdecoup import (
     HilbertSpec,
     InvalidSpec,
+    ModelSpec,
     MovingAverageSpec,
     NonFiniteInput,
     NonPositiveDiagonal,
@@ -21,6 +22,7 @@ from gaussdecoup import (
     hilbert_covariance,
     inverse_power_gamma,
     inverse_power_gamma_sequence,
+    parse_model,
     sparse_support_covariance,
     symbol_from_grid,
     symbol_from_name,
@@ -125,6 +127,10 @@ class TestFromStationary:
     def test_short_gamma_zero_padded(self):
         C = from_stationary([2.0], 4)
         assert np.array_equal(C.entries, 2.0 * np.eye(4))
+
+    def test_non_finite_gamma_rejected(self):
+        with pytest.raises(NonFiniteInput):
+            from_stationary([1.0, np.nan, 0.2], 3)
 
 
 class TestMovingAverage:
@@ -383,3 +389,106 @@ class TestCovarianceInvariants:
         recon = C.chol @ C.chol.T
         scale = np.abs(C.entries).max()
         assert np.abs(recon - C.entries).max() <= 1e-10 * scale
+
+
+class TestParseModel:
+    def test_arguments_are_checked_values(self):
+        spec = parse_model(" sparse : support = 1+4 ")
+        assert isinstance(spec, ModelSpec) and spec.family == "sparse"
+        assert spec.args["support"].support == (1, 4)
+        assert parse_model("ma1:a=0.5").args == {"a": 0.5}
+        assert parse_model("constant").args == {"value": 1.0}
+        assert parse_model("dense:file=m.csv").args == {"file": "m.csv"}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "unknown_family",
+            "sparse",
+            "sparse:support=x",
+            "sparse:support=1+x",
+            "sparse:support=-1",
+            "sparse:support=1.5",
+            "ma1",
+            "ma1:",
+            "ma1:a",
+            "ma1:a=abc",
+            "ma1:a=0.5,",
+            "ma1:a=0.5,b=3",
+            "hilbert:a=2",
+            "identity:rho=0.1",
+            "inverse_power:r=0.5",
+            "stationary",
+            5,
+            None,
+        ],
+    )
+    def test_malformed_rejected(self, text):
+        with pytest.raises(InvalidSpec):
+            parse_model(text)
+
+    @pytest.mark.parametrize("text", ["ma1:a=nan", "equicorr:rho=inf", "inverse_power:r=-inf"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(NonFiniteInput):
+            parse_model(text)
+
+    def test_files_are_read_when_used(self):
+        spec = parse_model("stationary:file=/nonexistent/gamma.csv")
+        with pytest.raises(OSError):
+            spec.gamma(3)
+
+    def test_unparsable_file_is_invalid_spec(self, tmp_path):
+        values = tmp_path / "values.csv"
+        values.write_text("x\n")
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text("[[1, 0], [0]]")
+        with pytest.raises(InvalidSpec):
+            parse_model(f"stationary:file={values}").covariance(2)
+        with pytest.raises(InvalidSpec):
+            parse_model(f"grid:file={values}").symbol()
+        with pytest.raises(InvalidSpec):
+            parse_model(f"dense:file={matrix}").covariance(2)
+
+    def test_stationary_file_gamma(self, tmp_path):
+        path = tmp_path / "gamma.json"
+        path.write_text("[1.25, 0.5]")
+        spec = parse_model(f"stationary:file={path}")
+        assert np.array_equal(spec.gamma(3), [1.25, 0.5, 0.0, 0.0])
+        assert np.array_equal(spec.gamma(0), [1.25])
+        assert spec.summable_gamma() is None
+
+    def test_gamma_matches_covariance_builders(self):
+        assert np.array_equal(parse_model("identity").gamma(2), [1.0, 0.0, 0.0])
+        assert np.array_equal(parse_model("equicorr:rho=0.3").gamma(2), [1.0, 0.3, 0.3])
+        assert np.array_equal(parse_model("ma1:a=0.5").gamma(2), [1.25, 0.5, 0.0])
+        assert np.array_equal(parse_model("ma1:a=0.5").gamma(0), [1.25])
+        assert np.array_equal(
+            parse_model("inverse_power:r=1").gamma(5), inverse_power_gamma_sequence(5, 1.0)
+        )
+        sparse = SparseSupportSpec.unit([1, 4])
+        assert np.array_equal(parse_model("sparse:support=1+4").gamma(9), sparse.autocovariance(9))
+        for family in ("hilbert", "dense:file=m.csv", "constant", "grid:file=g.csv"):
+            assert parse_model(family).gamma(3) is None
+
+    def test_summable_gamma_horizons(self):
+        assert np.array_equal(parse_model("identity").summable_gamma(), [1.0])
+        assert np.array_equal(parse_model("ma1:a=0.5").summable_gamma(), [1.25, 0.5])
+        sparse = parse_model("sparse:support=1+4").summable_gamma()
+        assert np.array_equal(sparse, SparseSupportSpec.unit([1, 4]).autocovariance(8))
+        inverse_power = parse_model("inverse_power:r=2").summable_gamma()
+        assert np.array_equal(inverse_power, inverse_power_gamma_sequence(4096, 2.0))
+        for text in ("inverse_power:r=1.5", "equicorr:rho=0.2", "hilbert"):
+            assert parse_model(text).summable_gamma() is None
+
+    def test_covariance_routes(self):
+        C = parse_model("ma1:a=0.5").covariance(3)
+        assert np.array_equal(C.entries, from_stationary([1.25, 0.5], 3).entries)
+        H = parse_model("hilbert").covariance(3)
+        assert H.entries[0, 0] == 0.5 and H.entries[0, 2] == 0.25
+        with pytest.raises(InvalidSpec):
+            parse_model("constant").covariance(3)
+
+    def test_symbol_routes(self):
+        assert parse_model("constant:value=2").symbol(64).d[0] == pytest.approx(2.0, abs=1e-14)
+        with pytest.raises(InvalidSpec):
+            parse_model("hilbert").symbol()
