@@ -506,7 +506,6 @@ def make_config(args: argparse.Namespace) -> ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         cfg.model = data.get("model", cfg.model)
-        cfg.n_list = [int(n) for n in data.get("n_list", cfg.n_list)]
         cfg.p_policy = data.get("p_policy", cfg.p_policy)
         if "functions" in data:
             try:
@@ -515,12 +514,16 @@ def make_config(args: argparse.Namespace) -> ScenarioConfig:
                 ]
             except GaussDecoupError as exc:
                 raise ConfigError(f"functions: {exc}") from exc
-        cfg.mc_samples = int(data.get("mc_samples", cfg.mc_samples))
-        cfg.seed = int(data.get("seed", cfg.seed))
+        try:
+            cfg.n_list = [int(n) for n in data.get("n_list", cfg.n_list)]
+            cfg.mc_samples = int(data.get("mc_samples", cfg.mc_samples))
+            cfg.seed = int(data.get("seed", cfg.seed))
+            cfg.eps = float(data.get("eps", cfg.eps))
+            cfg.jobs = int(data.get("jobs", cfg.jobs))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"config {args.config}: bad numeric field: {exc}") from exc
         cfg.out = data.get("output", cfg.out)
         cfg.format = data.get("format", cfg.format)
-        cfg.eps = float(data.get("eps", cfg.eps))
-        cfg.jobs = int(data.get("jobs", cfg.jobs))
     # Flags override the file.
     if args.model is not None:
         cfg.model = args.model

@@ -17,7 +17,7 @@ stream order fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erf
@@ -129,6 +129,16 @@ class TestFunctionSpec:
         xs = np.linspace(-self.half_width, self.half_width, len(self.values))
         return np.interp(x, xs, np.asarray(self.values))
 
+    def sup_abs(self) -> float:
+        """sup_x |f(x)|; a non-constant polynomial reaches its clip level."""
+        if self.kind == "bounded_poly":
+            if any(self.coeffs[1:]):
+                return self.clip
+            return min(abs(self.coeffs[0]), self.clip)
+        if self.kind == "grid":
+            return max(abs(v) for v in self.values)
+        return 1.0
+
     def label(self) -> str:
         if self.kind == "indicator":
             return f"indicator({self.eps:g})"
@@ -193,30 +203,73 @@ def sample_gaussian(C: CovarianceMatrix, n_samples: int, seed: int) -> np.ndarra
     return np.vstack(blocks)
 
 
+def _ldexp(x: float, exp: int) -> float:
+    """x * 2^exp, saturating to +-inf where math.ldexp would overflow."""
+    try:
+        return math.ldexp(x, exp)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _shifted_product(values, shift: int) -> float:
+    """prod(values) * 2^-shift, rounded step by step like a plain product.
+
+    The running binary exponent is kept apart, so no step overflows; the
+    result saturates to +-inf only if it is itself out of range.
+    """
+    mantissa, exponent = 1.0, 0
+    for v in values:
+        mantissa, step = math.frexp(mantissa * v)
+        exponent += step
+    return _ldexp(mantissa, exponent - shift)
+
+
 def _product_moments(
     C: CovarianceMatrix, fns, n_samples: int, seed: int
-) -> tuple[float, float]:
-    """Mean and standard error of g = prod_i f_i(X_i) over n_samples draws.
+) -> tuple[float, float, int]:
+    """Mean and standard error of g 2^-shift, g = prod_i f_i(X_i), and the shift.
 
     Streams are accumulated chunk-by-chunk (never materializing the full
     sample) and combined by pairwise summation in stream order, so the result
     is bitwise identical to evaluating on sample_gaussian output.
+
+    After each factor that can exceed 1 in size (``sup_abs() > 1``) the
+    running product is split by frexp into a mantissa and an integer exponent
+    per sample, so it cannot overflow; factors bounded by 1 cost nothing
+    extra. The shift is the least one that keeps every |g 2^-shift| below
+    2^limit, where n_samples values of size 2^(2 limit) still sum to a
+    finite float. It follows from the size each sample's product actually
+    has, so it is 0, and the moments are the plain ones, whenever the plain
+    sum of g^2 cannot overflow; a power-of-two shift is exact.
     """
     L = C.chol
-    s1, s2 = [], []
+    grows = [f.sup_abs() > 1.0 for f in fns]
+    limit = (1023 - n_samples.bit_length()) // 2
+    s1, s2, shifts = [], [], []
     for stream, size in enumerate(_stream_sizes(n_samples)):
         z = _stream_rng(seed, stream).standard_normal((size, C.n))
         x = z @ L.T
         g = np.ones(size)
+        exponent = None
         for i, f in enumerate(fns):
             g *= f(x[:, i])
+            if grows[i]:
+                g, step = np.frexp(g)
+                exponent = step.astype(np.int64) if exponent is None else exponent + step
+        shift = 0
+        if exponent is not None:
+            shift = max(0, int(exponent.max()) - limit)
+            g = np.ldexp(g, exponent - shift)
         s1.append(np.sum(g))
         s2.append(np.sum(g * g))
-    total1 = float(np.sum(np.array(s1)))
-    total2 = float(np.sum(np.array(s2)))
+        shifts.append(shift)
+    shift = max(shifts)
+    rel = np.array(shifts) - shift
+    total1 = float(np.sum(np.ldexp(np.array(s1), rel)))
+    total2 = float(np.sum(np.ldexp(np.array(s2), 2 * rel)))
     mean = total1 / n_samples
     var = max(total2 / n_samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / n_samples)
+    return mean, math.sqrt(var / n_samples), shift
 
 
 def _gl_segment_moment(f, a: float, b: float, sigma: float, p: float) -> float:
@@ -375,6 +428,24 @@ def _make_report(lhs: float, stderr: float, rhs: float, n_samples: int, seed: in
     )
 
 
+def _unscaled_report(
+    lhs: float, stderr: float, rhs_scaled: float, rhs: float, shift: int, n_samples: int, seed: int
+) -> VerificationReport:
+    """Report of lhs 2^shift (stderr likewise) against rhs = rhs_scaled 2^shift.
+
+    Slack, z and verdict come from the scaled values, which stay finite
+    where the reported lhs, stderr or rhs saturate to inf.
+    """
+    report = _make_report(lhs, stderr, rhs_scaled, n_samples, seed)
+    return replace(
+        report,
+        lhs_mc=_ldexp(lhs, shift),
+        lhs_stderr=_ldexp(stderr, shift),
+        rhs=rhs,
+        slack=_ldexp(report.slack, shift),
+    )
+
+
 def with_rhs(report: VerificationReport, rhs: float) -> VerificationReport:
     """Same LHS estimate against a different RHS (re-derives slack/z/verdict)."""
     return _make_report(report.lhs_mc, report.lhs_stderr, rhs, report.n_samples, report.seed)
@@ -390,8 +461,13 @@ def verify_theorem1(
     log_rhs = theorem1_log_constant(C, p)
     for f, sigma in zip(fns, C.sigmas):
         log_rhs += math.log(marginal_p_norm(f, float(sigma), p))
-    mean, stderr = _product_moments(C, fns, n_samples, seed)
-    return _make_report(abs(mean), stderr, _exp(log_rhs), n_samples, seed)
+    mean, stderr, shift = _product_moments(C, fns, n_samples, seed)
+    rhs = _exp(log_rhs)
+    if math.isfinite(rhs):
+        rhs_scaled = math.ldexp(rhs, -shift)
+    else:
+        rhs_scaled = _exp(log_rhs - shift * math.log(2.0))
+    return _unscaled_report(abs(mean), stderr, rhs_scaled, rhs, shift, n_samples, seed)
 
 
 @dataclass(frozen=True)
@@ -422,7 +498,7 @@ def verify_khatri_sidak(
     if eps.size != C.n or np.any(eps <= 0):
         raise InvalidSpec("eps must be a length-n vector of positive reals")
     fns = [TestFunctionSpec.indicator(float(e)) for e in eps]
-    center, stderr = _product_moments(C, fns, n_samples, seed)
+    center, stderr, _ = _product_moments(C, fns, n_samples, seed)
     probs = erf(eps / (C.sigmas * math.sqrt(2.0)))
     prod_probs = float(np.prod(probs))
     # Lower: the exact product must not exceed the MC center (within noise).
@@ -467,8 +543,8 @@ def verify_kls(gamma, n: int, fns, n_samples: int, seed: int) -> VerificationRep
         raise InvalidSpec(f"need one test function per coordinate: {len(fns)} != {n}")
     unit = gamma / gamma[0]
     C = from_stationary(unit, n)
-    mean, stderr = _product_moments(C, fns, n_samples, seed)
-    rhs = 1.0
-    for f in fns:
-        rhs *= marginal_p_norm(f, 1.0, p_kls)
-    return _make_report(abs(mean), stderr, rhs, n_samples, seed)
+    mean, stderr, shift = _product_moments(C, fns, n_samples, seed)
+    norms = [marginal_p_norm(f, 1.0, p_kls) for f in fns]
+    rhs_scaled = _shifted_product(norms, shift)
+    rhs = _shifted_product(norms, 0)
+    return _unscaled_report(abs(mean), stderr, rhs_scaled, rhs, shift, n_samples, seed)

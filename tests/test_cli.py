@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -371,6 +372,20 @@ class TestExamplesCommand:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)[0]["p_X"] == 1.0
 
+    def test_runtime_never_imports_mpmath(self):
+        # mpmath is only the test oracle for the Clausen series.
+        code = (
+            "import sys\n"
+            "from gaussdecoup.cli import main\n"
+            "main(['szego', '--model', 'inverse_power:r=2.5', '--n', '64'])\n"
+            "assert 'mpmath' not in sys.modules, 'mpmath imported'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 # Each of these used to end in a traceback (exit 1), in a report holding NaN,
 # in error rows or in silently ignored arguments.
@@ -393,6 +408,10 @@ CONFIG_ERRORS = [
     (["analyze", "--p", "0"], None),
     (["analyze"], {"p_policy": "fixed"}),
     (["analyze"], {"p_policy": None}),
+    (["analyze"], {"model": "identity", "n_list": ["a"]}),
+    (["analyze"], {"model": "identity", "n_list": 5}),
+    (["analyze"], {"mc_samples": "x"}),
+    (["analyze"], {"eps": "abc"}),
 ]
 
 

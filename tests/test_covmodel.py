@@ -1,9 +1,11 @@
 """Covariance builders: examples with independent oracles, invariants, errors."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import zeta
 
 from gaussdecoup import (
     HilbertSpec,
@@ -22,12 +24,13 @@ from gaussdecoup import (
     hilbert_covariance,
     inverse_power_gamma,
     inverse_power_gamma_sequence,
+    inverse_power_symbol,
     parse_model,
     sparse_support_covariance,
     symbol_from_grid,
     symbol_from_name,
 )
-from gaussdecoup.covmodel import harmonic_number
+from gaussdecoup.covmodel import DEFAULT_GRID_SIZE, clausen_cos, harmonic_number
 
 
 def tridiag_det(d0: float, d1: float, n: int) -> float:
@@ -362,6 +365,13 @@ class TestSymbolFromGrid:
         with pytest.raises(InvalidSpec):
             symbol_from_name("inverse_power:r=1")
 
+    def test_inverse_power_symbol_default_grid_r_one_and_a_half(self):
+        # The per-point mpmath loop took about 30 s here. The symbol has a
+        # |t|^(1/2) cusp at t = 0, so the grid quadrature is good to ~h^1.5.
+        sym = inverse_power_symbol(1.5)
+        assert sym.grid_size == DEFAULT_GRID_SIZE
+        assert sym.d[0] == pytest.approx(inverse_power_gamma(0, 1.5), rel=2e-4)
+
     def test_inverse_power_symbol_variance(self):
         # d_0 must approach gamma(0) = 2 zeta(2r); the symbol has a kink at
         # t = 0, so the grid quadrature converges at rate 1/grid_size^2.
@@ -492,3 +502,48 @@ class TestParseModel:
         assert parse_model("constant:value=2").symbol(64).d[0] == pytest.approx(2.0, abs=1e-14)
         with pytest.raises(InvalidSpec):
             parse_model("hilbert").symbol()
+
+
+# r in [1.001, 8]: anywhere, at the integers, and within 10^[-10, -2] of them,
+# where the two pole terms of the polylogarithm expansion nearly cancel.
+CLAUSEN_ORDERS = st.one_of(
+    st.floats(1.001, 8.0),
+    st.integers(2, 8).map(float),
+    st.builds(
+        lambda k, sign, log_dist: k + sign * 10.0**log_dist,
+        st.integers(2, 8),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(-10.0, -2.0),
+    ),
+)
+
+
+class TestClausenSeries:
+    @settings(max_examples=300, deadline=None)
+    @given(r=CLAUSEN_ORDERS, theta=st.floats(0.0, np.pi))
+    def test_matches_mpmath_clcos(self, r, theta):
+        with mpmath.workdps(30):
+            expected = float(mpmath.clcos(r, theta))
+        got = float(clausen_cos(r, np.array([theta]))[0])
+        # max over theta of |C_r| is C_r(0) = zeta(r).
+        assert abs(got - expected) <= 1e-11 * float(zeta(r))
+
+    def test_even_order_is_the_bernoulli_polynomial(self):
+        # DLMF 24.8: sum cos(m t)/m^2 = pi^2/6 - pi t/2 + t^2/4 on [0, 2 pi].
+        t = np.linspace(0.0, np.pi, 1001)
+        expected = np.pi**2 / 6 - np.pi * t / 2 + t**2 / 4
+        assert np.abs(clausen_cos(2.0, t) - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_continuous_across_odd_orders(self, n):
+        t = np.linspace(0.0, np.pi, 257)
+        at_n = clausen_cos(float(n), t)
+        for eps in (-1e-9, 1e-9, 1e-12):
+            assert np.abs(clausen_cos(n + eps, t) - at_n).max() <= 1e-8
+
+    def test_symbol_is_twice_the_series_squared(self):
+        sym = inverse_power_symbol(3.0, grid_size=64)
+        t = grid_points(64)
+        with mpmath.workdps(30):
+            expected = np.array([(2.0 * float(mpmath.clcos(3.0, abs(x)))) ** 2 for x in t])
+        assert np.abs(sym.grid - expected).max() <= 1e-12 * expected.max()

@@ -207,7 +207,7 @@ class TestVerifyTheorem1:
         C = build_dense(np.diag([1.0, 4.0, 0.25]))
         fns = [IND1, COS, POLY]
         n_samples = 200_000
-        mean, stderr = _product_moments(C, fns, n_samples, seed=99)
+        mean, stderr, _ = _product_moments(C, fns, n_samples, seed=99)
         x = sample_gaussian(C, n_samples, seed=99)
         marg_means = []
         marg_stderr = []
@@ -302,6 +302,71 @@ class TestVerifyKls:
         gamma = inverse_power_gamma_sequence(500, 2.0)
         report = verify_kls(gamma, 8, [IND1] * 8, 10**5, seed=33)
         assert report.verdict == "pass"
+
+
+BIG = TestFunctionSpec.bounded_poly((1e6,), clip=1e6)
+
+
+class TestProductOverflow:
+    """Factors with sup|f| > 1 are scaled by powers of two inside the moments."""
+
+    def test_sup_abs_per_kind(self):
+        assert IND1.sup_abs() == 1.0 and COS.sup_abs() == 1.0
+        assert POLY.sup_abs() == 1.5
+        assert TestFunctionSpec.bounded_poly((0.25, 0.0), clip=3.0).sup_abs() == 0.25
+        assert GRIDF.sup_abs() == 0.9
+
+    def test_in_range_moments_match_plain_product(self):
+        # |x_i| clipped at 1e6 over 64 coordinates: the static bound 1e6^64
+        # overflows, the sample products (about 1e-15) do not.
+        C = from_stationary([1.25, 0.5], 64)
+        for clip in (1e6, 1e3):
+            fns = [TestFunctionSpec.bounded_poly((0.0, 1.0), clip=clip)] * 64
+            mean, stderr, shift = _product_moments(C, fns, 2000, seed=53)
+            x = sample_gaussian(C, 2000, seed=53)
+            g = np.prod(x, axis=1)
+            assert shift == 0 and stderr > 0
+            assert mean == pytest.approx(np.mean(g), rel=1e-12)
+            assert stderr == pytest.approx(np.std(g) / math.sqrt(2000), rel=1e-9)
+        report = verify_theorem1(C, 3.6, fns, 2000, seed=53)
+        assert report.lhs_mc == abs(mean) and report.lhs_stderr == stderr
+
+    def test_shift_is_exact(self):
+        # f = 2^200 x: g = 2^600 x1 x2 x3, whose square overflows; the shifted
+        # moments are those of x1 x2 x3 times an exact power of two.
+        C = build_dense([[1.0, 0.4, 0.1], [0.4, 1.0, 0.4], [0.1, 0.4, 1.0]])
+        big = [TestFunctionSpec.bounded_poly((0.0, 2.0**200), clip=2.0**210)] * 3
+        unit = [TestFunctionSpec.bounded_poly((0.0, 1.0), clip=2.0**10)] * 3
+        mean, stderr, shift = _product_moments(C, big, 20_000, seed=51)
+        ref_mean, ref_stderr, ref_shift = _product_moments(C, unit, 20_000, seed=51)
+        assert shift > 0 and ref_shift == 0 and ref_stderr > 0
+        assert math.ldexp(mean, shift) == math.ldexp(ref_mean, 600)
+        assert math.ldexp(stderr, shift) == math.ldexp(ref_stderr, 600)
+        report = verify_theorem1(C, 4.0, big, 20_000, seed=51)
+        assert report.lhs_mc == abs(math.ldexp(ref_mean, 600))
+        assert report.lhs_stderr == math.ldexp(ref_stderr, 600)
+
+    def test_rows_in_range_are_unchanged(self):
+        C = build_dense([[1.0, 0.4], [0.4, 1.0]])
+        report = verify_theorem1(C, 3.0, [POLY, BIG], 20_000, seed=52)
+        mean, stderr, shift = _product_moments(C, [POLY, BIG], 20_000, seed=52)
+        assert shift == 0
+        assert report.lhs_mc == abs(mean) and report.lhs_stderr == stderr
+        assert report == with_rhs(report, report.rhs)
+
+    def test_theorem1_constant_product_past_float_range(self):
+        # prod f_i = 1e384: lhs and rhs saturate, the verdict does not.
+        C = from_stationary([1.25, 0.5], 64)
+        report = verify_theorem1(C, 3.6, [BIG] * 64, 1000, seed=20260809)
+        assert report.lhs_mc == math.inf and report.rhs == math.inf
+        assert report.verdict == "pass"
+        assert math.isfinite(report.z_score) and report.z_score > 0
+
+    def test_kls_constant_product_past_float_range(self):
+        report = verify_kls([1.25, 0.5], 64, [BIG] * 64, 1000, seed=20260809)
+        assert report.lhs_mc == math.inf and report.rhs == math.inf
+        assert report.verdict == "pass"
+        assert math.isfinite(report.z_score)
 
 
 class TestVerdictMechanics:
