@@ -59,6 +59,7 @@ _EPS = float(np.finfo(float).eps)
 
 def _factor(A: np.ndarray):
     """Cholesky factor and log-det of A, or None when A is not positive definite."""
+    # scipy's LAPACK, not covmodel._cholesky_log_det: numpy's build moves E_B in the last bits.
     try:
         cf = cho_factor(A, lower=True, check_finite=False)
     except np.linalg.LinAlgError:

@@ -11,6 +11,12 @@ eb        Brascamp-Lieb constant optimization with the general upper bound.
 examples  canned scenario tables: the inverse-power growth of p(X^n) against
           4 (log n)^2 and the linear growth p(X^n)/n of the Hilbert family.
 
+analyze, szego, verify and eb share one per-n runner (``_run_per_n``): each
+supplies the body for one dimension n, and the runner makes the rows, turns an
+error in one n into that n's error row, sorts the rows and picks the exit code:
+0 clean, 2 if any n failed, 3 if any check hard-fails.  A malformed config
+(flag or file value) exits 2 with ``config error:`` before any row.
+
 Configuration comes from a JSON file (--config) with flag overrides; flags
 win.  Runs are deterministic given the seed: repeating a run reproduces the
 report files byte for byte.
@@ -132,7 +138,7 @@ class ScenarioConfig:
     def validate(self, command: str) -> None:
         if not self.n_list:
             raise ConfigError("n_list must be nonempty")
-        if any(int(n) < 1 for n in self.n_list):
+        if any(n < 1 for n in self.n_list):
             raise ConfigError("n_list entries must be positive integers")
         if list(self.n_list) != sorted(self.n_list):
             raise ConfigError("n_list must be ascending")
@@ -145,8 +151,8 @@ class ScenarioConfig:
         except GaussDecoupError as exc:
             raise ConfigError(f"model {self.model!r}: {exc}") from exc
         self.p_fixed = _parse_p_policy(self.p_policy)
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
+        if not self.eps > 0:
+            raise ConfigError(f"eps must be positive, got {self.eps!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
 
@@ -171,100 +177,104 @@ def closed_form_p(spec: covmodel.ModelSpec, n: int) -> float | None:
 # Commands
 # ---------------------------------------------------------------------------
 
+# What one n can end in; each becomes that n's error row instead of a traceback.
+_ROW_ERRORS = (GaussDecoupError, np.linalg.LinAlgError, OSError, ValueError)
 
-def _map_over_n(cfg: ScenarioConfig, task):
+
+def _error_field(row: dict, exc: Exception) -> list:
+    row["error"] = str(exc)
+    return [row]
+
+
+def _run_per_n(cfg: ScenarioConfig, fill, error_rows=_error_field) -> tuple[list, int]:
+    """Report rows for every n of the sweep, and the exit code.
+
+    ``fill(n, row)`` completes the ``{model, n, error}`` row in place, or
+    returns the rows to report in its stead.  An error it raises is caught and
+    ``error_rows(row, exc)`` gives that n's rows (by default the row as far as
+    it was filled, with ``error`` set).  Rows are sorted, so ``--jobs`` does
+    not change the report.  Exit 3 on any hard_fail row, else 2 if any n
+    failed, else 0.
+    """
+
+    def task(n: int) -> tuple[list, bool]:
+        row = {"model": cfg.model, "n": n, "error": None}
+        try:
+            return fill(n, row) or [row], False
+        except _ROW_ERRORS as exc:
+            return error_rows(row, exc), True
+
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(task, cfg.n_list))
+            results = list(pool.map(task, cfg.n_list))
     else:
-        rows = [task(n) for n in cfg.n_list]
-    out = []
-    for chunk in rows:
-        out.extend(chunk if isinstance(chunk, list) else [chunk])
-    return sorted(out, key=lambda r: (r["model"], r["n"], r.get("function_suite", "")))
+        results = [task(n) for n in cfg.n_list]
+    rows = sorted(
+        (row for chunk, _ in results for row in chunk),
+        key=lambda r: (r["model"], r["n"], r.get("function_suite", "")),
+    )
+    if any(r.get("verdict") == "hard_fail" for r in rows):
+        return rows, EXIT_HARD_FAIL
+    return rows, (EXIT_CONFIG if any(failed for _, failed in results) else EXIT_OK)
+
+
+def _matrix_and_p(cfg: ScenarioConfig, n: int, cap_name: str):
+    """The covariance of dimension n and the exponent p the run uses for it."""
+    if n > MATRIX_N_CAP:
+        raise ConfigError(f"n={n} exceeds the {cap_name} cap {MATRIX_N_CAP}")
+    C = cfg.spec.covariance(n)
+    return C, cfg.resolve_p(decoupling.decoupling_coefficient(C))
 
 
 def cmd_analyze(cfg: ScenarioConfig) -> tuple[list, int]:
-    def task(n: int):
-        n = int(n)
-        row = {
-            "model": cfg.model,
-            "n": n,
-            "error": None,
-            "note": None,
-            "log_det": None,
-            "log_constant_generic": None,
-            "log_constant_refined": None,
-            "constant_generic": None,
-            "constant_refined": None,
-        }
-        try:
-            if n > ANALYZE_N_CAP:
-                raise ConfigError(f"n={n} exceeds the analyze cap {ANALYZE_N_CAP}")
-            C = None
-            det_note = None
-            if n <= MATRIX_N_CAP:
-                try:
-                    C = cfg.spec.covariance(n)
-                except (GaussDecoupError, np.linalg.LinAlgError) as exc:
-                    det_note = str(exc)
-            if C is not None:
-                # Resolving p from the same value the validity check uses keeps
-                # the strict p >= 2 p(X) hypothesis exact at auto2pX.
-                p_x = decoupling.decoupling_coefficient(C)
-            else:
-                # p(X) is a row-sum statistic: the closed-form route needs neither
-                # the dense matrix nor its (possibly failing) factorization.
-                p_x = closed_form_p(cfg.spec, n)
-                if p_x is None:
-                    raise ConfigError(
-                        f"no closed-form p(X) for model {cfg.model!r} and the matrix "
-                        f"route failed: {det_note or f'n={n} exceeds cap {MATRIX_N_CAP}'}"
-                    )
-            p = cfg.resolve_p(p_x)
-            row.update({"p_X": p_x, "p": p, "valid": p >= 2.0 * p_x})
-            if C is not None:
-                bound = decoupling.decoupling_bound(C, p)
-                row.update(bound.to_json_dict())
-                row["log_det"] = C.log_det
-            elif det_note is not None:
-                # p(X) stands; the determinant-bearing fields stay null.
-                row["note"] = f"determinant-bearing fields unavailable: {det_note}"
-        except (GaussDecoupError, np.linalg.LinAlgError, OSError, ValueError) as exc:
-            row["error"] = str(exc)
-        return row
+    def fill(n: int, row: dict) -> None:
+        row.update(dict.fromkeys(_ANALYZE_COLUMNS[5:11]))  # log_det .. note: null until set
+        if n > ANALYZE_N_CAP:
+            raise ConfigError(f"n={n} exceeds the analyze cap {ANALYZE_N_CAP}")
+        C = None
+        det_note = None
+        if n <= MATRIX_N_CAP:
+            try:
+                C = cfg.spec.covariance(n)
+            except (GaussDecoupError, np.linalg.LinAlgError) as exc:
+                det_note = str(exc)
+        if C is not None:
+            # Resolving p from the same value the validity check uses keeps
+            # the strict p >= 2 p(X) hypothesis exact at auto2pX.
+            p_x = decoupling.decoupling_coefficient(C)
+        else:
+            # p(X) is a row-sum statistic: the closed-form route needs neither
+            # the dense matrix nor its (possibly failing) factorization.
+            p_x = closed_form_p(cfg.spec, n)
+            if p_x is None:
+                raise ConfigError(
+                    f"no closed-form p(X) for model {cfg.model!r} and the matrix "
+                    f"route failed: {det_note or f'n={n} exceeds cap {MATRIX_N_CAP}'}"
+                )
+        p = cfg.resolve_p(p_x)
+        row.update({"p_X": p_x, "p": p, "valid": p >= 2.0 * p_x})
+        if C is not None:
+            row.update(decoupling.decoupling_bound(C, p).to_json_dict())
+            row["log_det"] = C.log_det
+        elif det_note is not None:
+            # p(X) stands; the determinant-bearing fields stay null.
+            row["note"] = f"determinant-bearing fields unavailable: {det_note}"
 
-    rows = _map_over_n(cfg, task)
-    return rows, (EXIT_CONFIG if any(r["error"] for r in rows) else EXIT_OK)
+    return _run_per_n(cfg, fill)
 
 
 def cmd_szego(cfg: ScenarioConfig) -> tuple[list, int]:
-    symbol = None
-    symbol_error = None
     try:
         symbol = szego.log_symbol_coefficients(cfg.spec.symbol())
-    except (GaussDecoupError, OSError) as exc:
-        symbol_error = str(exc)
+    except _ROW_ERRORS as exc:
+        symbol = exc  # every n reports it
 
-    def task(n: int):
-        n = int(n)
-        row = {"model": cfg.model, "n": n, "error": symbol_error}
-        if symbol is None:
-            return row
-        try:
-            est = szego.szego_asymptote(symbol, n)
-            row.update(est.to_json_dict())
-        except GaussDecoupError as exc:
-            row["error"] = str(exc)
-        return row
+    def fill(n: int, row: dict) -> None:
+        if isinstance(symbol, Exception):
+            raise symbol
+        row.update(szego.szego_asymptote(symbol, n).to_json_dict())
 
-    rows = _map_over_n(cfg, task)
-    return rows, (EXIT_CONFIG if any(r["error"] for r in rows) else EXIT_OK)
-
-
-def _functions_for(cfg: ScenarioConfig, n: int) -> list:
-    fns = [cfg.functions[i % len(cfg.functions)] for i in range(n)]
-    return fns
+    return _run_per_n(cfg, fill)
 
 
 def _report_row(cfg, n, p, suite, report) -> dict:
@@ -288,82 +298,47 @@ def _report_row(cfg, n, p, suite, report) -> dict:
 def cmd_verify(cfg: ScenarioConfig) -> tuple[list, int]:
     kls_g = cfg.spec.summable_gamma()
 
-    def task(n: int):
-        n = int(n)
-        rows = []
-        try:
-            if n > MATRIX_N_CAP:
-                raise ConfigError(f"n={n} exceeds the sampling cap {MATRIX_N_CAP}")
-            C = cfg.spec.covariance(n)
-            p_x = decoupling.decoupling_coefficient(C)
-            p = cfg.resolve_p(p_x)
-            fns = _functions_for(cfg, n)
-            suite = "+".join(sorted({f.label() for f in fns}))
-            report = verify.verify_theorem1(C, p, fns, cfg.mc_samples, cfg.seed)
-            rows.append(_report_row(cfg, n, p, f"theorem1:{suite}", report))
-            kls_exp = None if kls_g is None else verify.stationary_exponent(kls_g)
-            ks = verify.verify_khatri_sidak(
-                C,
-                np.full(n, cfg.eps),
-                max(p, 2.0),
-                cfg.mc_samples,
-                cfg.seed,
-                kls_exponent=kls_exp,
-            )
-            rows.append(_report_row(cfg, n, max(p, 2.0), "khatri_sidak:lower", ks.lower))
-            rows.append(_report_row(cfg, n, max(p, 2.0), "khatri_sidak:upper", ks.upper))
-            if ks.kls_upper is not None:
-                rows.append(
-                    _report_row(cfg, n, kls_exp, "khatri_sidak:kls_upper", ks.kls_upper)
-                )
-            if kls_g is not None:
-                report = verify.verify_kls(kls_g, n, fns, cfg.mc_samples, cfg.seed)
-                rows.append(_report_row(cfg, n, kls_exp, f"kls:{suite}", report))
-        except (GaussDecoupError, np.linalg.LinAlgError, OSError) as exc:
-            rows.append(
-                {
-                    "model": cfg.model,
-                    "n": n,
-                    "p": None,
-                    "function_suite": "error",
-                    "lhs": None,
-                    "stderr": None,
-                    "rhs": None,
-                    "slack": None,
-                    "z": None,
-                    "verdict": f"error: {exc}",
-                    "seed": cfg.seed,
-                }
-            )
+    def fill(n: int, row: dict) -> list:
+        C, p = _matrix_and_p(cfg, n, "sampling")
+        kls_exp = None if kls_g is None else verify.stationary_exponent(kls_g)
+        fns = [cfg.functions[i % len(cfg.functions)] for i in range(n)]
+        suite = "+".join(sorted({f.label() for f in fns}))
+        report = verify.verify_theorem1(C, p, fns, cfg.mc_samples, cfg.seed)
+        rows = [_report_row(cfg, n, p, f"theorem1:{suite}", report)]
+        p_ks = max(p, 2.0)
+        ks = verify.verify_khatri_sidak(
+            C, np.full(n, cfg.eps), p_ks, cfg.mc_samples, cfg.seed, kls_exponent=kls_exp
+        )
+        rows.append(_report_row(cfg, n, p_ks, "khatri_sidak:lower", ks.lower))
+        rows.append(_report_row(cfg, n, p_ks, "khatri_sidak:upper", ks.upper))
+        if ks.kls_upper is not None:
+            rows.append(_report_row(cfg, n, kls_exp, "khatri_sidak:kls_upper", ks.kls_upper))
+        if kls_g is not None:
+            report = verify.verify_kls(kls_g, n, fns, cfg.mc_samples, cfg.seed)
+            rows.append(_report_row(cfg, n, kls_exp, f"kls:{suite}", report))
         return rows
 
-    rows = _map_over_n(cfg, task)
-    if any(r["verdict"] == "hard_fail" for r in rows):
-        return rows, EXIT_HARD_FAIL
-    if any(str(r["verdict"]).startswith("error") for r in rows):
-        return rows, EXIT_CONFIG
-    return rows, EXIT_OK
+    def error_rows(row: dict, exc: Exception) -> list:
+        return [
+            {
+                **dict.fromkeys(_VERIFY_COLUMNS),
+                "model": cfg.model,
+                "n": row["n"],
+                "function_suite": "error",
+                "verdict": f"error: {exc}",
+                "seed": cfg.seed,
+            }
+        ]
+
+    return _run_per_n(cfg, fill, error_rows)
 
 
 def cmd_eb(cfg: ScenarioConfig) -> tuple[list, int]:
-    def task(n: int):
-        n = int(n)
-        row = {"model": cfg.model, "n": n, "error": None}
-        try:
-            if n > MATRIX_N_CAP:
-                raise ConfigError(f"n={n} exceeds the matrix cap {MATRIX_N_CAP}")
-            C = cfg.spec.covariance(n)
-            p_x = decoupling.decoupling_coefficient(C)
-            p = cfg.resolve_p(p_x)
-            B = brascamp.matrix_B(C, p)
-            prob = brascamp.eb_optimize(B, p)
-            row.update(prob.to_json_dict())
-        except (GaussDecoupError, np.linalg.LinAlgError, OSError) as exc:
-            row["error"] = str(exc)
-        return row
+    def fill(n: int, row: dict) -> None:
+        C, p = _matrix_and_p(cfg, n, "matrix")
+        row.update(brascamp.eb_optimize(brascamp.matrix_B(C, p), p).to_json_dict())
 
-    rows = _map_over_n(cfg, task)
-    return rows, (EXIT_CONFIG if any(r["error"] for r in rows) else EXIT_OK)
+    return _run_per_n(cfg, fill)
 
 
 def cmd_examples(cfg: ScenarioConfig) -> tuple[list, int]:
@@ -486,6 +461,18 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _file_number(value, name: str, kind=int):
+    """A config-file value as an int (whole numbers only) or a float (not NaN)."""
+    try:
+        number = kind(value)
+        if number == float(value) and not isinstance(value, bool):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 def make_config(args: argparse.Namespace) -> ScenarioConfig:
     cfg = ScenarioConfig()
     if args.config:
@@ -508,21 +495,24 @@ def make_config(args: argparse.Namespace) -> ScenarioConfig:
         cfg.model = data.get("model", cfg.model)
         cfg.p_policy = data.get("p_policy", cfg.p_policy)
         if "functions" in data:
+            fns = data["functions"]
+            if not (isinstance(fns, list) and fns):
+                raise ConfigError(f"functions must be a nonempty list, got {fns!r}")
             try:
-                cfg.functions = [
-                    verify.TestFunctionSpec.from_json_dict(item) for item in data["functions"]
-                ]
+                cfg.functions = [verify.TestFunctionSpec.from_json_dict(item) for item in fns]
             except GaussDecoupError as exc:
                 raise ConfigError(f"functions: {exc}") from exc
-        try:
-            cfg.n_list = [int(n) for n in data.get("n_list", cfg.n_list)]
-            cfg.mc_samples = int(data.get("mc_samples", cfg.mc_samples))
-            cfg.seed = int(data.get("seed", cfg.seed))
-            cfg.eps = float(data.get("eps", cfg.eps))
-            cfg.jobs = int(data.get("jobs", cfg.jobs))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"config {args.config}: bad numeric field: {exc}") from exc
+        n_list = data.get("n_list", cfg.n_list)
+        if not isinstance(n_list, list):
+            raise ConfigError(f"n_list must be a list of integers, got {n_list!r}")
+        cfg.n_list = [_file_number(n, "n_list entries") for n in n_list]
+        cfg.mc_samples = _file_number(data.get("mc_samples", cfg.mc_samples), "mc_samples")
+        cfg.seed = _file_number(data.get("seed", cfg.seed), "seed")
+        cfg.eps = _file_number(data.get("eps", cfg.eps), "eps", float)
+        cfg.jobs = _file_number(data.get("jobs", cfg.jobs), "jobs")
         cfg.out = data.get("output", cfg.out)
+        if cfg.out is not None and not isinstance(cfg.out, str):
+            raise ConfigError(f"output must be a path string, got {cfg.out!r}")
         cfg.format = data.get("format", cfg.format)
     # Flags override the file.
     if args.model is not None:

@@ -97,6 +97,16 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _cholesky_log_det(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """numpy's lower Cholesky factor of a and log det a = 2 sum log diag.
+
+    Raises ``numpy.linalg.LinAlgError`` when a is not positive definite; each
+    caller turns that into its own error.
+    """
+    chol = np.linalg.cholesky(a)
+    return chol, 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
+
+
 def _validate_spd(entries: np.ndarray, context: str = "") -> CovarianceMatrix:
     """Symmetry, diagonal and Cholesky checks shared by all builders."""
     n = entries.shape[0]
@@ -113,7 +123,7 @@ def _validate_spd(entries: np.ndarray, context: str = "") -> CovarianceMatrix:
             f"diagonal entries must be strictly positive; min = {diag.min():.3e}" + context
         )
     try:
-        chol = np.linalg.cholesky(entries)
+        chol, log_det = _cholesky_log_det(entries)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Cholesky failed: {exc}" + context) from exc
     # Scale-aware pivot floor: reject numerically marginal matrices.
@@ -124,7 +134,6 @@ def _validate_spd(entries: np.ndarray, context: str = "") -> CovarianceMatrix:
             f"smallest Cholesky pivot {pivots.min():.3e} at or below threshold "
             f"{pivot_floor:.3e} (1e-12 * trace/n)" + context
         )
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return CovarianceMatrix(_freeze(entries), _freeze(chol), log_det)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .covmodel import CovarianceMatrix
+from .covmodel import CovarianceMatrix, _cholesky_log_det
 from .errors import ConditionViolated, NonFiniteInput, NotPositiveDefinite
 
 __all__ = [
@@ -139,7 +139,7 @@ def refined_constant(C: CovarianceMatrix, p: float) -> RefinedBound:
     n = C.n
     shifted = p * np.diag(C.variances) - C.entries
     try:
-        chol = np.linalg.cholesky(shifted)
+        _, log_det_shifted = _cholesky_log_det(shifted)
     except np.linalg.LinAlgError as exc:
         p_x = decoupling_coefficient(C)
         if p < 2.0 * p_x:
@@ -147,7 +147,6 @@ def refined_constant(C: CovarianceMatrix, p: float) -> RefinedBound:
                 p, p_x, f"p*I(var) - C not positive definite at p={p} < 2*p(X)={2 * p_x}"
             ) from exc
         raise NotPositiveDefinite(f"p*I(var) - C failed Cholesky: {exc}") from exc
-    log_det_shifted = 2.0 * float(np.sum(np.log(np.diag(chol))))
     sum_log_sigma = 0.5 * float(np.sum(np.log(C.variances)))
     log_value = (
         (n / 2.0) * (1.0 - 1.0 / p) * math.log(p)

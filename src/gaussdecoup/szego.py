@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .covmodel import SpectralSymbol
-from .decoupling import stationary_decoupling_coefficient
+from .covmodel import SpectralSymbol, _cholesky_log_det
+from .decoupling import _exp, stationary_decoupling_coefficient
 from .errors import (
     ConditionViolated,
     InvalidSpec,
@@ -217,15 +217,13 @@ def toeplitz_section(sym: SpectralSymbol, n: int) -> np.ndarray:
 
 
 def _section_log_det(sym: SpectralSymbol, n: int) -> float:
-    T = toeplitz_section(sym, n)
     try:
-        chol = np.linalg.cholesky(T)
+        return _cholesky_log_det(toeplitz_section(sym, n))[1]
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
             f"Toeplitz section n={n} of the truncated symbol (K={sym.K}) is not positive "
             f"definite; refine the grid"
         ) from exc
-    return 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
 
 
 @dataclass(frozen=True)
@@ -252,13 +250,9 @@ class SzegoEstimate:
             "G": self.G,
             "b": self.b,
             "asymptote_log": self.asymptote,
-            "asymptote": math.exp(self.asymptote) if self.asymptote < 700 else math.inf,
+            "asymptote": _exp(self.asymptote),
             "exact_log_det": self.exact_log_det,
-            "exact_det": (
-                None
-                if self.exact_log_det is None
-                else (math.exp(self.exact_log_det) if self.exact_log_det < 700 else math.inf)
-            ),
+            "exact_det": None if self.exact_log_det is None else _exp(self.exact_log_det),
             "ratio": self.ratio,
             "c1_sum": self.c1_sum,
             "c2_sum": self.c2_sum,
@@ -312,12 +306,12 @@ class Theorem2Constant:
 
     @property
     def value(self) -> float:
-        return math.exp(self.log_value)
+        return _exp(self.log_value)
 
     def to_json_dict(self) -> dict:
         return {
             "log_value": self.log_value,
-            "value": self.value if self.log_value < 700 else math.inf,
+            "value": self.value,
             "delta_hat": self.delta_hat,
             "asymptotic_only": self.asymptotic_only,
             "normalized": self.normalized,

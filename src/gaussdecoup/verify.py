@@ -17,6 +17,7 @@ stream order fixed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +49,12 @@ _SQRT_PI = math.sqrt(math.pi)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
+def _is_real(value) -> bool:
+    return (
+        isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    )
+
+
 @dataclass(frozen=True)
 class TestFunctionSpec:
     """A bounded real test function of one variable.
@@ -72,6 +79,14 @@ class TestFunctionSpec:
 
     def __post_init__(self):
         kind = self.kind
+        for name in ("eps", "shift", "omega", "clip", "half_width"):
+            value = getattr(self, name)
+            if value is not None and not _is_real(value):
+                raise InvalidSpec(f"{kind} {name} must be a finite real number, got {value!r}")
+        for name in ("coeffs", "values"):
+            seq = getattr(self, name)
+            if seq is not None and not all(_is_real(v) for v in seq):
+                raise InvalidSpec(f"{kind} {name} must be finite real numbers, got {seq!r}")
         if kind in ("indicator", "shifted_indicator"):
             if self.eps is None or self.eps <= 0:
                 raise InvalidSpec(f"{kind} needs eps > 0")
@@ -164,15 +179,16 @@ class TestFunctionSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TestFunctionSpec":
+        if not isinstance(data, dict):
+            raise InvalidSpec(f"a test function is a JSON object, got {data!r}")
         data = dict(data)
         kind = data.pop("kind", None)
         if kind is None:
             raise InvalidSpec("test function dict needs a 'kind'")
-        if "coeffs" in data:
-            data["coeffs"] = tuple(data["coeffs"])
-        if "values" in data:
-            data["values"] = tuple(data["values"])
         try:
+            for name in ("coeffs", "values"):
+                if name in data:
+                    data[name] = tuple(data[name])
             return cls(kind=kind, **data)
         except TypeError as exc:
             raise InvalidSpec(f"bad test-function parameters for kind {kind!r}: {exc}") from exc

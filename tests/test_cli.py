@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, schemas, determinism, scenario tables."""
 
+import importlib
 import json
 import math
 import os
@@ -14,6 +15,8 @@ from gaussdecoup import ma1_symbol, theorem2_constant
 from gaussdecoup.cli import main
 
 DATA = Path(__file__).parent / "data"
+# Subprocesses import the package from this checkout's src/.
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 
 def run(args):
@@ -345,6 +348,66 @@ class TestVerifyCommand:
         assert out1.with_suffix(".json").read_bytes() == out2.with_suffix(".json").read_bytes()
 
 
+# Report bytes on stdout, frozen: small normal runs of each per-n command and
+# error rows (over-cap n, a family without a symbol) that name no file path.
+GOLDEN_REPORTS = [
+    ("analyze_ma1", ["analyze", "--model", "ma1:a=0.5", "--n", "2,5,16"], 0),
+    ("analyze_identity", ["analyze", "--model", "identity", "--n", "1,4"], 0),
+    ("analyze_hilbert", ["analyze", "--model", "hilbert", "--n", "5,10,40"], 0),
+    ("analyze_cap", ["analyze", "--n", "3,200000"], 2),
+    ("szego_ma1", ["szego", "--model", "ma1:a=0.5", "--n", "4,16,64"], 0),
+    ("szego_constant", ["szego", "--model", "constant:value=2", "--n", "3,8"], 0),
+    ("szego_no_symbol", ["szego", "--model", "equicorr:rho=0.3"], 2),
+    ("eb_ma1", ["eb", "--model", "ma1:a=0.5", "--n", "2,4,8"], 0),
+    ("eb_hilbert", ["eb", "--model", "hilbert", "--n", "3,6"], 0),
+    ("eb_cap", ["eb", "--n", "3,4096"], 2),
+    ("verify_cap", ["verify", "--n", "3,4096", "--samples", "1000"], 2),
+]
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize(
+        "name, argv, code", GOLDEN_REPORTS, ids=[name for name, _, _ in GOLDEN_REPORTS]
+    )
+    def test_report_bytes(self, name, argv, code, capsys):
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out.encode() == (DATA / f"golden_{name}.json").read_bytes()
+
+
+class TestPerNErrors:
+    @pytest.mark.parametrize(
+        "command, module, name",
+        [
+            ("analyze", "decoupling", "decoupling_bound"),
+            ("szego", "szego", "szego_asymptote"),
+            ("verify", "verify", "verify_theorem1"),
+            ("eb", "brascamp", "matrix_B"),
+        ],
+    )
+    def test_value_error_in_one_n_is_an_error_row(
+        self, command, module, name, monkeypatch, capsys
+    ):
+        # A ValueError inside one n's computation ends that n only: the other
+        # n keeps its rows, the failing n gets an error row, and the exit is 2.
+        target = getattr(importlib.import_module(f"gaussdecoup.{module}"), name)
+
+        def fail_at_3(*args, **kwargs):
+            # The dimension is the covariance's n, or szego's int argument.
+            if 3 in [a if isinstance(a, int) else getattr(a, "n", None) for a in args]:
+                raise ValueError("injected")
+            return target(*args, **kwargs)
+
+        monkeypatch.setattr(f"gaussdecoup.{module}.{name}", fail_at_3)
+        argv = [command, "--model", "ma1:a=0.5", "--n", "2,3", "--samples", "1000"]
+        assert run(argv + ["--jobs", "2"]) == 2
+        rows = json.loads(capsys.readouterr().out)
+        failed = [r for r in rows if r.get("error") or str(r.get("verdict")).startswith("error")]
+        assert [r["n"] for r in failed] == [3]
+        assert "injected" in json.dumps(failed)
+        assert any(r["n"] == 2 for r in rows) and rows == sorted(rows, key=lambda r: r["n"])
+
+
 class TestEbCommand:
     def test_sandwich_rows(self, capsys):
         assert run(["eb", "--model", "ma1:a=0.5", "--n", "2,4", "--seed", "2"]) == 0
@@ -368,6 +431,7 @@ class TestExamplesCommand:
             [sys.executable, "-m", "gaussdecoup", "analyze", "--model", "identity", "--n", "2"],
             capture_output=True,
             text=True,
+            env=SRC_ENV,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)[0]["p_X"] == 1.0
@@ -380,9 +444,8 @@ class TestExamplesCommand:
             "main(['szego', '--model', 'inverse_power:r=2.5', '--n', '64'])\n"
             "assert 'mpmath' not in sys.modules, 'mpmath imported'\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
 
@@ -412,6 +475,18 @@ CONFIG_ERRORS = [
     (["analyze"], {"model": "identity", "n_list": 5}),
     (["analyze"], {"mc_samples": "x"}),
     (["analyze"], {"eps": "abc"}),
+    (["analyze", "--eps", "nan"], None),
+    (["analyze"], {"model": "identity", "n_list": "12"}),
+    (["analyze"], {"model": "identity", "n_list": [2.7]}),
+    (["analyze"], {"model": "identity", "n_list": [True]}),
+    (["verify", "--model", "ma1:a=0.5", "--samples", "1000"], {"output": 5}),
+    (["verify", "--model", "ma1:a=0.5", "--samples", "1000"], {"functions": 5}),
+    (["verify", "--model", "ma1:a=0.5", "--samples", "1000"], {"functions": [5]}),
+    (["verify", "--model", "ma1:a=0.5", "--samples", "1000"], {"functions": []}),
+    (
+        ["verify", "--model", "ma1:a=0.5", "--samples", "1000"],
+        {"functions": [{"kind": "cosine", "omega": "abc"}]},
+    ),
 ]
 
 

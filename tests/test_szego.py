@@ -230,6 +230,12 @@ class TestTheorem2Constant:
         t2 = theorem2_constant(ma1_symbol(0.5), 20, 4.0, exact_det_limit=10)
         assert t2.asymptotic_only and t2.delta_hat == 0.0
 
+    def test_value_saturates_past_float_range(self):
+        # log_value is about 710 here; math.exp raised OverflowError.
+        t2 = theorem2_constant(ma1_symbol(0.5), 2049, 1e6)
+        assert 709.8 < t2.log_value < math.inf
+        assert t2.value == math.inf and t2.to_json_dict()["value"] == math.inf
+
     def test_theorem2_at_least_theorem1_when_delta_positive(self):
         for a in (0.3, 0.6):
             sym = ma1_symbol(a)
