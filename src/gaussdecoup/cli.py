@@ -303,18 +303,26 @@ def cmd_verify(cfg: ScenarioConfig) -> tuple[list, int]:
         kls_exp = None if kls_g is None else verify.stationary_exponent(kls_g)
         fns = [cfg.functions[i % len(cfg.functions)] for i in range(n)]
         suite = "+".join(sorted({f.label() for f in fns}))
-        report = verify.verify_theorem1(C, p, fns, cfg.mc_samples, cfg.seed)
+        decoupling.theorem1_log_constant(C, p)  # a p below 2 p(X) fails before sampling
+        # One sampling pass: the KLS section is C / gamma(0), so its draws are
+        # these divided by sqrt(gamma(0)), evaluated last.
+        functionals = [(fns, 1.0), ([verify.TestFunctionSpec.indicator(cfg.eps)] * n, 1.0)]
+        if kls_g is not None:
+            functionals.append((fns, math.sqrt(kls_g[0])))
+        moments = verify._product_moments(C, functionals, cfg.mc_samples, cfg.seed)
+        report = verify.verify_theorem1(C, p, fns, cfg.mc_samples, cfg.seed, moments=moments[0])
         rows = [_report_row(cfg, n, p, f"theorem1:{suite}", report)]
         p_ks = max(p, 2.0)
         ks = verify.verify_khatri_sidak(
-            C, np.full(n, cfg.eps), p_ks, cfg.mc_samples, cfg.seed, kls_exponent=kls_exp
+            C, np.full(n, cfg.eps), p_ks, cfg.mc_samples, cfg.seed,
+            kls_exponent=kls_exp, moments=moments[1],
         )
         rows.append(_report_row(cfg, n, p_ks, "khatri_sidak:lower", ks.lower))
         rows.append(_report_row(cfg, n, p_ks, "khatri_sidak:upper", ks.upper))
         if ks.kls_upper is not None:
             rows.append(_report_row(cfg, n, kls_exp, "khatri_sidak:kls_upper", ks.kls_upper))
         if kls_g is not None:
-            report = verify.verify_kls(kls_g, n, fns, cfg.mc_samples, cfg.seed)
+            report = verify.verify_kls(kls_g, n, fns, cfg.mc_samples, cfg.seed, moments=moments[2])
             rows.append(_report_row(cfg, n, kls_exp, f"kls:{suite}", report))
         return rows
 

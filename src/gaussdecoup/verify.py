@@ -12,6 +12,14 @@ sample generation is partitioned into fixed-size streams whose seeds derive
 from the run seed and the stream index, so results are bitwise reproducible
 regardless of how work is distributed.  Accumulation is pairwise with the
 stream order fixed.
+
+Each stream is drawn once and every functional is evaluated on that block, so
+the CLI makes one sampling pass per (model, n): the theorem1 product, the
+box indicators and, for a stationary model, the KLS product, whose draws are
+the theorem1 draws scaled by 1/sqrt(gamma(0)) (chol(T/gamma0) =
+chol(T)/sqrt(gamma0)).  The Khatri-Sidak rows count hits, so their verdicts
+come from an exact binomial (Clopper-Pearson) bound at the one-sided levels
+of the 3 and 6 standard-error bands; zero hits still bound the probability.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import betaincinv, erf
 
 from .covmodel import CovarianceMatrix, from_stationary
 from .decoupling import _exp, corollary1_bound, theorem1_log_constant
@@ -207,16 +215,22 @@ def _stream_sizes(n_samples: int):
     return sizes
 
 
+def _stream_blocks(C: CovarianceMatrix, n_samples: int, seed: int):
+    """Each stream's block of draws x = Z L^T, in stream order.
+
+    The standard normals of a stream are freed as soon as the product is
+    formed; the caller owns each yielded block and may scale it in place.
+    """
+    L = C.chol
+    for stream, size in enumerate(_stream_sizes(n_samples)):
+        yield _stream_rng(seed, stream).standard_normal((size, C.n)) @ L.T
+
+
 def sample_gaussian(C: CovarianceMatrix, n_samples: int, seed: int) -> np.ndarray:
     """(n_samples, n) matrix of i.i.d. draws of L Z, deterministic given seed."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    L = C.chol
-    blocks = []
-    for stream, size in enumerate(_stream_sizes(n_samples)):
-        z = _stream_rng(seed, stream).standard_normal((size, C.n))
-        blocks.append(z @ L.T)
-    return np.vstack(blocks)
+    return np.vstack(list(_stream_blocks(C, n_samples, seed)))
 
 
 def _ldexp(x: float, exp: int) -> float:
@@ -240,14 +254,47 @@ def _shifted_product(values, shift: int) -> float:
     return _ldexp(mantissa, exponent - shift)
 
 
-def _product_moments(
-    C: CovarianceMatrix, fns, n_samples: int, seed: int
-) -> tuple[float, float, int]:
-    """Mean and standard error of g 2^-shift, g = prod_i f_i(X_i), and the shift.
+def _stream_product_sums(x: np.ndarray, fns, grows, limit: int) -> tuple[float, float, int]:
+    """Sums of g 2^-shift and its square over one block, and the block's shift."""
+    g = np.ones(len(x))
+    exponent = None
+    for i, f in enumerate(fns):
+        g *= f(x[:, i])
+        if grows[i]:
+            g, step = np.frexp(g)
+            exponent = step.astype(np.int64) if exponent is None else exponent + step
+    shift = 0
+    if exponent is not None:
+        shift = max(0, int(exponent.max()) - limit)
+        g = np.ldexp(g, exponent - shift)
+    return np.sum(g), np.sum(g * g), shift
 
-    Streams are accumulated chunk-by-chunk (never materializing the full
-    sample) and combined by pairwise summation in stream order, so the result
-    is bitwise identical to evaluating on sample_gaussian output.
+
+def _combine_streams(per_stream, n_samples: int) -> tuple[float, float, int]:
+    """Mean, standard error and shift from the per-stream sums, in stream order."""
+    s1, s2, shifts = zip(*per_stream)
+    shift = max(shifts)
+    rel = np.array(shifts) - shift
+    total1 = float(np.sum(np.ldexp(np.array(s1), rel)))
+    total2 = float(np.sum(np.ldexp(np.array(s2), 2 * rel)))
+    mean = total1 / n_samples
+    var = max(total2 / n_samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / n_samples), shift
+
+
+def _product_moments(
+    C: CovarianceMatrix, functionals, n_samples: int, seed: int
+) -> list[tuple[float, float, int]]:
+    """Mean, standard error and shift of each functional, from one sampling pass.
+
+    A functional is a pair ``(fns, divisor)``: g = prod_i f_i(X_i / divisor),
+    of which the mean and standard error of g 2^-shift are returned with the
+    shift. Each stream block is drawn once and every functional is evaluated
+    on it; the block is divided in place when the divisor changes, so list
+    the undivided functionals (divisor 1.0) first. Streams are accumulated
+    chunk-by-chunk (never materializing the full sample) and combined by
+    pairwise summation in stream order, so each result is bitwise identical
+    to evaluating on sample_gaussian output.
 
     After each factor that can exceed 1 in size (``sup_abs() > 1``) the
     running product is split by frexp into a mantissa and an integer exponent
@@ -258,34 +305,17 @@ def _product_moments(
     has, so it is 0, and the moments are the plain ones, whenever the plain
     sum of g^2 cannot overflow; a power-of-two shift is exact.
     """
-    L = C.chol
-    grows = [f.sup_abs() > 1.0 for f in fns]
+    grows = [[f.sup_abs() > 1.0 for f in fns] for fns, _ in functionals]
     limit = (1023 - n_samples.bit_length()) // 2
-    s1, s2, shifts = [], [], []
-    for stream, size in enumerate(_stream_sizes(n_samples)):
-        z = _stream_rng(seed, stream).standard_normal((size, C.n))
-        x = z @ L.T
-        g = np.ones(size)
-        exponent = None
-        for i, f in enumerate(fns):
-            g *= f(x[:, i])
-            if grows[i]:
-                g, step = np.frexp(g)
-                exponent = step.astype(np.int64) if exponent is None else exponent + step
-        shift = 0
-        if exponent is not None:
-            shift = max(0, int(exponent.max()) - limit)
-            g = np.ldexp(g, exponent - shift)
-        s1.append(np.sum(g))
-        s2.append(np.sum(g * g))
-        shifts.append(shift)
-    shift = max(shifts)
-    rel = np.array(shifts) - shift
-    total1 = float(np.sum(np.ldexp(np.array(s1), rel)))
-    total2 = float(np.sum(np.ldexp(np.array(s2), 2 * rel)))
-    mean = total1 / n_samples
-    var = max(total2 / n_samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / n_samples), shift
+    sums = [[] for _ in functionals]
+    for x in _stream_blocks(C, n_samples, seed):
+        divisor = 1.0
+        for (fns, d), grow, per_stream in zip(functionals, grows, sums):
+            if d != divisor:
+                x /= d / divisor
+                divisor = d
+            per_stream.append(_stream_product_sums(x, fns, grow, limit))
+    return [_combine_streams(per_stream, n_samples) for per_stream in sums]
 
 
 def _gl_segment_moment(f, a: float, b: float, sigma: float, p: float) -> float:
@@ -306,13 +336,20 @@ def _piecewise_moment(f, knots, sigma: float, p: float, left_val: float, right_v
     Kinked kinds (the |.|^p of a piecewise-linear or clipped function) would
     defeat a fixed Hermite rule, so each smooth piece is integrated by
     Gauss-Legendre and the constant tails use exact error-function mass.
+    A piece is cut to |x| <= 40 sigma, past which the density underflows to
+    0, and split into spans of at most 4 sigma: one rule over a piece much
+    wider than sigma would step over the Gaussian mass.
     """
     knots = sorted(knots)
     total = abs(left_val) ** p * _lower_tail(knots[0], sigma)
     total += abs(right_val) ** p * (1.0 - _lower_tail(knots[-1], sigma))
+    reach, step = 40.0 * sigma, 4.0 * sigma
     for a, b in zip(knots, knots[1:]):
+        a, b = max(a, -reach), min(b, reach)
         if b > a:
-            total += _gl_segment_moment(f, a, b, sigma, p)
+            edges = np.linspace(a, b, math.ceil((b - a) / step) + 1)
+            for lo, hi in zip(edges, edges[1:]):
+                total += _gl_segment_moment(f, float(lo), float(hi), sigma, p)
     return total
 
 
@@ -395,7 +432,9 @@ class VerificationReport:
     """One inequality check: Monte Carlo LHS vs deterministic RHS.
 
     pass: lhs <= rhs + 3 stderr; hard_fail: lhs > rhs + 6 stderr;
-    statistical_fail in between.
+    statistical_fail in between.  A check of a hit frequency keeps its hit
+    count in ``hits`` (not a report field) and takes its verdict from exact
+    binomial bounds at the same one-sided levels instead.
     """
 
     lhs_mc: float
@@ -406,6 +445,7 @@ class VerificationReport:
     n_samples: int
     seed: int
     verdict: str
+    hits: int | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -444,6 +484,56 @@ def _make_report(lhs: float, stderr: float, rhs: float, n_samples: int, seed: in
     )
 
 
+# One-sided levels of the 3 and 6 standard-error bands: Phi(-3) and Phi(-6).
+_ALPHA_PASS = 0.5 * math.erfc(3.0 / math.sqrt(2.0))
+_ALPHA_HARD = 0.5 * math.erfc(6.0 / math.sqrt(2.0))
+
+
+def _hit_bound(hits: int, n_samples: int, alpha: float, upper: bool) -> float:
+    """One-sided exact (Clopper-Pearson) bound at level alpha on a hit probability."""
+    if upper:
+        if hits == n_samples:
+            return 1.0
+        if hits == 0:
+            return -math.expm1(math.log(alpha) / n_samples)  # 1 - alpha^(1/N)
+        return float(betaincinv(hits + 1, n_samples - hits, 1.0 - alpha))
+    if hits == 0:
+        return 0.0
+    return float(betaincinv(hits, n_samples - hits + 1, alpha))
+
+
+def _hit_report(
+    lhs: float,
+    stderr: float,
+    rhs: float,
+    n_samples: int,
+    seed: int,
+    *,
+    hits: int,
+    estimate_is_lhs: bool,
+) -> VerificationReport:
+    """Report whose Monte Carlo side is the frequency hits / n_samples.
+
+    The numbers are those of ``_make_report``; the verdict holds the exact
+    side against the binomial bound on the estimated side, so zero or few
+    hits (stderr 0 or tiny) still give a verdict with the 3/6 band levels.
+    """
+
+    def holds(alpha: float) -> bool:
+        if estimate_is_lhs:
+            return _hit_bound(hits, n_samples, alpha, upper=False) <= rhs
+        return lhs <= _hit_bound(hits, n_samples, alpha, upper=True)
+
+    if holds(_ALPHA_PASS):
+        verdict = "pass"
+    elif holds(_ALPHA_HARD):
+        verdict = "statistical_fail"
+    else:
+        verdict = "hard_fail"
+    report = _make_report(lhs, stderr, rhs, n_samples, seed)
+    return replace(report, verdict=verdict, hits=hits)
+
+
 def _unscaled_report(
     lhs: float, stderr: float, rhs_scaled: float, rhs: float, shift: int, n_samples: int, seed: int
 ) -> VerificationReport:
@@ -463,21 +553,35 @@ def _unscaled_report(
 
 
 def with_rhs(report: VerificationReport, rhs: float) -> VerificationReport:
-    """Same LHS estimate against a different RHS (re-derives slack/z/verdict)."""
+    """Same LHS estimate against a different RHS (re-derives slack/z/verdict).
+
+    The verdict follows the 3/6 standard-error rule, also for a hit count.
+    """
     return _make_report(report.lhs_mc, report.lhs_stderr, rhs, report.n_samples, report.seed)
 
 
 def verify_theorem1(
-    C: CovarianceMatrix, p: float, fns, n_samples: int, seed: int
+    C: CovarianceMatrix, p: float, fns, n_samples: int, seed: int, *, moments=None
 ) -> VerificationReport:
-    """Check |E prod f_i(X_i)| <= constant * prod (E |f_i(X_i)|^p)^{1/p}."""
+    """Check |E prod f_i(X_i)| <= constant * prod (E |f_i(X_i)|^p)^{1/p}.
+
+    ``moments`` is this product's (mean, stderr, shift) from a sampling pass
+    already made with the same C, n_samples and seed; without it the check
+    makes its own pass.
+    """
     fns = list(fns)
     if len(fns) != C.n:
         raise InvalidSpec(f"need one test function per coordinate: {len(fns)} != {C.n}")
     log_rhs = theorem1_log_constant(C, p)
+    norms = {}  # one quadrature per distinct (f, sigma); the sum keeps coordinate order
     for f, sigma in zip(fns, C.sigmas):
-        log_rhs += math.log(marginal_p_norm(f, float(sigma), p))
-    mean, stderr, shift = _product_moments(C, fns, n_samples, seed)
+        sigma = float(sigma)
+        if (f, sigma) not in norms:
+            norms[f, sigma] = marginal_p_norm(f, sigma, p)
+        log_rhs += math.log(norms[f, sigma])
+    if moments is None:
+        [moments] = _product_moments(C, [(fns, 1.0)], n_samples, seed)
+    mean, stderr, shift = moments
     rhs = _exp(log_rhs)
     if math.isfinite(rhs):
         rhs_scaled = math.ldexp(rhs, -shift)
@@ -508,24 +612,38 @@ def verify_khatri_sidak(
     n_samples: int,
     seed: int,
     kls_exponent: float | None = None,
+    *,
+    moments=None,
 ) -> KhatriSidakReports:
-    """Sandwich check around the Monte Carlo estimate of P{ all |X_i| <= eps_i }."""
+    """Sandwich check around the Monte Carlo estimate of P{ all |X_i| <= eps_i }.
+
+    ``moments`` is the box product's (mean, stderr, shift) from a sampling
+    pass already made with the same C, n_samples and seed; without it the
+    check makes its own pass.
+    """
     eps = np.asarray(eps, dtype=float).ravel()
     if eps.size != C.n or np.any(eps <= 0):
         raise InvalidSpec("eps must be a length-n vector of positive reals")
-    fns = [TestFunctionSpec.indicator(float(e)) for e in eps]
-    center, stderr, _ = _product_moments(C, fns, n_samples, seed)
+    if moments is None:
+        fns = [TestFunctionSpec.indicator(float(e)) for e in eps]
+        [moments] = _product_moments(C, [(fns, 1.0)], n_samples, seed)
+    center, stderr, _ = moments
+    hits = round(center * n_samples)
     probs = erf(eps / (C.sigmas * math.sqrt(2.0)))
     prod_probs = float(np.prod(probs))
     # Lower: the exact product must not exceed the MC center (within noise).
-    lower = _make_report(prod_probs, stderr, center, n_samples, seed)
-    upper = _make_report(center, stderr, corollary1_bound(C, p, eps), n_samples, seed)
+    lower = _hit_report(
+        prod_probs, stderr, center, n_samples, seed, hits=hits, estimate_is_lhs=False
+    )
+    sup_bound = corollary1_bound(C, p, eps)
+    upper = _hit_report(center, stderr, sup_bound, n_samples, seed, hits=hits, estimate_is_lhs=True)
     kls_upper = None
     if kls_exponent is not None:
         if kls_exponent < 1:
             raise ValueError("the stationary decoupling exponent is >= 1")
-        kls_upper = _make_report(
-            center, stderr, float(np.prod(probs ** (1.0 / kls_exponent))), n_samples, seed
+        kls_rhs = float(np.prod(probs ** (1.0 / kls_exponent)))
+        kls_upper = _hit_report(
+            center, stderr, kls_rhs, n_samples, seed, hits=hits, estimate_is_lhs=True
         )
     return KhatriSidakReports(lower=lower, upper=upper, kls_upper=kls_upper)
 
@@ -544,23 +662,30 @@ def stationary_exponent(gamma) -> float:
     return 1.0 + 2.0 * float(np.abs(gamma[1:]).sum()) / gamma[0]
 
 
-def verify_kls(gamma, n: int, fns, n_samples: int, seed: int) -> VerificationReport:
+def verify_kls(
+    gamma, n: int, fns, n_samples: int, seed: int, *, moments=None
+) -> VerificationReport:
     """Check the stationary decoupling inequality with the two-sided exponent.
 
     ``gamma`` is the full autocovariance sequence (as far as available), not
     just the n-section: the exponent ``stationary_exponent(gamma)`` uses every
     lag supplied.  The section is normalized to unit variance, matching the
-    marginal norms of f_j(X_0).
+    marginal norms of f_j(X_0): the draws are those of the Toeplitz section
+    of ``gamma``, divided by sqrt(gamma[0]).  ``moments`` is this product's
+    (mean, stderr, shift) from such a pass already made with the same
+    n_samples and seed; without it the check makes its own pass.
     """
     gamma = np.asarray(gamma, dtype=float).ravel()
     p_kls = stationary_exponent(gamma)
     fns = list(fns)
     if len(fns) != n:
         raise InvalidSpec(f"need one test function per coordinate: {len(fns)} != {n}")
-    unit = gamma / gamma[0]
-    C = from_stationary(unit, n)
-    mean, stderr, shift = _product_moments(C, fns, n_samples, seed)
-    norms = [marginal_p_norm(f, 1.0, p_kls) for f in fns]
+    if moments is None:
+        C = from_stationary(gamma, n)
+        [moments] = _product_moments(C, [(fns, math.sqrt(gamma[0]))], n_samples, seed)
+    mean, stderr, shift = moments
+    distinct = {f: marginal_p_norm(f, 1.0, p_kls) for f in dict.fromkeys(fns)}
+    norms = [distinct[f] for f in fns]
     rhs_scaled = _shifted_product(norms, shift)
     rhs = _shifted_product(norms, 0)
     return _unscaled_report(abs(mean), stderr, rhs_scaled, rhs, shift, n_samples, seed)

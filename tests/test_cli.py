@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gaussdecoup import ma1_symbol, theorem2_constant
+from gaussdecoup import verify as verify_module
 from gaussdecoup.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -249,6 +250,47 @@ class TestVerifyCommand:
         rows = {r["function_suite"]: r for r in load_json(out.with_suffix(".json"))}
         assert rows["khatri_sidak:lower"]["rhs"] == math.inf
 
+    def test_zero_hit_box_is_not_a_hard_fail(self, capsys):
+        # No sample lands in the 64-dimensional box (P about 4e-12), so the
+        # lower sandwich row has stderr 0 and z = -inf; it exited 3.
+        assert run(["verify", "--model", "ma1:a=0.5", "--n", "64"]) == 0
+        rows = {r["function_suite"]: r for r in json.loads(capsys.readouterr().out)}
+        lower = rows["khatri_sidak:lower"]
+        assert lower["rhs"] == 0.0 and lower["z"] == -math.inf and lower["verdict"] == "pass"
+
+    def test_wide_clipped_polynomial_rows_are_numeric(self, tmp_path, capsys):
+        # The marginal norm of clip(x, 1e6) used to be 0: math domain error.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"functions": [{"kind": "bounded_poly", "coeffs": [0, 1], "clip": 1e6}]})
+        )
+        argv = ["verify", "--config", str(cfg), "--model", "ma1:a=0.3", "--n", "64"]
+        assert run(argv) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 5
+        for row in rows:
+            assert row["verdict"] == "pass"
+            assert all(math.isfinite(row[k]) for k in ("lhs", "stderr", "rhs"))
+
+    def test_one_sampling_pass_per_n(self, monkeypatch, capsys):
+        opened = []
+        stream_rng = verify_module._stream_rng
+
+        def counted(seed, stream):
+            opened.append((seed, stream))
+            return stream_rng(seed, stream)
+
+        monkeypatch.setattr(verify_module, "_stream_rng", counted)
+        argv = ["verify", "--model", "ma1:a=0.5", "--n", "3,5", "--samples", "70000"]
+        assert run(argv + ["--seed", "11"]) == 0
+        # 70000 rows are two streams; each is drawn once for each of the two n.
+        assert sorted(opened) == [(11, 0), (11, 0), (11, 1), (11, 1)]
+        assert len(json.loads(capsys.readouterr().out)) == 10
+        # A p below 2 p(X) = 3.6 gives the error row without sampling.
+        opened.clear()
+        assert run(argv + ["--p", "1"]) == 2
+        assert opened == [] and "violates" in capsys.readouterr().out
+
     def test_kls_two_sided_exponent_counterexample(self, tmp_path):
         # With the one-sided exponent 1.4 this run exited 3 with a kls
         # hard_fail; the two-sided exponent 1 + 2|a|/(1+a^2) = 1.8 holds.
@@ -362,6 +404,14 @@ GOLDEN_REPORTS = [
     ("eb_hilbert", ["eb", "--model", "hilbert", "--n", "3,6"], 0),
     ("eb_cap", ["eb", "--n", "3,4096"], 2),
     ("verify_cap", ["verify", "--n", "3,4096", "--samples", "1000"], 2),
+    (
+        "verify_mixed",
+        [
+            "verify", "--config", str(DATA / "verify_mixed_functions.json"),
+            "--model", "ma1:a=0.5", "--n", "4,16", "--samples", "2000",
+        ],
+        0,
+    ),
 ]
 
 

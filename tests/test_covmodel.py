@@ -490,6 +490,17 @@ class TestParseModel:
         for text in ("inverse_power:r=1.5", "equicorr:rho=0.2", "hilbert"):
             assert parse_model(text).summable_gamma() is None
 
+    @pytest.mark.parametrize("text", ["ma1:a=0.5", "sparse:support=1+4", "inverse_power:r=2"])
+    def test_summable_gamma_is_the_covariance_column(self, text):
+        # verify's KLS rows reuse the covariance's draws scaled by
+        # 1/sqrt(gamma[0]): both must be the Toeplitz matrix of the same gamma.
+        spec = parse_model(text)
+        gamma = spec.summable_gamma()
+        for n in (1, 2, 9, 64, 128):
+            column = np.zeros(n)
+            column[: min(n, gamma.size)] = gamma[:n]
+            assert np.array_equal(spec.covariance(n).entries[0], column)
+
     def test_covariance_routes(self):
         C = parse_model("ma1:a=0.5").covariance(3)
         assert np.array_equal(C.entries, from_stationary([1.25, 0.5], 3).entries)

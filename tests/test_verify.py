@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
-from scipy.special import erf
+from scipy.special import bdtr, bdtrc, erf
 
 from gaussdecoup import (
     ConditionViolated,
@@ -21,7 +23,8 @@ from gaussdecoup import (
     verify_kls,
     verify_theorem1,
 )
-from gaussdecoup.verify import _product_moments, with_rhs
+from gaussdecoup import verify as verify_module
+from gaussdecoup.verify import _hit_bound, _product_moments, with_rhs
 
 IND1 = TestFunctionSpec.indicator(1.0)
 COS = TestFunctionSpec.cosine(0.7)
@@ -152,6 +155,14 @@ class TestMarginalPNorm:
         quad_moment = marginal_p_norm(f, sigma, p) ** p
         assert abs(quad_moment - mc_moment) <= 4.0 * stderr
 
+    @pytest.mark.parametrize("clip", [10.0, 1e3, 1e4, 1e5, 1e6])
+    def test_clipped_identity_keeps_gaussian_mass(self, clip):
+        # E|Z|^3 = 2 sqrt(2/pi); the clip moves it by far less than 1e-10.
+        # One rule over the piece (0, clip) lost the mass from clip = 1e3 on.
+        f = TestFunctionSpec.bounded_poly((0.0, 1.0), clip=clip)
+        exact = (2.0 * math.sqrt(2.0 / math.pi)) ** (1.0 / 3.0)
+        assert marginal_p_norm(f, 1.0, 3.0) == pytest.approx(exact, rel=1e-10)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             marginal_p_norm(IND1, -1.0, 2.0)
@@ -207,7 +218,7 @@ class TestVerifyTheorem1:
         C = build_dense(np.diag([1.0, 4.0, 0.25]))
         fns = [IND1, COS, POLY]
         n_samples = 200_000
-        mean, stderr, _ = _product_moments(C, fns, n_samples, seed=99)
+        [(mean, stderr, _)] = _product_moments(C, [(fns, 1.0)], n_samples, seed=99)
         x = sample_gaussian(C, n_samples, seed=99)
         marg_means = []
         marg_stderr = []
@@ -260,6 +271,54 @@ class TestVerifyKhatriSidak:
     def test_bad_eps_rejected(self):
         with pytest.raises(InvalidSpec):
             verify_khatri_sidak(build_dense(np.eye(2)), [1.0, -1.0], 2.0, 1000, 1)
+
+
+    def test_zero_hits_pass_by_binomial_bound(self):
+        # P(all |X_i| <= 1) is about 4e-12 at n = 64: no sample hits the box,
+        # the stderr is 0 and z is -inf, but 1.3e-13 is far inside the exact
+        # bound 1 - alpha^(1/N) on the hit probability.
+        C = from_stationary([1.25, 0.5], 64)
+        ks = verify_khatri_sidak(C, np.ones(64), 3.6, 20_000, seed=8)
+        assert ks.lower.hits == 0 and ks.lower.rhs == 0.0 and ks.lower.lhs_stderr == 0.0
+        assert ks.lower.z_score == -math.inf
+        assert ks.lower.verdict == "pass" and ks.upper.verdict == "pass"
+        assert "hits" not in ks.lower.to_json_dict()
+        # The self-test path keeps the 3/6 standard-error rule.
+        assert with_rhs(ks.lower, ks.lower.rhs).verdict == "hard_fail"
+
+    def test_hit_verdicts_keep_the_bands(self):
+        C = build_dense(np.eye(3))
+        ks = verify_khatri_sidak(C, np.ones(3), 2.0, 20_000, seed=9)
+        lower, upper, n = ks.lower, ks.upper, 20_000
+        hit_report = verify_module._hit_report
+        assert lower.hits == round(lower.rhs * n) and 0 < lower.hits < n
+        assert lower.hits == upper.hits == round(upper.lhs_mc * n)
+        # An exact side a few standard errors past the frequency lands in the
+        # same band as under the normal rule.
+        for k, verdict in ((2.0, "pass"), (4.5, "statistical_fail"), (8.0, "hard_fail")):
+            lhs = lower.rhs + k * lower.lhs_stderr
+            report = hit_report(
+                lhs, lower.lhs_stderr, lower.rhs, n, 9, hits=lower.hits, estimate_is_lhs=False
+            )
+            assert report.verdict == verdict == with_rhs(report, report.rhs).verdict
+            rhs = upper.lhs_mc - k * upper.lhs_stderr
+            report = hit_report(
+                upper.lhs_mc, upper.lhs_stderr, rhs, n, 9, hits=upper.hits, estimate_is_lhs=True
+            )
+            assert report.verdict == verdict
+
+    def test_hit_bounds(self):
+        alpha = 0.5 * math.erfc(3.0 / math.sqrt(2.0))
+        zero_hits = 1.0 - alpha ** (1 / 1000)
+        assert _hit_bound(0, 1000, alpha, upper=True) == pytest.approx(zero_hits, rel=1e-12)
+        assert _hit_bound(0, 1000, alpha, upper=False) == 0.0
+        assert _hit_bound(1000, 1000, alpha, upper=True) == 1.0
+        # Clopper-Pearson bounds at k hits: P(Bin(N, hi) <= k) = alpha = P(Bin(N, lo) >= k).
+        lo = _hit_bound(7, 1000, alpha, upper=False)
+        hi = _hit_bound(7, 1000, alpha, upper=True)
+        assert lo < 7 / 1000 < hi
+        assert bdtr(7, 1000, hi) == pytest.approx(alpha, rel=1e-9)
+        assert bdtrc(6, 1000, lo) == pytest.approx(alpha, rel=1e-9)
 
 
 class TestVerifyKls:
@@ -322,7 +381,7 @@ class TestProductOverflow:
         C = from_stationary([1.25, 0.5], 64)
         for clip in (1e6, 1e3):
             fns = [TestFunctionSpec.bounded_poly((0.0, 1.0), clip=clip)] * 64
-            mean, stderr, shift = _product_moments(C, fns, 2000, seed=53)
+            [(mean, stderr, shift)] = _product_moments(C, [(fns, 1.0)], 2000, seed=53)
             x = sample_gaussian(C, 2000, seed=53)
             g = np.prod(x, axis=1)
             assert shift == 0 and stderr > 0
@@ -337,8 +396,8 @@ class TestProductOverflow:
         C = build_dense([[1.0, 0.4, 0.1], [0.4, 1.0, 0.4], [0.1, 0.4, 1.0]])
         big = [TestFunctionSpec.bounded_poly((0.0, 2.0**200), clip=2.0**210)] * 3
         unit = [TestFunctionSpec.bounded_poly((0.0, 1.0), clip=2.0**10)] * 3
-        mean, stderr, shift = _product_moments(C, big, 20_000, seed=51)
-        ref_mean, ref_stderr, ref_shift = _product_moments(C, unit, 20_000, seed=51)
+        [(mean, stderr, shift)] = _product_moments(C, [(big, 1.0)], 20_000, seed=51)
+        [(ref_mean, ref_stderr, ref_shift)] = _product_moments(C, [(unit, 1.0)], 20_000, seed=51)
         assert shift > 0 and ref_shift == 0 and ref_stderr > 0
         assert math.ldexp(mean, shift) == math.ldexp(ref_mean, 600)
         assert math.ldexp(stderr, shift) == math.ldexp(ref_stderr, 600)
@@ -349,7 +408,7 @@ class TestProductOverflow:
     def test_rows_in_range_are_unchanged(self):
         C = build_dense([[1.0, 0.4], [0.4, 1.0]])
         report = verify_theorem1(C, 3.0, [POLY, BIG], 20_000, seed=52)
-        mean, stderr, shift = _product_moments(C, [POLY, BIG], 20_000, seed=52)
+        [(mean, stderr, shift)] = _product_moments(C, [([POLY, BIG], 1.0)], 20_000, seed=52)
         assert shift == 0
         assert report.lhs_mc == abs(mean) and report.lhs_stderr == stderr
         assert report == with_rhs(report, report.rhs)
@@ -386,3 +445,55 @@ class TestVerdictMechanics:
         assert r.slack == pytest.approx(r.rhs - r.lhs_mc)
         assert r.z_score == pytest.approx(r.slack / r.lhs_stderr)
         assert r.n_samples == 20_000 and r.seed == 42
+
+
+MIXED = [IND1, COS, POLY, GRIDF, TestFunctionSpec.shifted_indicator(0.5, 0.8)]
+
+
+class TestOnePass:
+    """All functionals of a verify point come from one sampling pass."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        a=st.floats(-0.9, 0.9),
+        n=st.integers(1, 12),
+        kinds=st.lists(st.sampled_from(MIXED), min_size=1, max_size=3),
+        eps=st.floats(0.5, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_separate_passes(self, a, n, kinds, eps, seed):
+        gamma = np.array([1.0 + a * a, a])
+        C = from_stationary(gamma, n)
+        fns = [kinds[i % len(kinds)] for i in range(n)]
+        box = [TestFunctionSpec.indicator(eps)] * n
+        root = math.sqrt(gamma[0])
+        samples = 3000
+        functionals = [(fns, 1.0), (box, 1.0), (fns, root)]
+        theorem1, ks, kls = _product_moments(C, functionals, samples, seed)
+        assert [theorem1] == _product_moments(C, [(fns, 1.0)], samples, seed)
+        assert [ks] == _product_moments(C, [(box, 1.0)], samples, seed)
+        # The KLS section's own factor draws the same z through chol(T / gamma0).
+        [ref] = _product_moments(from_stationary(gamma / gamma[0], n), [(fns, 1.0)], samples, seed)
+        assert kls[2] == ref[2]
+        assert kls[0] == pytest.approx(ref[0], rel=1e-12, abs=1e-300)
+        assert kls[1] == pytest.approx(ref[1], rel=1e-12, abs=1e-300)
+        # Standalone checks make one single-functional pass with the same bits.
+        report = verify_kls(gamma, n, fns, samples, seed)
+        assert report == verify_kls(gamma, n, fns, samples, seed, moments=kls)
+
+    def test_marginal_norms_once_per_distinct_function(self, monkeypatch):
+        calls = []
+        norm = verify_module.marginal_p_norm
+
+        def counted(f, sigma, p):
+            calls.append((f, sigma, p))
+            return norm(f, sigma, p)
+
+        monkeypatch.setattr(verify_module, "marginal_p_norm", counted)
+        C = from_stationary([1.25, 0.5], 12)
+        fns = [MIXED[i % 3] for i in range(12)]
+        verify_theorem1(C, 4.0, fns, 1000, seed=1)
+        assert len(calls) == len(set(calls)) == 3
+        calls.clear()
+        verify_kls([1.25, 0.5], 12, fns, 1000, seed=1)
+        assert len(calls) == len(set(calls)) == 3
