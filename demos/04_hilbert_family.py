@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from gaussdecoup import HilbertSpec, NotPositiveDefinite, hilbert_covariance, parse_model
-from gaussdecoup.cli import closed_form_p
 
 print("=" * 64)
 print("Hilbert family a = (1..n)")
@@ -21,7 +20,7 @@ print("=" * 64)
 print(f"{'n':>5} {'p(X^n)':>12} {'p(X^n)/n':>10}")
 hilbert = parse_model("hilbert")
 for n in (10, 20, 40, 80, 160, 320):
-    p_x = closed_form_p(hilbert, n)
+    p_x = hilbert.closed_form_p(n)
     print(f"{n:>5} {p_x:>12.4f} {p_x / n:>10.6f}")
 print(f"{'inf':>5} {'':>12} {2 * math.log(2):>10.6f}   (limit 2 log 2)")
 

@@ -27,11 +27,9 @@ from .covmodel import (
     HilbertSpec,
     ModelSpec,
     MovingAverageSpec,
-    SparseSupportSpec,
     SpectralSymbol,
     build_dense,
     constant_symbol,
-    from_moving_average,
     from_stationary,
     grid_points,
     hilbert_covariance,
@@ -40,9 +38,7 @@ from .covmodel import (
     inverse_power_symbol,
     ma1_symbol,
     parse_model,
-    sparse_support_covariance,
     symbol_from_grid,
-    symbol_from_name,
 )
 from .decoupling import (
     DecouplingBound,

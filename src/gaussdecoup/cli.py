@@ -43,8 +43,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_HARD_FAIL = 3
 
-# Dense determinants and sampling stop here; closed-form rows go further.
-MATRIX_N_CAP = 2048
+# Dense determinants and sampling stop at covmodel.MATRIX_N_CAP; closed-form
+# rows go up to here.
 ANALYZE_N_CAP = 100_000
 
 _VERIFY_COLUMNS = [
@@ -160,19 +160,6 @@ class ScenarioConfig:
         return 2.0 * p_x if self.p_fixed is None else self.p_fixed
 
 
-def closed_form_p(spec: covmodel.ModelSpec, n: int) -> float | None:
-    """p(X^n) without materializing the matrix, where the family allows it."""
-    if spec.family == "hilbert":
-        # Row sums of {1/(k+l)}: p = max_k 2k (H_{n+k} - H_k).
-        H = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, 2 * n + 1))])
-        k = np.arange(1, n + 1)
-        return float((2.0 * k * (H[n + k] - H[k])).max())
-    gamma = spec.gamma(n - 1)
-    if gamma is None:
-        return None
-    return decoupling.stationary_decoupling_coefficient(gamma, n)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -220,8 +207,8 @@ def _run_per_n(cfg: ScenarioConfig, fill, error_rows=_error_field) -> tuple[list
 
 def _matrix_and_p(cfg: ScenarioConfig, n: int, cap_name: str):
     """The covariance of dimension n and the exponent p the run uses for it."""
-    if n > MATRIX_N_CAP:
-        raise ConfigError(f"n={n} exceeds the {cap_name} cap {MATRIX_N_CAP}")
+    if n > covmodel.MATRIX_N_CAP:
+        raise ConfigError(f"n={n} exceeds the {cap_name} cap {covmodel.MATRIX_N_CAP}")
     C = cfg.spec.covariance(n)
     return C, cfg.resolve_p(decoupling.decoupling_coefficient(C))
 
@@ -233,7 +220,7 @@ def cmd_analyze(cfg: ScenarioConfig) -> tuple[list, int]:
             raise ConfigError(f"n={n} exceeds the analyze cap {ANALYZE_N_CAP}")
         C = None
         det_note = None
-        if n <= MATRIX_N_CAP:
+        if n <= covmodel.MATRIX_N_CAP:
             try:
                 C = cfg.spec.covariance(n)
             except (GaussDecoupError, np.linalg.LinAlgError) as exc:
@@ -245,11 +232,11 @@ def cmd_analyze(cfg: ScenarioConfig) -> tuple[list, int]:
         else:
             # p(X) is a row-sum statistic: the closed-form route needs neither
             # the dense matrix nor its (possibly failing) factorization.
-            p_x = closed_form_p(cfg.spec, n)
+            p_x = cfg.spec.closed_form_p(n)
             if p_x is None:
                 raise ConfigError(
                     f"no closed-form p(X) for model {cfg.model!r} and the matrix "
-                    f"route failed: {det_note or f'n={n} exceeds cap {MATRIX_N_CAP}'}"
+                    f"route failed: {det_note or f'n={n} exceeds cap {covmodel.MATRIX_N_CAP}'}"
                 )
         p = cfg.resolve_p(p_x)
         row.update({"p_X": p_x, "p": p, "valid": p >= 2.0 * p_x})
@@ -355,7 +342,7 @@ def cmd_examples(cfg: ScenarioConfig) -> tuple[list, int]:
     print(f"{'n':>8} {'p(X^n)':>12} {'4(log n)^2':>12} {'ratio':>8}")
     inverse_power = covmodel.parse_model("inverse_power:r=1")
     for n in (100, 1000, 10_000, 100_000):
-        p_x = closed_form_p(inverse_power, n)
+        p_x = inverse_power.closed_form_p(n)
         ref = 4.0 * math.log(n) ** 2
         print(f"{n:>8} {p_x:>12.4f} {ref:>12.4f} {p_x / ref:>8.4f}")
         records.append(
@@ -366,7 +353,7 @@ def cmd_examples(cfg: ScenarioConfig) -> tuple[list, int]:
     print(f"{'n':>8} {'p(X^n)':>12} {'p(X^n)/n':>10}")
     hilbert = covmodel.parse_model("hilbert")
     for n in (10, 20, 40, 80, 160, 320):
-        p_x = closed_form_p(hilbert, n)
+        p_x = hilbert.closed_form_p(n)
         print(f"{n:>8} {p_x:>12.4f} {p_x / n:>10.6f}")
         records.append({"model": "hilbert", "n": n, "p_X": p_x, "p_over_n": p_x / n})
     return records, EXIT_OK

@@ -4,12 +4,10 @@ Builders for the covariance families used throughout the package:
 
 - dense symmetric positive-definite matrices (validated, Cholesky-backed),
 - stationary Toeplitz matrices from an autocovariance sequence,
-- moving-average processes ``X_k = sum_m c_m xi_{k-m}`` with i.i.d. standard
-  Gaussian innovations (covariance = autocorrelation of the coefficients),
-- the inverse-power coefficient family ``c_m = |m|^{-r}`` with closed-form
-  autocovariance at ``r = 1``,
-- Hilbert-type matrices ``{1/(a_k + a_l)}`` (Cauchy/Gram structure),
-- sparse-support moving averages whose covariance lives on a difference set.
+- finite moving averages ``X_k = sum_m c_m xi_{k-m}`` of i.i.d. standard
+  Gaussian innovations, the sparse family (unit c at +-m, m in A) among them,
+- the inverse-power family ``c_m = |m|^{-r}``, closed form at ``r = 1``,
+- Hilbert-type matrices ``{1/(a_k + a_l)}`` (Cauchy/Gram structure).
 
 Also houses the spectral-symbol representation: a 2*pi-periodic non-negative
 function sampled on a uniform grid over ``[-pi, pi)`` together with its
@@ -17,7 +15,7 @@ Fourier coefficients ``d_k``, which generate the Toeplitz sections.
 
 ``parse_model`` checks a model string ("ma1:a=0.5", "sparse:support=1+4",
 ...) against the one table of families and returns a ``ModelSpec``, which
-yields the family's autocovariance, covariance matrix or spectral symbol.
+yields the family's autocovariance, covariance matrix, p(X) or symbol.
 
 All returned objects are immutable after construction; every function here is
 pure and safe to call concurrently.
@@ -43,10 +41,9 @@ from .errors import (
     NotSymmetric,
 )
 
-# Dense autocorrelation switches to FFT beyond this support length.
-_DIRECT_CORR_LIMIT = 8192
-# Harmonic numbers are summed directly up to here, asymptotic beyond.
-_HARMONIC_DIRECT_LIMIT = 10**6
+# Dense covariance matrices and exact Toeplitz determinants (O(n^2) storage,
+# O(n^3) factorization) stop at this dimension.
+MATRIX_N_CAP = 2048
 # Default number of grid points (2K) for spectral symbols.
 DEFAULT_GRID_SIZE = 4096
 # Even terms j = 0..30 of the Clausen series: the j-th is at most about
@@ -163,24 +160,15 @@ def from_stationary(gamma, n: int) -> CovarianceMatrix:
         raise NonFiniteInput("autocovariance contains NaN or infinity")
     if gamma.size == 0 or gamma[0] <= 0:
         raise NonPositiveDiagonal("gamma[0] (the variance) must be strictly positive")
-    col = np.zeros(n)
-    m = min(n, gamma.size)
-    col[:m] = gamma[:m]
-    return _validate_spd(toeplitz(col))
+    return _validate_spd(toeplitz(_padded(gamma, n - 1)))
 
 
 @dataclass(frozen=True)
 class MovingAverageSpec:
-    """Coefficients c_m of a moving average, finite support or truncated.
-
-    ``offsets`` and ``values`` hold the stored support; ``cutoff_tail_bound``
-    is an upper bound on the discarded l2 mass ``sum_{|m|>M} c_m^2`` when the
-    support was truncated (0.0 for exact finite supports).
-    """
+    """Coefficients c_m of a finite moving average: ``values`` at ``offsets``."""
 
     offsets: np.ndarray
     values: np.ndarray
-    cutoff_tail_bound: float = 0.0
 
     def __post_init__(self):
         offsets = np.asarray(self.offsets, dtype=np.int64).ravel()
@@ -198,71 +186,22 @@ class MovingAverageSpec:
     @classmethod
     def from_coeffs(cls, coeffs: dict) -> "MovingAverageSpec":
         """Build from a map {offset m: coefficient c_m}."""
-        items = sorted(coeffs.items())
-        return cls(
-            offsets=np.array([m for m, _ in items], dtype=np.int64),
-            values=np.array([c for _, c in items], dtype=float),
-        )
-
-    @classmethod
-    def inverse_power(cls, r: float, cutoff: int) -> "MovingAverageSpec":
-        """c_m = |m|^{-r} for 1 <= |m| <= cutoff, c_0 = 0.
-
-        The discarded tail ``sum_{|m|>cutoff} m^{-2r}`` is attached as
-        ``cutoff_tail_bound`` (exact Hurwitz-zeta value).
-        """
-        if r < 1:
-            raise InvalidSpec(f"inverse-power family needs r >= 1, got {r}")
-        if cutoff < 1:
-            raise InvalidSpec("cutoff must be a positive integer")
-        m = np.arange(1, cutoff + 1, dtype=np.int64)
-        c = m.astype(float) ** (-r)
-        return cls(
-            offsets=np.concatenate([-m[::-1], m]),
-            values=np.concatenate([c[::-1], c]),
-            cutoff_tail_bound=2.0 * float(zeta(2.0 * r, cutoff + 1)),
-        )
+        return cls(offsets=list(coeffs), values=list(coeffs.values()))
 
     def autocovariance(self, max_lag: int) -> np.ndarray:
-        """gamma(h) = sum_m c_m c_{m-h} for h = 0..max_lag, over the stored support."""
-        lo = int(self.offsets[0])
-        hi = int(self.offsets[-1])
-        dense = np.zeros(hi - lo + 1)
-        dense[self.offsets - lo] = self.values
-        if dense.size <= _DIRECT_CORR_LIMIT:
-            ac = np.correlate(dense, dense, mode="full")[dense.size - 1 :]
-        else:
-            # Zero-padded to >= 2 len - 1 points, so the circular
-            # autocorrelation has no wrap-around at lags 0..len-1.
-            size = 1 << (2 * dense.size - 2).bit_length()
-            ac = np.fft.irfft(np.abs(np.fft.rfft(dense, size)) ** 2, size)[: dense.size]
-        out = np.zeros(max_lag + 1)
-        avail = min(max_lag, dense.size - 1)
-        out[: avail + 1] = ac[: avail + 1]
-        return out
+        """gamma(h) = sum_m c_m c_{m-h} for h = 0..max_lag, over the stored support.
 
-
-def from_moving_average(spec: MovingAverageSpec, n: int) -> CovarianceMatrix:
-    """Stationary covariance of the moving average, E X_k X_l = sum_m c_m c_{m-k+l}."""
-    gamma = spec.autocovariance(n - 1)
-    try:
-        return _validate_spd(toeplitz(gamma))
-    except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(
-            f"{exc}; truncation tail bound sum_(|m|>M) c_m^2 = {spec.cutoff_tail_bound:.3e}"
-        ) from exc
-
-
-def harmonic_number(k: int) -> float:
-    """H_k = sum_{j=1}^k 1/j, direct up to 1e6 and asymptotic beyond."""
-    if k < 0:
-        raise ValueError("harmonic number needs k >= 0")
-    if k == 0:
-        return 0.0
-    if k <= _HARMONIC_DIRECT_LIMIT:
-        return float(np.sum(1.0 / np.arange(1, k + 1)))
-    kf = float(k)
-    return float(np.log(kf) + np.euler_gamma + 1.0 / (2 * kf) - 1.0 / (12 * kf**2))
+        Each offset adds its products with the offsets at most max_lag below
+        it, so gamma is exactly 0 at a lag that is no difference of two
+        offsets, and the cost does not grow with the distance between them.
+        """
+        offsets, values = self.offsets, self.values
+        gamma = np.zeros(max_lag + 1)
+        for m, c in zip(offsets.tolist(), values.tolist()):
+            lo = np.searchsorted(offsets, m - max_lag)
+            hi = np.searchsorted(offsets, m, side="right")
+            gamma[m - offsets[lo:hi]] += c * values[lo:hi]
+        return gamma
 
 
 def _one_sided_sum(mu: int, r: float, rel_tol: float = 1e-14) -> float:
@@ -291,20 +230,18 @@ def inverse_power_gamma(mu: int, r: float = 1.0) -> float:
     """Autocovariance E X_k X_{k+mu} of the c_m = |m|^{-r} moving average.
 
     At ``r = 1`` the full series telescopes to the closed form
-    ``(2/mu) (H_mu + H_{mu-1})``; for ``r > 1`` the series is summed with a
-    rigorous tail so the truncation error stays below 1e-10.  The variance
-    (``mu = 0``) equals ``2 zeta(2r)``, i.e. ``pi^2/3`` at ``r = 1``.
+    ``(2/mu) (H_mu + H_{mu-1})`` of ``inverse_power_gamma_sequence``; for
+    ``r > 1`` the series is summed with a rigorous tail so the truncation
+    error stays below 1e-10.  The variance (``mu = 0``) equals ``2 zeta(2r)``,
+    i.e. ``pi^2/3`` at ``r = 1``.
     """
-    if mu < 0:
-        mu = -mu
+    mu = abs(mu)
     if r < 1:
         raise ValueError(f"inverse-power autocovariance needs r >= 1, got {r}")
-    if mu == 0:
-        if r == 1.0:
-            return PI_SQUARED_OVER_3
-        return 2.0 * float(zeta(2.0 * r, 1))
     if r == 1.0:
-        return (2.0 / mu) * (harmonic_number(mu) + harmonic_number(mu - 1))
+        return float(inverse_power_gamma_sequence(mu, 1.0)[mu])
+    if mu == 0:
+        return 2.0 * float(zeta(2.0 * r, 1))
     middle = 0.0
     if mu >= 2:
         m = np.arange(1, mu, dtype=float)
@@ -312,16 +249,17 @@ def inverse_power_gamma(mu: int, r: float = 1.0) -> float:
     return 2.0 * _one_sided_sum(mu, r) + middle
 
 
+def _harmonic_numbers(k: int) -> np.ndarray:
+    """H_0..H_k, H_j = sum_{i=1}^j 1/i."""
+    return np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, k + 1))])
+
+
 def inverse_power_gamma_sequence(max_lag: int, r: float = 1.0) -> np.ndarray:
     """gamma(0..max_lag) for the inverse-power family; vectorized at r = 1."""
     if r == 1.0:
-        out = np.empty(max_lag + 1)
-        out[0] = PI_SQUARED_OVER_3
-        if max_lag >= 1:
-            H = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, max_lag + 1))])
-            mu = np.arange(1, max_lag + 1, dtype=float)
-            out[1:] = (2.0 / mu) * (H[1 : max_lag + 1] + H[0:max_lag])
-        return out
+        H = _harmonic_numbers(max_lag)
+        mu = np.arange(1, max_lag + 1, dtype=float)
+        return np.concatenate([[PI_SQUARED_OVER_3], (2.0 / mu) * (H[1:] + H[:-1])])
     return np.array([inverse_power_gamma(h, r) for h in range(max_lag + 1)])
 
 
@@ -357,54 +295,6 @@ def hilbert_covariance(spec: HilbertSpec, n: int) -> CovarianceMatrix:
             f"{exc}; condition number beyond double precision "
             "(nearly equal a's degrade rank)"
         ) from exc
-
-
-@dataclass(frozen=True)
-class SparseSupportSpec:
-    """Moving average supported on |m| in A, X_k = sum_{|m| in A} b_|m| xi_{k-m}."""
-
-    support: tuple
-    weights: dict
-
-    def __post_init__(self):
-        support = tuple(sorted(set(int(m) for m in self.support)))
-        if len(support) == 0:
-            raise InvalidSpec("support set A must be nonempty")
-        if support[0] <= 0:
-            raise InvalidSpec("support must consist of positive integers")
-        weights = {int(m): float(self.weights[m]) for m in support}
-        if not all(np.isfinite(b) for b in weights.values()):
-            raise NonFiniteInput("weights contain NaN or infinity")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def unit(cls, support) -> "SparseSupportSpec":
-        return cls(support=tuple(support), weights={int(m): 1.0 for m in support})
-
-    def autocovariance(self, max_lag: int) -> np.ndarray:
-        """gamma(h); exactly zero when h is not a difference of signed support points."""
-        signed = {}
-        for m in self.support:
-            signed[m] = self.weights[m]
-            signed[-m] = self.weights[m]
-        gamma = np.zeros(max_lag + 1)
-        for h in range(max_lag + 1):
-            acc = 0.0
-            hit = False
-            for m, bm in signed.items():
-                other = signed.get(m - h)
-                if other is not None:
-                    acc += bm * other
-                    hit = True
-            gamma[h] = acc if hit else 0.0
-        return gamma
-
-
-def sparse_support_covariance(spec: SparseSupportSpec, n: int) -> CovarianceMatrix:
-    """Covariance of the sparse-support moving average; Toeplitz on a difference set."""
-    gamma = spec.autocovariance(n - 1)
-    return _validate_spd(toeplitz(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +338,19 @@ def grid_points(grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(grid_size) / grid_size
 
 
+def _grid_coefficients(v: np.ndarray, even: bool) -> np.ndarray:
+    """Fourier coefficients k = 0..K = n/2 of n samples v on the grid over [-pi, pi).
+
+    t_j = -pi + j*(2pi/n) puts a (-1)^k phase in front of the plain DFT; an
+    even function's coefficients are real.
+    """
+    n = v.size
+    K = n // 2
+    F = np.fft.fft(v)[: K + 1] / n
+    coeffs = np.where(np.arange(K + 1) % 2 == 0, 1.0, -1.0) * F
+    return coeffs.real.copy() if even else coeffs
+
+
 def symbol_from_grid(values) -> SpectralSymbol:
     """Build a SpectralSymbol from samples on the uniform grid over [-pi, pi).
 
@@ -461,21 +364,13 @@ def symbol_from_grid(values) -> SpectralSymbol:
     if not np.all(np.isfinite(v)):
         raise NonFiniteInput("grid values contain NaN or infinity")
     n = v.size
-    K = n // 2
-    # t_j = -pi + j*(2pi/n) puts a (-1)^k phase in front of the plain DFT.
-    F = np.fft.fft(v)[: K + 1] / n
-    d = np.where(np.arange(K + 1) % 2 == 0, 1.0, -1.0) * F
     scale = max(np.abs(v).max(), 1e-300)
-    idx = np.arange(n)
-    even = bool(np.abs(v - v[(n - idx) % n]).max() <= 1e-12 * scale)
-    if even:
-        d = d.real.copy()
-    strictly_positive = bool(v.min() > 0.0)
+    even = bool(np.abs(v - v[-np.arange(n) % n]).max() <= 1e-12 * scale)
     return SpectralSymbol(
         grid=_freeze(v.copy()),
-        d=_freeze(d),
-        K=K,
-        strictly_positive=strictly_positive,
+        d=_freeze(_grid_coefficients(v, even)),
+        K=n // 2,
+        strictly_positive=bool(v.min() > 0.0),
         even=even,
     )
 
@@ -621,18 +516,27 @@ MODEL_FAMILIES = {
 
 
 def _model_arg(key: str, value: str):
-    """A checked argument: a path, a SparseSupportSpec or a finite real."""
+    """A checked argument: a path, a sparse support's MovingAverageSpec or a finite real."""
     if key == "file":
         return value
     try:
         if key == "support":
-            return SparseSupportSpec.unit([int(tok) for tok in value.split("+")])
+            return _unit_support([int(tok) for tok in value.split("+")])
         real = float(value)
     except ValueError as exc:
         raise InvalidSpec(f"bad value {value!r} for {key}") from exc
     if not np.isfinite(real):
         raise NonFiniteInput(f"{key} must be finite, got {value!r}")
     return real
+
+
+def _unit_support(support: list) -> MovingAverageSpec:
+    """X_k = sum_{|m| in A} xi_{k-m}: unit coefficients at +-m for m in the support A."""
+    if not support:
+        raise InvalidSpec("support set A must be nonempty")
+    if min(support) <= 0:
+        raise InvalidSpec("support must consist of positive integers")
+    return MovingAverageSpec.from_coeffs({s * m: 1.0 for m in support for s in (-1, 1)})
 
 
 def _padded(values, max_lag: int) -> np.ndarray:
@@ -678,21 +582,39 @@ class ModelSpec:
         family, args = self.family, self.args
         horizon = {"identity": 0, "ma1": 1}.get(family)
         if family == "sparse":
-            horizon = 2 * max(args["support"].support)
+            horizon = int(np.ptp(args["support"].offsets))
         if family == "inverse_power" and args["r"] >= 2.0:
             horizon = 4096  # summable tail, truncated at a fixed horizon
         return None if horizon is None else self.gamma(horizon)
 
     def covariance(self, n: int) -> CovarianceMatrix:
-        """The validated n x n covariance matrix."""
+        """The validated n x n covariance matrix; a ``dense`` file gives its leading block."""
         if self.family == "hilbert":
             return hilbert_covariance(HilbertSpec(np.arange(1, n + 1, dtype=float)), n)
         if self.family == "dense":
-            return build_dense(load_matrix(self.args["file"]))
+            entries = load_matrix(self.args["file"])
+            if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+                raise InvalidSpec(f"dense file holds shape {entries.shape}, not a square matrix")
+            if n > len(entries):
+                raise InvalidSpec(f"n = {n} exceeds the dense file's size m = {len(entries)}")
+            return build_dense(entries[:n, :n])
         gamma = self.gamma(n - 1)
         if gamma is None:
             raise InvalidSpec(f"model family {self.family!r} has no covariance matrix")
         return from_stationary(gamma, n)
+
+    def closed_form_p(self, n: int) -> float | None:
+        """p(X^n) without materializing the matrix, where the family allows it, else None."""
+        # decoupling imports this module, so its row-sum scan is imported here.
+        from .decoupling import stationary_decoupling_coefficient
+
+        if self.family == "hilbert":
+            # Row sums of {1/(k+l)}: p = max_k 2k (H_{n+k} - H_k).
+            H = _harmonic_numbers(2 * n)
+            k = np.arange(1, n + 1)
+            return float((2.0 * k * (H[n + k] - H[k])).max())
+        gamma = self.gamma(n - 1)
+        return None if gamma is None else stationary_decoupling_coefficient(gamma, n)
 
     def symbol(self, grid_size: int = DEFAULT_GRID_SIZE) -> SpectralSymbol:
         """The spectral symbol; a ``grid`` file sets its own grid size."""
@@ -732,8 +654,3 @@ def parse_model(text) -> ModelSpec:
     if family == "inverse_power" and args["r"] < 1.0:
         raise InvalidSpec(f"inverse-power family needs r >= 1, got {args['r']}")
     return ModelSpec(family, MappingProxyType(args))
-
-
-def symbol_from_name(name: str, grid_size: int = DEFAULT_GRID_SIZE) -> SpectralSymbol:
-    """Symbol of a model string such as "constant", "ma1:a=0.5" or "inverse_power:r=2"."""
-    return parse_model(name).symbol(grid_size)

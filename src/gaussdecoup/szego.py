@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .covmodel import SpectralSymbol, _cholesky_log_det
+from .covmodel import MATRIX_N_CAP, SpectralSymbol, _cholesky_log_det, _freeze, _grid_coefficients
 from .decoupling import _exp, stationary_decoupling_coefficient
 from .errors import (
     ConditionViolated,
@@ -47,9 +47,6 @@ __all__ = [
     "theorem2_constant",
 ]
 
-# Default cutoff for exact determinants (dense O(n^2) storage).
-EXACT_DET_LIMIT = 2048
-
 _MIN_SYMBOL_VALUE = 1e-300
 
 
@@ -65,16 +62,8 @@ def log_symbol_coefficients(sym: SpectralSymbol) -> SpectralSymbol:
             f"symbol is not strictly positive (min grid value {sym.grid.min():.3e}); "
             "log-symbol coefficients undefined"
         )
-    logv = np.log(sym.grid)
-    n = logv.size
-    K = sym.K
-    F = np.fft.fft(logv)[: K + 1] / n
-    c = np.where(np.arange(K + 1) % 2 == 0, 1.0, -1.0) * F
-    if sym.even:
-        c = c.real.copy()
-    alias = float(np.abs(c[K // 2 :]).max())
-    c.setflags(write=False)
-    return replace(sym, c=c, c_alias_bound=alias)
+    c = _freeze(_grid_coefficients(np.log(sym.grid), sym.even))
+    return replace(sym, c=c, c_alias_bound=float(np.abs(c[sym.K // 2 :]).max()))
 
 
 def _with_c(sym: SpectralSymbol) -> SpectralSymbol:
@@ -259,10 +248,8 @@ class SzegoEstimate:
         }
 
 
-def szego_asymptote(
-    sym: SpectralSymbol, n: int, exact_det_limit: int = EXACT_DET_LIMIT
-) -> SzegoEstimate:
-    """Asymptote n c_0 + sum k c_k c_{-k}, plus the exact determinant for n <= limit."""
+def szego_asymptote(sym: SpectralSymbol, n: int) -> SzegoEstimate:
+    """Asymptote n c_0 + sum k c_k c_{-k}, plus the exact determinant for n <= MATRIX_N_CAP."""
     if n < 1:
         raise ValueError("n must be >= 1")
     sym = _with_c(sym)
@@ -271,7 +258,7 @@ def szego_asymptote(
     log_b = _b_log(sym)
     asymptote = n * c0 + log_b
     exact = ratio = None
-    if n <= exact_det_limit:
+    if n <= MATRIX_N_CAP:
         exact = _section_log_det(sym, n)
         ratio = math.exp(exact - asymptote)
     return SzegoEstimate(
@@ -322,11 +309,7 @@ class Theorem2Constant:
 
 
 def theorem2_constant(
-    sym: SpectralSymbol,
-    n: int,
-    p: float,
-    as_stated: bool = False,
-    exact_det_limit: int = EXACT_DET_LIMIT,
+    sym: SpectralSymbol, n: int, p: float, as_stated: bool = False
 ) -> Theorem2Constant:
     """Bound constant for the n-section of a stationary process with symbol f.
 
@@ -358,7 +341,7 @@ def theorem2_constant(
     c0_unit = c0 - math.log(d0)
     delta_hat = 0.0
     asymptotic_only = True
-    if n <= exact_det_limit:
+    if n <= MATRIX_N_CAP:
         exact = _section_log_det(sym, n)
         delta_hat = max(0.0, math.exp((n * c0 + log_b) - exact) - 1.0)
         asymptotic_only = False

@@ -397,6 +397,8 @@ GOLDEN_REPORTS = [
     ("analyze_identity", ["analyze", "--model", "identity", "--n", "1,4"], 0),
     ("analyze_hilbert", ["analyze", "--model", "hilbert", "--n", "5,10,40"], 0),
     ("analyze_cap", ["analyze", "--n", "3,200000"], 2),
+    ("analyze_sparse", ["analyze", "--model", "sparse:support=1+4", "--n", "3,9,40,3000"], 0),
+    ("analyze_inverse_power", ["analyze", "--model", "inverse_power:r=1", "--n", "4,40,3000"], 0),
     ("szego_ma1", ["szego", "--model", "ma1:a=0.5", "--n", "4,16,64"], 0),
     ("szego_constant", ["szego", "--model", "constant:value=2", "--n", "3,8"], 0),
     ("szego_no_symbol", ["szego", "--model", "equicorr:rho=0.3"], 2),
@@ -404,6 +406,11 @@ GOLDEN_REPORTS = [
     ("eb_hilbert", ["eb", "--model", "hilbert", "--n", "3,6"], 0),
     ("eb_cap", ["eb", "--n", "3,4096"], 2),
     ("verify_cap", ["verify", "--n", "3,4096", "--samples", "1000"], 2),
+    (
+        "verify_sparse",
+        ["verify", "--model", "sparse:support=2+7+11", "--n", "4,9", "--samples", "2000"],
+        0,
+    ),
     (
         "verify_mixed",
         [
@@ -586,6 +593,22 @@ class TestMalformedInput:
         assert ": NaN" not in out
         for row in json.loads(out):
             assert row.get("error") or str(row.get("verdict")).startswith("error")
+
+    @pytest.mark.parametrize("command", ["analyze", "verify", "eb"])
+    def test_dense_file_follows_n(self, command, tmp_path, capsys):
+        # n <= m reports the leading n x n block; n > m is that n's error row.
+        path = tmp_path / "m.json"
+        path.write_text("[[2, 0.5, 0.1], [0.5, 2, 0.3], [0.1, 0.3, 2]]")
+        argv = [command, "--model", f"dense:file={path}", "--n", "2,5", "--samples", "1000"]
+        assert run(argv) == 2
+        rows = json.loads(capsys.readouterr().out)
+        assert sorted({r["n"] for r in rows}) == [2, 5]
+        for row in rows:
+            failed = row.get("error") or str(row.get("verdict")).startswith("error")
+            assert bool(failed) == (row["n"] == 5)
+        assert "n = 5 exceeds the dense file's size m = 3" in json.dumps(rows)
+        if command == "analyze":
+            assert rows[0]["log_det"] == pytest.approx(np.log(3.75), rel=1e-14)
 
     def test_theorem1_rhs_overflow_saturates(self, tmp_path):
         # The log right-hand side passes 709; exp() used to raise OverflowError.

@@ -16,9 +16,7 @@ from gaussdecoup import (
     NonPositiveDiagonal,
     NotPositiveDefinite,
     NotSymmetric,
-    SparseSupportSpec,
     build_dense,
-    from_moving_average,
     from_stationary,
     grid_points,
     hilbert_covariance,
@@ -26,11 +24,9 @@ from gaussdecoup import (
     inverse_power_gamma_sequence,
     inverse_power_symbol,
     parse_model,
-    sparse_support_covariance,
     symbol_from_grid,
-    symbol_from_name,
 )
-from gaussdecoup.covmodel import DEFAULT_GRID_SIZE, clausen_cos, harmonic_number
+from gaussdecoup.covmodel import DEFAULT_GRID_SIZE, _unit_support, clausen_cos
 
 
 def tridiag_det(d0: float, d1: float, n: int) -> float:
@@ -51,6 +47,29 @@ def cauchy_det(a) -> float:
             num *= (a[j] - a[i]) ** 2
     den = np.prod((a[:, None] + a[None, :]).ravel())
     return num / den
+
+
+def sparse_gamma_oracle(weights: dict, lags) -> np.ndarray:
+    """gamma(h) for each h in lags of X_k = sum_{|m| in A} b_|m| xi_{k-m}, one lag at a time.
+
+    ``weights`` maps each m in A to b_m. A lag that no pair of signed support
+    points is apart gets an exact 0.0, without any float summation.
+    """
+    signed = {}
+    for m in sorted(weights):
+        signed[m] = weights[m]
+        signed[-m] = weights[m]
+    out = []
+    for h in lags:
+        acc = 0.0
+        hit = False
+        for m, bm in signed.items():
+            other = signed.get(m - h)
+            if other is not None:
+                acc += bm * other
+                hit = True
+        out.append(acc if hit else 0.0)
+    return np.array(out)
 
 
 def brute_inverse_power_gamma_r1(mu: int, terms: int = 1_000_000) -> float:
@@ -139,40 +158,25 @@ class TestFromStationary:
 class TestMovingAverage:
     def test_white_noise(self):
         spec = MovingAverageSpec.from_coeffs({0: 1.0})
-        C = from_moving_average(spec, 3)
+        C = from_stationary(spec.autocovariance(2), 3)
         assert np.array_equal(C.entries, np.eye(3))
 
     def test_ma1_two_term_convolution(self):
         spec = MovingAverageSpec.from_coeffs({0: 1.0, 1: 0.5})
         gamma = spec.autocovariance(3)
         assert gamma == pytest.approx([1.25, 0.5, 0.0, 0.0], abs=1e-15)
-        C = from_moving_average(spec, 4)
+        C = from_stationary(gamma, 4)
         assert C.entries[0, 0] == pytest.approx(1.25)
         assert C.entries[0, 1] == pytest.approx(0.5)
         assert C.entries[0, 2] == 0.0
-
-    def test_inverse_power_variance_near_pi2_over_3(self):
-        # Truncation at M = 1e6 leaves a tail below 2/M.
-        spec = MovingAverageSpec.inverse_power(1.0, 10**6)
-        gamma0 = spec.autocovariance(0)[0]
-        assert abs(gamma0 - np.pi**2 / 3.0) < 2e-6
-        assert 0 < spec.cutoff_tail_bound < 2.1e-6
-
-    def test_toeplitz_consistency_with_from_stationary(self):
-        spec = MovingAverageSpec.from_coeffs({-1: 0.3, 0: 1.0, 2: -0.4})
-        n = 6
-        C1 = from_moving_average(spec, n)
-        C2 = from_stationary(spec.autocovariance(n - 1), n)
-        assert np.abs(C1.entries - C2.entries).max() < 1e-12
 
     def test_duplicate_offsets_rejected(self):
         with pytest.raises(InvalidSpec):
             MovingAverageSpec(offsets=np.array([0, 0]), values=np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("support", [8193, 12001])
-    def test_fft_branch_matches_direct_correlation(self, support):
-        # Past the direct-correlation limit the autocovariance goes through a
-        # zero-padded FFT; np.correlate stays the oracle.
+    def test_matches_direct_correlation(self, support):
+        # A long contiguous support, against np.correlate of the coefficients.
         rng = np.random.default_rng(support)
         values = rng.standard_normal(support)
         offsets = np.arange(support) - support // 2
@@ -224,11 +228,6 @@ class TestInversePowerGamma:
         dev = np.abs(seq[2:] * mu - 4.0 * np.log(mu))
         assert dev.max() <= 6.0
 
-    def test_harmonic_asymptotic_continuous_at_switch(self):
-        direct = float(np.sum(1.0 / np.arange(1, 10**6 + 1)))
-        asymptotic = harmonic_number(10**6 + 1) - 1.0 / (10**6 + 1)
-        assert direct == pytest.approx(asymptotic, abs=1e-12)
-
 
 class TestHilbert:
     def test_cauchy_oracle_n3(self):
@@ -261,15 +260,13 @@ class TestHilbert:
 
 class TestSparseSupport:
     def test_single_lag_enumeration(self):
-        spec = SparseSupportSpec.unit([1])
-        gamma = spec.autocovariance(2)
+        gamma = parse_model("sparse:support=1").gamma(2)
         assert gamma[0] == 2.0
         assert gamma[1] == 0.0
         assert gamma[2] == 1.0
 
     def test_difference_set_support(self):
-        spec = SparseSupportSpec.unit([1, 4])
-        gamma = spec.autocovariance(9)
+        gamma = parse_model("sparse:support=1+4").gamma(9)
         signed = [-4, -1, 1, 4]
         reachable = {abs(x - y) for x in signed for y in signed}
         for h in range(10):
@@ -278,14 +275,39 @@ class TestSparseSupport:
             assert gamma[h] == 0.0  # exact zero, no float summation happened
 
     def test_empty_support_rejected(self):
-        with pytest.raises(InvalidSpec):
-            SparseSupportSpec.unit([])
+        with pytest.raises(InvalidSpec, match="nonempty"):
+            _unit_support([])
 
     def test_covariance_builds(self):
-        C = sparse_support_covariance(SparseSupportSpec.unit([1]), 3)
+        C = parse_model("sparse:support=1").covariance(3)
         assert C.entries[0, 0] == 2.0
         assert C.entries[0, 2] == 1.0
         assert C.entries[0, 1] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        support=st.sets(st.integers(1, 10**5), min_size=1, max_size=6),
+        max_lag=st.integers(0, 2 * 10**5),
+        draws=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    def test_unit_support_matches_per_lag_oracle(self, support, max_lag, draws):
+        # Bitwise equal to the per-lag loop at random lags and at every
+        # difference of offsets; exactly 0 wherever h is no such difference.
+        gamma = parse_model("sparse:support=" + "+".join(map(str, support))).gamma(max_lag)
+        signed = [s * m for m in support for s in (-1, 1)]
+        diffs = {x - y for x in signed for y in signed if 0 <= x - y <= max_lag}
+        lags = sorted(diffs | {round(u * max_lag) for u in draws})
+        oracle = sparse_gamma_oracle(dict.fromkeys(support, 1.0), lags)
+        assert np.array_equal(gamma[lags], oracle)
+        assert set(np.flatnonzero(gamma).tolist()) == diffs
+
+    @pytest.mark.parametrize("weights", [{1: 0.3, 4: -1.7}, {2: 0.1, 7: 2.5, 11: -0.9}])
+    def test_weighted_support_matches_per_lag_oracle(self, weights):
+        spec = MovingAverageSpec.from_coeffs({s * m: b for m, b in weights.items() for s in (-1, 1)})
+        gamma = spec.autocovariance(30)
+        oracle = sparse_gamma_oracle(weights, range(31))
+        assert np.all((gamma == 0.0) == (oracle == 0.0))
+        assert np.abs(gamma - oracle).max() <= 1e-15 * oracle[0]
 
 
 class TestSymbolFromGrid:
@@ -354,16 +376,16 @@ class TestSymbolFromGrid:
         assert abs(sym.fourier_coefficient(2) - (-0.25j)) < 1e-12
 
     def test_named_builtins(self):
-        sym = symbol_from_name("ma1:a=0.5", grid_size=256)
+        sym = parse_model("ma1:a=0.5").symbol(grid_size=256)
         assert sym.d[0] == pytest.approx(1.25, abs=1e-12)
-        sym = symbol_from_name("constant:value=3", grid_size=64)
+        sym = parse_model("constant:value=3").symbol(grid_size=64)
         assert sym.d[0] == pytest.approx(3.0, abs=1e-13)
         with pytest.raises(InvalidSpec):
-            symbol_from_name("unknown_family")
+            parse_model("unknown_family")
 
     def test_inverse_power_symbol_needs_r_above_one(self):
         with pytest.raises(InvalidSpec):
-            symbol_from_name("inverse_power:r=1")
+            parse_model("inverse_power:r=1").symbol()
 
     def test_inverse_power_symbol_default_grid_r_one_and_a_half(self):
         # The per-point mpmath loop took about 30 s here. The symbol has a
@@ -375,7 +397,7 @@ class TestSymbolFromGrid:
     def test_inverse_power_symbol_variance(self):
         # d_0 must approach gamma(0) = 2 zeta(2r); the symbol has a kink at
         # t = 0, so the grid quadrature converges at rate 1/grid_size^2.
-        sym = symbol_from_name("inverse_power:r=2", grid_size=2048)
+        sym = parse_model("inverse_power:r=2").symbol(grid_size=2048)
         from gaussdecoup import inverse_power_gamma
 
         assert sym.d[0] == pytest.approx(inverse_power_gamma(0, 2.0), rel=1e-5)
@@ -405,7 +427,8 @@ class TestParseModel:
     def test_arguments_are_checked_values(self):
         spec = parse_model(" sparse : support = 1+4 ")
         assert isinstance(spec, ModelSpec) and spec.family == "sparse"
-        assert spec.args["support"].support == (1, 4)
+        assert np.array_equal(spec.args["support"].offsets, [-4, -1, 1, 4])
+        assert np.array_equal(spec.args["support"].values, [1.0] * 4)
         assert parse_model("ma1:a=0.5").args == {"a": 0.5}
         assert parse_model("constant").args == {"value": 1.0}
         assert parse_model("dense:file=m.csv").args == {"file": "m.csv"}
@@ -475,8 +498,8 @@ class TestParseModel:
         assert np.array_equal(
             parse_model("inverse_power:r=1").gamma(5), inverse_power_gamma_sequence(5, 1.0)
         )
-        sparse = SparseSupportSpec.unit([1, 4])
-        assert np.array_equal(parse_model("sparse:support=1+4").gamma(9), sparse.autocovariance(9))
+        sparse = sparse_gamma_oracle({1: 1.0, 4: 1.0}, range(10))
+        assert np.array_equal(parse_model("sparse:support=1+4").gamma(9), sparse)
         for family in ("hilbert", "dense:file=m.csv", "constant", "grid:file=g.csv"):
             assert parse_model(family).gamma(3) is None
 
@@ -484,7 +507,7 @@ class TestParseModel:
         assert np.array_equal(parse_model("identity").summable_gamma(), [1.0])
         assert np.array_equal(parse_model("ma1:a=0.5").summable_gamma(), [1.25, 0.5])
         sparse = parse_model("sparse:support=1+4").summable_gamma()
-        assert np.array_equal(sparse, SparseSupportSpec.unit([1, 4]).autocovariance(8))
+        assert np.array_equal(sparse, sparse_gamma_oracle({1: 1.0, 4: 1.0}, range(9)))
         inverse_power = parse_model("inverse_power:r=2").summable_gamma()
         assert np.array_equal(inverse_power, inverse_power_gamma_sequence(4096, 2.0))
         for text in ("inverse_power:r=1.5", "equicorr:rho=0.2", "hilbert"):
@@ -500,6 +523,21 @@ class TestParseModel:
             column = np.zeros(n)
             column[: min(n, gamma.size)] = gamma[:n]
             assert np.array_equal(spec.covariance(n).entries[0], column)
+
+    def test_dense_file_leading_block(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[[2, 0.5, 0.1], [0.5, 2, 0.3], [0.1, 0.3, 2]]")
+        spec = parse_model(f"dense:file={path}")
+        assert np.array_equal(spec.covariance(2).entries, [[2.0, 0.5], [0.5, 2.0]])
+        assert spec.covariance(3).n == 3
+        with pytest.raises(InvalidSpec, match="n = 5 exceeds the dense file's size m = 3"):
+            spec.covariance(5)
+
+    def test_dense_file_not_square_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[[2, 0.5, 0.1], [0.5, 2, 0.3]]")
+        with pytest.raises(InvalidSpec, match="not a square matrix"):
+            parse_model(f"dense:file={path}").covariance(2)
 
     def test_covariance_routes(self):
         C = parse_model("ma1:a=0.5").covariance(3)

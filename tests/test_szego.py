@@ -121,7 +121,7 @@ class TestSzegoAsymptote:
         assert abs(est.ratio - 1.0) < 1e-12
 
     def test_asymptote_only_beyond_limit(self):
-        est = szego_asymptote(ma1_symbol(0.5), 30, exact_det_limit=20)
+        est = szego_asymptote(ma1_symbol(0.5), 2049)
         assert est.exact_log_det is None and est.ratio is None
         assert est.asymptote == pytest.approx(math.log(4.0 / 3.0), rel=1e-10)
 
@@ -227,7 +227,7 @@ class TestTheorem2Constant:
             theorem2_constant(sym, 4, 2.0)
 
     def test_asymptotic_only_flag(self):
-        t2 = theorem2_constant(ma1_symbol(0.5), 20, 4.0, exact_det_limit=10)
+        t2 = theorem2_constant(ma1_symbol(0.5), 2049, 4.0)
         assert t2.asymptotic_only and t2.delta_hat == 0.0
 
     def test_value_saturates_past_float_range(self):
