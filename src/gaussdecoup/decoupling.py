@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .covmodel import CovarianceMatrix, _cholesky_log_det
+from .covmodel import CovarianceMatrix, _cholesky_log_det, _levinson_durbin
 from .errors import ConditionViolated, NonFiniteInput, NotPositiveDefinite
 
 __all__ = [
@@ -51,7 +51,12 @@ def _exp(log_value: float) -> float:
 
 
 def decoupling_coefficient(C: CovarianceMatrix) -> float:
-    """p(X): max over rows of the absolute row sum normalized by the variance."""
+    """p(X): max over rows of the absolute row sum normalized by the variance.
+
+    A stationary section is read from its first row in O(n).
+    """
+    if C.gamma is not None:
+        return stationary_decoupling_coefficient(C.gamma, C.n)
     rows = np.abs(C.entries).sum(axis=1)
     return float((rows / C.variances).max())
 
@@ -133,20 +138,27 @@ class RefinedBound:
 def refined_constant(C: CovarianceMatrix, p: float) -> RefinedBound:
     """Proof-intermediate prefactor with the exact determinant of p*I(var) - C.
 
-    ``p*I(var) - C`` is checked positive definite by Cholesky (it is strictly
-    diagonally dominant whenever p > 2 p(X)).
+    ``p*I(var) - C`` is checked positive definite (it is strictly diagonally
+    dominant whenever p > 2 p(X)) while its log det is taken: by Cholesky for
+    a dense C, and for a stationary section by Durbin's recursion on the
+    Toeplitz row ((p-1) gamma(0), -gamma(1), -gamma(2), ...), O(n^2) with no
+    matrix formed.
     """
     n = C.n
-    shifted = p * np.diag(C.variances) - C.entries
     try:
-        _, log_det_shifted = _cholesky_log_det(shifted)
+        if C.gamma is not None:
+            g = C.gamma
+            log_det_shifted = _levinson_durbin(np.concatenate([[p * g[0] - g[0]], -g[1:]]))[0]
+        else:
+            shifted = p * np.diag(C.variances) - C.entries
+            log_det_shifted = _cholesky_log_det(shifted)[1]
     except np.linalg.LinAlgError as exc:
         p_x = decoupling_coefficient(C)
         if p < 2.0 * p_x:
             raise ConditionViolated(
                 p, p_x, f"p*I(var) - C not positive definite at p={p} < 2*p(X)={2 * p_x}"
             ) from exc
-        raise NotPositiveDefinite(f"p*I(var) - C failed Cholesky: {exc}") from exc
+        raise NotPositiveDefinite(f"p*I(var) - C is not positive definite: {exc}") from exc
     sum_log_sigma = 0.5 * float(np.sum(np.log(C.variances)))
     log_value = (
         (n / 2.0) * (1.0 - 1.0 / p) * math.log(p)

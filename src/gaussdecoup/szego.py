@@ -8,10 +8,11 @@ determinant of the n-th Toeplitz section {d_{j-i}} behaves like
     b(f) = exp(sum_{k>=1} k c_k c_{-k}),
 
 provided sum |c_k| and sum |k| |c_k|^2 both converge.  This module computes
-the log-symbol coefficients, G(f), b(f), the asymptote, exact determinants by
-Cholesky for moderate n, and the resulting bound constant for stationary
-sections, with the deviation of the asymptote from the exact determinant
-measured rather than assumed.
+the log-symbol coefficients, G(f), b(f), the asymptote, exact determinants for
+n <= MATRIX_N_CAP by Durbin's recursion on the first row d_0..d_{n-1} (O(n^2),
+no matrix formed; the Hermitian form for non-even symbols), and the resulting
+bound constant for stationary sections, with the deviation of the asymptote
+from the exact determinant measured rather than assumed.
 
 All quantities that scale with n are kept in log space.
 """
@@ -24,7 +25,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .covmodel import MATRIX_N_CAP, SpectralSymbol, _cholesky_log_det, _freeze, _grid_coefficients
+from .covmodel import (
+    MATRIX_N_CAP,
+    SpectralSymbol,
+    _freeze,
+    _grid_coefficients,
+    _levinson_durbin,
+)
 from .decoupling import _exp, stationary_decoupling_coefficient
 from .errors import (
     ConditionViolated,
@@ -190,8 +197,8 @@ def b_constant(sym: SpectralSymbol) -> float:
     return math.exp(_b_log(sym))
 
 
-def toeplitz_section(sym: SpectralSymbol, n: int) -> np.ndarray:
-    """The n x n Toeplitz matrix {d_{j-i}} generated by the symbol."""
+def _section_row(sym: SpectralSymbol, n: int) -> np.ndarray:
+    """d_0..d_{n-1}, the first row of the n-th section."""
     if n < 1:
         raise ValueError("section size must be >= 1")
     if n - 1 > sym.K:
@@ -199,15 +206,21 @@ def toeplitz_section(sym: SpectralSymbol, n: int) -> np.ndarray:
             f"section n={n} needs coefficients up to lag {n - 1} > K={sym.K}; "
             "use a finer grid"
         )
-    d = sym.d[:n]
+    return sym.d[:n]
+
+
+def toeplitz_section(sym: SpectralSymbol, n: int) -> np.ndarray:
+    """The n x n Toeplitz matrix {d_{j-i}} generated by the symbol."""
+    d = _section_row(sym, n)
     if sym.even:
         return toeplitz(d)
     return toeplitz(np.conj(d), d)
 
 
 def _section_log_det(sym: SpectralSymbol, n: int) -> float:
+    """log det of the n-th section by Durbin's recursion on its first row, O(n^2)."""
     try:
-        return _cholesky_log_det(toeplitz_section(sym, n))[1]
+        return _levinson_durbin(_section_row(sym, n))[0]
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
             f"Toeplitz section n={n} of the truncated symbol (K={sym.K}) is not positive "

@@ -6,12 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaussdecoup import ma1_symbol, theorem2_constant
+from gaussdecoup import CovarianceMatrix, ma1_symbol, theorem2_constant
 from gaussdecoup import verify as verify_module
 from gaussdecoup.cli import main
 
@@ -402,6 +403,12 @@ GOLDEN_REPORTS = [
     ("szego_ma1", ["szego", "--model", "ma1:a=0.5", "--n", "4,16,64"], 0),
     ("szego_constant", ["szego", "--model", "constant:value=2", "--n", "3,8"], 0),
     ("szego_no_symbol", ["szego", "--model", "equicorr:rho=0.3"], 2),
+    # A non-even symbol: complex Fourier coefficients, a Hermitian section.
+    (
+        "szego_grid_nonsymmetric",
+        ["szego", "--model", "grid:file=grid_nonsymmetric.json", "--n", "4,16,64,128"],
+        0,
+    ),
     ("eb_ma1", ["eb", "--model", "ma1:a=0.5", "--n", "2,4,8"], 0),
     ("eb_hilbert", ["eb", "--model", "hilbert", "--n", "3,6"], 0),
     ("eb_cap", ["eb", "--n", "3,4096"], 2),
@@ -426,10 +433,47 @@ class TestGoldenReports:
     @pytest.mark.parametrize(
         "name, argv, code", GOLDEN_REPORTS, ids=[name for name, _, _ in GOLDEN_REPORTS]
     )
-    def test_report_bytes(self, name, argv, code, capsys):
+    def test_report_bytes(self, name, argv, code, capsys, monkeypatch):
+        # Model files are named relative to the data directory, so the
+        # reports do not depend on where the checkout lives.
+        monkeypatch.chdir(DATA)
         assert run(argv) == code
         captured = capsys.readouterr()
         assert captured.out.encode() == (DATA / f"golden_{name}.json").read_bytes()
+
+
+class TestStationaryRowsStayVectors:
+    """Stationary analyze and szego rows never form an n x n array."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--model", "ma1:a=0.5", "--n", "2048"],
+            ["analyze", "--model", "sparse:support=1+4", "--n", "2048"],
+            ["analyze", "--model", "inverse_power:r=1.5", "--n", "2048"],
+            ["szego", "--model", "ma1:a=0.5", "--n", "2048"],
+            ["szego", "--model", "grid:file=grid_nonsymmetric.json", "--n", "129"],
+        ],
+    )
+    def test_no_dense_form(self, argv, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense n x n form was computed")
+
+        monkeypatch.chdir(DATA)
+        monkeypatch.setattr(CovarianceMatrix, "entries", property(refuse))
+        monkeypatch.setattr(CovarianceMatrix, "chol", property(refuse))
+        monkeypatch.setattr("gaussdecoup.szego.toeplitz", refuse)
+        tracemalloc.start()
+        try:
+            code = run(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = json.loads(capsys.readouterr().out)
+        assert code == 0 and all(row["error"] is None for row in rows)
+        assert rows[0].get("log_det", rows[0].get("exact_log_det")) is not None
+        # One 2048 x 2048 float array is 33.5 MB.
+        assert peak < 4e6
 
 
 class TestPerNErrors:

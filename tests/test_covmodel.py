@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 from scipy.special import zeta
 
 from gaussdecoup import (
@@ -17,6 +18,7 @@ from gaussdecoup import (
     NotPositiveDefinite,
     NotSymmetric,
     build_dense,
+    decoupling_coefficient,
     from_stationary,
     grid_points,
     hilbert_covariance,
@@ -26,7 +28,9 @@ from gaussdecoup import (
     parse_model,
     symbol_from_grid,
 )
-from gaussdecoup.covmodel import DEFAULT_GRID_SIZE, _unit_support, clausen_cos
+from gaussdecoup.brascamp import matrix_B
+from gaussdecoup.covmodel import DEFAULT_GRID_SIZE, _levinson_durbin, _unit_support, clausen_cos
+from gaussdecoup.verify import sample_gaussian
 
 
 def tridiag_det(d0: float, d1: float, n: int) -> float:
@@ -596,3 +600,158 @@ class TestClausenSeries:
         with mpmath.workdps(30):
             expected = np.array([(2.0 * float(mpmath.clcos(3.0, abs(x)))) ** 2 for x in t])
         assert np.abs(sym.grid - expected).max() <= 1e-12 * expected.max()
+
+
+def cholesky_oracle(T: np.ndarray) -> tuple[float, float]:
+    """(log det, smallest pivot) of T from numpy's Cholesky factor."""
+    pivots = np.real(np.diag(np.linalg.cholesky(T))) ** 2
+    return float(np.sum(np.log(pivots))), float(pivots.min())
+
+
+def mp_levinson_log_det(row, dps: int = 40):
+    """log det of the symmetric Toeplitz matrix with first row ``row``, in mpmath at dps digits."""
+    with mpmath.workdps(dps):
+        r = [mpmath.mpf(float(x)) for x in row]
+        a = [mpmath.mpf(0)] * len(r)
+        v = r[0]
+        log_det = mpmath.log(v)
+        for k in range(1, len(r)):
+            kappa = -(r[k] + mpmath.fsum(a[i] * r[k - i] for i in range(1, k))) / v
+            a = [a[i] + kappa * a[k - i] for i in range(k)] + [kappa] + a[k + 1 :]
+            v *= 1 - kappa * kappa
+            log_det += mpmath.log(v)
+        return log_det
+
+
+_STATIONARY_MODELS = st.one_of(
+    st.just("identity"),
+    st.floats(-0.95, 0.95).map(lambda a: f"ma1:a={a!r}"),
+    st.floats(0.0, 0.9).map(lambda rho: f"equicorr:rho={rho!r}"),
+    st.floats(1.0, 3.0).map(lambda r: f"inverse_power:r={r!r}"),
+    st.sets(st.integers(1, 40), min_size=1, max_size=4).map(
+        lambda s: "sparse:support=" + "+".join(map(str, sorted(s)))
+    ),
+)
+
+
+class TestDurbinRecursion:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
+        n=st.integers(1, 512),
+    )
+    def test_moving_average_matches_cholesky(self, coeffs, n):
+        gamma = MovingAverageSpec(np.arange(len(coeffs)), coeffs).autocovariance(n - 1)
+        if gamma[0] < 1e-3:
+            return
+        T = toeplitz(gamma)
+        if np.linalg.cond(T) > 1e8:
+            return
+        log_det, smallest = _levinson_durbin(gamma)
+        ref_log_det, ref_smallest = cholesky_oracle(T)
+        assert log_det == pytest.approx(ref_log_det, rel=1e-9, abs=1e-9)
+        assert smallest == pytest.approx(ref_smallest, rel=1e-7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=_STATIONARY_MODELS, n=st.integers(1, 512))
+    def test_stationary_families_match_cholesky(self, model, n):
+        gamma = parse_model(model).gamma(n - 1)
+        log_det, smallest = _levinson_durbin(gamma)
+        ref_log_det, ref_smallest = cholesky_oracle(toeplitz(gamma))
+        assert log_det == pytest.approx(ref_log_det, rel=1e-9, abs=1e-9)
+        assert smallest == pytest.approx(ref_smallest, rel=1e-7)
+        C = parse_model(model).covariance(n)
+        assert C.log_det == log_det and C.gamma is not None
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 33, 200])
+    def test_hermitian_rows_match_cholesky(self, n):
+        rng = np.random.default_rng(n)
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        d[1:] /= np.arange(1, n)
+        d[0] = np.abs(d[1:]).sum() * 2.0 + 1.0  # strictly diagonally dominant
+        log_det, smallest = _levinson_durbin(d)
+        ref_log_det, ref_smallest = cholesky_oracle(toeplitz(np.conj(d), d))
+        assert log_det == pytest.approx(ref_log_det, rel=1e-12, abs=1e-12)
+        assert smallest == pytest.approx(ref_smallest, rel=1e-12)
+
+    def test_rank_one_rejected_by_reflection(self):
+        with pytest.raises(np.linalg.LinAlgError, match="reflection coefficient"):
+            _levinson_durbin(np.ones(3))
+        with pytest.raises(NotPositiveDefinite):
+            from_stationary([1.0, 1.0, 1.0], 3)
+
+    def test_indefinite_equicorrelation_rejected(self):
+        # 1 + 2 rho < 0: the 3-section has a negative eigenvalue.
+        with pytest.raises(NotPositiveDefinite):
+            parse_model("equicorr:rho=-0.6").covariance(3)
+        parse_model("equicorr:rho=-0.4").covariance(3)
+
+    def test_pivot_below_floor_rejected(self):
+        # |kappa| < 1, but the second pivot 1 - (1 - 1e-13)^2 is about 2e-13.
+        with pytest.raises(NotPositiveDefinite, match="pivot"):
+            from_stationary([1.0, 1.0 - 1e-13], 2)
+        from_stationary([1.0, 1.0 - 1e-5], 2)
+
+    def test_sparse_against_40_digit_reference(self):
+        # sparse:support=1+4 at n = 512 has cond about 1e7; the error bound
+        # stated in _levinson_durbin's docstring is pinned here.
+        gamma = parse_model("sparse:support=1+4").gamma(511)
+        ref = float(mp_levinson_log_det(gamma))
+        log_det, _ = _levinson_durbin(gamma)
+        assert abs(log_det - ref) <= 1e-11 * abs(ref)
+
+
+class TestLazyDenseForms:
+    @pytest.mark.parametrize(
+        "model",
+        ["identity", "ma1:a=0.5", "equicorr:rho=0.3", "sparse:support=2+7+11", "inverse_power:r=1"],
+    )
+    @pytest.mark.parametrize("n", [1, 4, 64, 300])
+    def test_entries_and_chol_are_the_dense_builders(self, model, n):
+        C = parse_model(model).covariance(n)
+        dense = build_dense(toeplitz(C.gamma))
+        assert "entries" not in vars(C) and "chol" not in vars(C)
+        assert np.array_equal(C.entries, dense.entries)
+        assert np.array_equal(C.chol, dense.chol)
+        assert np.array_equal(C.variances, dense.variances)
+        assert np.array_equal(C.sigmas, dense.sigmas)
+        assert C.n == dense.n == n
+        assert C.log_det == pytest.approx(dense.log_det, rel=1e-10, abs=1e-12)
+        assert not C.entries.flags.writeable and not C.chol.flags.writeable
+
+    @pytest.mark.parametrize("model", ["ma1:a=0.5", "inverse_power:r=2"])
+    def test_sampling_and_eb_inputs_keep_their_bytes(self, model):
+        C = parse_model(model).covariance(48)
+        dense = build_dense(toeplitz(C.gamma))
+        assert np.array_equal(sample_gaussian(C, 500, 7), sample_gaussian(dense, 500, 7))
+        p = 2.0 * decoupling_coefficient(dense)
+        assert np.array_equal(matrix_B(C, p), matrix_B(dense, p))
+
+    def test_immutable(self):
+        C = from_stationary([1.0, 0.2], 3)
+        with pytest.raises(AttributeError):
+            C.log_det = 0.0
+        with pytest.raises(AttributeError):
+            C.gamma = None
+        with pytest.raises(ValueError):
+            C.gamma[0] = 2.0
+
+
+class TestInversePowerSequence:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        r=st.floats(1.0, 4.0, exclude_min=True),
+        max_lag=st.integers(0, 4096),
+        draws=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    )
+    def test_matches_per_lag_sums(self, r, max_lag, draws):
+        seq = inverse_power_gamma_sequence(max_lag, r)
+        lags = sorted({0, min(1, max_lag), max_lag} | {round(u * max_lag) for u in draws})
+        oracle = np.array([inverse_power_gamma(h, r) for h in lags])
+        assert np.all(np.abs(seq[lags] - oracle) <= 1e-12 * oracle)
+
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    def test_longer_sequence_extends_shorter(self, r):
+        long = inverse_power_gamma_sequence(4096, r)
+        for max_lag in (0, 1, 255, 256, 257, 1000, 2047, 3000):
+            assert np.array_equal(inverse_power_gamma_sequence(max_lag, r), long[: max_lag + 1])

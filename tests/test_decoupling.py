@@ -16,6 +16,7 @@ from gaussdecoup import (
     decoupling_coefficient,
     from_stationary,
     inverse_power_gamma_sequence,
+    parse_model,
     random_spd,
     refined_constant,
     stationary_decoupling_coefficient,
@@ -178,6 +179,51 @@ class TestRefinedConstant:
             p = 2.0 * decoupling_coefficient(C)
             rb = refined_constant(C, p)
             assert rb.log_value <= rb.log_generic + 1e-9
+
+
+class TestStationaryRoutes:
+    """The O(n) p(X) and the Durbin shifted determinant against dense oracles."""
+
+    MODELS = [
+        "ma1:a=0.5",
+        "ma1:a=-0.8",
+        "equicorr:rho=0.3",
+        "sparse:support=1+4",
+        "inverse_power:r=1",
+        "inverse_power:r=1.5",
+    ]
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("n", [1, 2, 17, 256])
+    def test_p_x_matches_dense_row_sums(self, model, n):
+        C = parse_model(model).covariance(n)
+        rows = np.abs(C.entries).sum(axis=1) / np.diag(C.entries)
+        assert decoupling_coefficient(C) == pytest.approx(rows.max(), rel=1e-12)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("n", [1, 2, 17, 256])
+    def test_refined_constant_at_auto2px_matches_dense_cholesky(self, model, n):
+        C = parse_model(model).covariance(n)
+        p = 2.0 * decoupling_coefficient(C)
+        shifted = p * np.diag(np.diag(C.entries)) - C.entries
+        log_det_shifted = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(shifted)))))
+        log_det = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(C.entries)))))
+        expected = (
+            (n / 2.0) * (1.0 - 1.0 / p) * math.log(p)
+            + 0.5 * n * math.log(C.entries[0, 0])
+            - 0.5 * (1.0 - 1.0 / p) * log_det_shifted
+            - log_det / (2.0 * p)
+        )
+        rb = refined_constant(C, p)
+        assert rb.log_value == pytest.approx(expected, rel=1e-10, abs=1e-10)
+        assert rb.log_value <= rb.log_generic + 1e-9
+
+    def test_shifted_section_not_positive_definite(self):
+        # p(X) = 2 for gamma = (1, 0.5): below p = 2 p(X) the shifted Toeplitz
+        # section can fail; it is reported as the violated condition.
+        C = from_stationary([1.0, 0.5], 64)
+        with pytest.raises(ConditionViolated):
+            refined_constant(C, 1.5)
 
 
 class TestCorollary1:

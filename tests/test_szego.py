@@ -10,6 +10,7 @@ from gaussdecoup import (
     InvalidSpec,
     NonConvergent,
     NonPositiveSymbol,
+    NotPositiveDefinite,
     b_constant,
     condition_report,
     constant_symbol,
@@ -24,6 +25,7 @@ from gaussdecoup import (
     theorem2_constant,
     toeplitz_section,
 )
+from gaussdecoup.szego import _section_log_det
 
 
 def tridiag_det(d0, d1, n):
@@ -128,6 +130,27 @@ class TestSzegoAsymptote:
     def test_section_larger_than_resolution_rejected(self):
         with pytest.raises(InvalidSpec):
             toeplitz_section(ma1_symbol(0.5, grid_size=64), 40)
+        with pytest.raises(InvalidSpec):
+            szego_asymptote(ma1_symbol(0.5, grid_size=64), 40)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 128])
+    def test_non_even_symbol_matches_hermitian_cholesky(self, n):
+        # Complex coefficients: the section is Hermitian, not symmetric.
+        t = grid_points(256)
+        sym = symbol_from_grid(2.0 + 0.6 * np.sin(t) + 0.3 * np.cos(2 * t) + 0.2 * np.sin(3 * t))
+        assert not sym.even and np.iscomplexobj(sym.d)
+        section = toeplitz_section(sym, n)
+        assert np.array_equal(section, section.conj().T)
+        chol = np.linalg.cholesky(section)
+        oracle = 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
+        est = szego_asymptote(sym, n)
+        assert est.exact_log_det == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+
+    def test_indefinite_section_rejected(self):
+        # f = 1 + 2 cos t dips below 0: the n = 3 section is indefinite.
+        sym = symbol_from_grid(1.0 + 2.0 * np.cos(grid_points(64)))
+        with pytest.raises(NotPositiveDefinite, match="refine the grid"):
+            _section_log_det(sym, 3)
 
     @pytest.mark.parametrize("a", [0.3, -0.5, 0.8, 0.9])
     def test_cross_module_determinant(self, a):
