@@ -72,7 +72,6 @@ from .szego import (
     b_constant,
     condition_report,
     geometric_mean,
-    log_symbol_coefficients,
     szego_asymptote,
     theorem2_constant,
     toeplitz_section,

@@ -48,12 +48,14 @@ __all__ = [
 ]
 
 # Damped Newton for E_B: largest step in log b, Armijo slope fraction,
-# backtracking factors, and full steps allowed once the line search can no
-# longer resolve the gain.
+# backtracking factors, full steps allowed once the line search can no longer
+# resolve the gain, the step limit and the stationarity residual tolerance.
 _MAX_LOG_STEP = 5.0
 _ARMIJO = 1e-4
 _DAMPING = 0.5 ** np.arange(31)
 _POLISH_STEPS = 4
+_MAX_ITER = 100
+_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
@@ -109,11 +111,13 @@ def eb_objective(B: np.ndarray, p: float, b) -> float:
     )
 
 
+def _upper_log(n: int, p: float, logdet_B: float) -> float:
+    return (n / 2.0) * (1.0 - 1.0 / p) * math.log(2.0 * math.pi) - 0.5 * (1.0 - 1.0 / p) * logdet_B
+
+
 def eb_upper_bound(B: np.ndarray, p: float) -> float:
     """Log-space bound E_B <= (2 pi)^{(n/2)(1-1/p)} / det(B)^{(1/2)(1-1/p)}."""
-    n = B.shape[0]
-    logdet = _logdet_spd(B, "B")
-    return (n / 2.0) * (1.0 - 1.0 / p) * math.log(2.0 * math.pi) - 0.5 * (1.0 - 1.0 / p) * logdet
+    return _upper_log(B.shape[0], p, _logdet_spd(B, "B"))
 
 
 @dataclass(frozen=True)
@@ -163,12 +167,7 @@ def _newton_step(b: np.ndarray, M: np.ndarray, g: np.ndarray) -> np.ndarray:
     return cho_solve(cho_factor(neg_hess, lower=True, check_finite=False), g)
 
 
-def eb_optimize(
-    B: np.ndarray,
-    p: float,
-    max_iter: int = 100,
-    tol: float = 1e-10,
-) -> EbProblem:
+def eb_optimize(B: np.ndarray, p: float) -> EbProblem:
     """Maximize the E_B ratio over b > 0 by damped Newton in u = log b.
 
     The objective u . 1/(2p) - (1/2) log det(B + diag(e^u)) is concave, so one
@@ -179,14 +178,16 @@ def eb_optimize(
     gain drops below the rounding of the objective, the line search can no
     longer tell steps apart and at most ``_POLISH_STEPS`` full steps follow.
     The iteration stops when the stationarity residual max |1/(2 p b) - m/2|
-    is below ``tol`` and the predicted gain is below rounding, or when it can
-    make no more progress.  ``converged`` means the residual is below ``tol``;
-    otherwise the last point's value stands as a lower estimate of the sup.
+    is below ``_TOL`` (1e-10) and the predicted gain is below rounding, after
+    ``_MAX_ITER`` (100) steps, or when it can make no more progress.
+    ``converged`` means the residual is below ``_TOL``; otherwise the last
+    point's value stands as a lower estimate of the sup.  ``upper_log`` reuses
+    the log det of the check that B is positive definite.
     """
     if p <= 1:
         raise ValueError(f"E_B optimization needs p > 1, got {p}")
     n = B.shape[0]
-    _logdet_spd(B, "B")
+    logdet_B = _logdet_spd(B, "B")
     half_p = 1.0 / (2.0 * p)
     u = np.log(np.diag(B) / (p - 1.0))
 
@@ -214,7 +215,7 @@ def eb_optimize(
         rounding = _EPS * (half_p * float(np.abs(u).sum()) + n * float(np.sum(np.abs(M * A))))
         # The residual is absolute in 1/b: large b can pass it while a
         # resolvable gain is left, hence both tests.
-        if (residual < tol and gain <= rounding) or n_iter >= max_iter or polish >= _POLISH_STEPS:
+        if (residual < _TOL and gain <= rounding) or n_iter >= _MAX_ITER or polish >= _POLISH_STEPS:
             break
         if polish or gain <= rounding:
             polish += 1
@@ -240,8 +241,8 @@ def eb_optimize(
         b_opt=b,
         value_log=eb_log - prefactor,
         eb_log=eb_log,
-        upper_log=eb_upper_bound(B, p),
-        converged=residual < tol,
+        upper_log=_upper_log(n, p, logdet_B),
+        converged=residual < _TOL,
         residual=residual,
         n_iter=n_iter,
     )

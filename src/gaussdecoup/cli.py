@@ -252,7 +252,7 @@ def cmd_analyze(cfg: ScenarioConfig) -> tuple[list, int]:
 
 def cmd_szego(cfg: ScenarioConfig) -> tuple[list, int]:
     try:
-        symbol = szego.log_symbol_coefficients(cfg.spec.symbol())
+        symbol = cfg.spec.symbol()  # its log-symbol is computed by the first n and kept
     except _ROW_ERRORS as exc:
         symbol = exc  # every n reports it
 

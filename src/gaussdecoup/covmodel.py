@@ -40,6 +40,7 @@ from .errors import (
     InvalidSpec,
     NonFiniteInput,
     NonPositiveDiagonal,
+    NonPositiveSymbol,
     NotPositiveDefinite,
     NotSymmetric,
 )
@@ -51,6 +52,8 @@ MATRIX_N_CAP = 2048
 _LAG_BLOCK = 256
 # Default number of grid points (2K) for spectral symbols.
 DEFAULT_GRID_SIZE = 4096
+# A symbol whose smallest grid value is at or below this has no log-symbol.
+_MIN_SYMBOL_VALUE = 1e-300
 # Even terms j = 0..30 of the Clausen series: the j-th is at most about
 # 2 (2 pi)^(r-1) (2j)^-r 4^-j for theta <= pi, below 1e-17 of the sum at j = 30.
 _CLAUSEN_TERMS = 31
@@ -137,7 +140,7 @@ def _cholesky_log_det(a: np.ndarray) -> tuple[np.ndarray, float]:
     return chol, 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
 
 
-def _validate_spd(entries: np.ndarray, context: str = "") -> CovarianceMatrix:
+def _validate_spd(entries: np.ndarray) -> CovarianceMatrix:
     """Symmetry, diagonal and Cholesky checks shared by all builders."""
     n = entries.shape[0]
     scale = np.abs(entries).max() if n else 1.0
@@ -145,24 +148,23 @@ def _validate_spd(entries: np.ndarray, context: str = "") -> CovarianceMatrix:
     if asym > 1e-12 * max(scale, 1e-300):
         raise NotSymmetric(
             f"max |e[i][j]-e[j][i]| = {asym:.3e} exceeds 1e-12 * max|e| = {1e-12 * scale:.3e}"
-            + context
         )
     diag = np.diag(entries)
     if np.any(diag <= 0):
         raise NonPositiveDiagonal(
-            f"diagonal entries must be strictly positive; min = {diag.min():.3e}" + context
+            f"diagonal entries must be strictly positive; min = {diag.min():.3e}"
         )
     try:
         chol, log_det = _cholesky_log_det(entries)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Cholesky failed: {exc}" + context) from exc
+        raise NotPositiveDefinite(f"Cholesky failed: {exc}") from exc
     # Scale-aware pivot floor: reject numerically marginal matrices.
     pivot_floor = 1e-12 * np.trace(entries) / n
     pivots = np.diag(chol) ** 2
     if pivots.min() <= pivot_floor:
         raise NotPositiveDefinite(
             f"smallest Cholesky pivot {pivots.min():.3e} at or below threshold "
-            f"{pivot_floor:.3e} (1e-12 * trace/n)" + context
+            f"{pivot_floor:.3e} (1e-12 * trace/n)"
         )
     return CovarianceMatrix(log_det, entries=_freeze(entries), chol=_freeze(chol))
 
@@ -294,7 +296,7 @@ class MovingAverageSpec:
         return gamma
 
 
-def _one_sided_sum(mu: int, r: float, rel_tol: float = 1e-14) -> float:
+def _one_sided_sum(mu: int, r: float) -> float:
     """sum_{k>=1} 1/(k^r (k+mu)^r) for r > 1, accurate to ~1e-14 relative.
 
     Head summed directly to K >= max(1000, 4*mu); the tail is expanded as
@@ -310,7 +312,7 @@ def _one_sided_sum(mu: int, r: float, rel_tol: float = 1e-14) -> float:
     for j in range(120):
         term = coef * float(mu) ** j * float(zeta(2 * r + j, K + 1))
         tail += term
-        if abs(term) < rel_tol * max(head, 1e-300):
+        if abs(term) < 1e-14 * max(head, 1e-300):
             break
         coef *= (-r - j) / (j + 1)
     return head + tail
@@ -444,9 +446,9 @@ class SpectralSymbol:
 
     ``d[k]`` holds the Fourier coefficients (1/2pi) int e^{-ikt} f(t) dt for
     k = 0..K; negative indices follow from d_{-k} = conj(d_k).  For even
-    symbols the coefficients are stored as reals.  ``c`` (the log-symbol
-    coefficients, populated only for strictly positive symbols) follows the
-    same convention.
+    symbols the coefficients are stored as reals.  Bin K holds d_K + d_{-K}
+    (aliased), so only |k| < K are exact.  ``c``, the coefficients of log f,
+    follows the same convention; it is computed on first read.
     """
 
     grid: np.ndarray
@@ -454,17 +456,34 @@ class SpectralSymbol:
     K: int
     strictly_positive: bool
     even: bool
-    c: np.ndarray | None = None
-    c_alias_bound: float | None = None
 
     @property
     def grid_size(self) -> int:
         return self.grid.size
 
+    @cached_property
+    def c(self) -> np.ndarray:
+        """Fourier coefficients of log f; NonPositiveSymbol unless f > 0 on the grid."""
+        if not self.strictly_positive or self.grid.min() <= _MIN_SYMBOL_VALUE:
+            raise NonPositiveSymbol(
+                f"symbol is not strictly positive (min grid value {self.grid.min():.3e}); "
+                "log-symbol coefficients undefined"
+            )
+        return _freeze(_grid_coefficients(np.log(self.grid), self.even))
+
+    @property
+    def c_alias_bound(self) -> float:
+        """max |c_k| over K/2 <= |k| <= K.
+
+        Coefficients that have not decayed by the top half of the resolved
+        band signal an under-resolved log-symbol.
+        """
+        return float(np.abs(self.c[self.K // 2 :]).max())
+
     def fourier_coefficient(self, k: int):
-        """d_k for any |k| <= K."""
-        if abs(k) > self.K:
-            raise ValueError(f"|k| = {abs(k)} exceeds resolution K = {self.K}")
+        """d_k for any |k| < K."""
+        if abs(k) >= self.K:
+            raise ValueError(f"|k| = {abs(k)} is not below the resolution K = {self.K}")
         val = self.d[abs(k)]
         return np.conj(val) if k < 0 else val
 

@@ -7,12 +7,12 @@ determinant of the n-th Toeplitz section {d_{j-i}} behaves like
     G(f) = exp(c_0)              (geometric mean of f),
     b(f) = exp(sum_{k>=1} k c_k c_{-k}),
 
-provided sum |c_k| and sum |k| |c_k|^2 both converge.  This module computes
-the log-symbol coefficients, G(f), b(f), the asymptote, exact determinants for
-n <= MATRIX_N_CAP by Durbin's recursion on the first row d_0..d_{n-1} (O(n^2),
-no matrix formed; the Hermitian form for non-even symbols), and the resulting
-bound constant for stationary sections, with the deviation of the asymptote
-from the exact determinant measured rather than assumed.
+provided sum |c_k| and sum |k| |c_k|^2 both converge.  From the symbol's
+``c`` this module computes G(f), b(f), the asymptote, exact determinants for
+n <= min(K, MATRIX_N_CAP) by Durbin's recursion on the first row d_0..d_{n-1}
+(O(n^2), no matrix formed; the Hermitian form for non-even symbols), and the
+resulting bound constant for stationary sections, with the deviation of the
+asymptote from the exact determinant measured rather than assumed.
 
 All quantities that scale with n are kept in log space.
 """
@@ -20,18 +20,12 @@ All quantities that scale with n are kept in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .covmodel import (
-    MATRIX_N_CAP,
-    SpectralSymbol,
-    _freeze,
-    _grid_coefficients,
-    _levinson_durbin,
-)
+from .covmodel import MATRIX_N_CAP, SpectralSymbol, _levinson_durbin
 from .decoupling import _exp, stationary_decoupling_coefficient
 from .errors import (
     ConditionViolated,
@@ -45,7 +39,6 @@ __all__ = [
     "ConditionReport",
     "SzegoEstimate",
     "Theorem2Constant",
-    "log_symbol_coefficients",
     "geometric_mean",
     "b_constant",
     "toeplitz_section",
@@ -54,32 +47,12 @@ __all__ = [
     "theorem2_constant",
 ]
 
-_MIN_SYMBOL_VALUE = 1e-300
-
-
-def log_symbol_coefficients(sym: SpectralSymbol) -> SpectralSymbol:
-    """Return a copy of the symbol with the Fourier coefficients of log f.
-
-    The aliasing error bound attached is max |c_k| over K/2 <= |k| <= K:
-    coefficients that have not decayed by the top half of the resolved band
-    signal an under-resolved log-symbol.
-    """
-    if not sym.strictly_positive or sym.grid.min() <= _MIN_SYMBOL_VALUE:
-        raise NonPositiveSymbol(
-            f"symbol is not strictly positive (min grid value {sym.grid.min():.3e}); "
-            "log-symbol coefficients undefined"
-        )
-    c = _freeze(_grid_coefficients(np.log(sym.grid), sym.even))
-    return replace(sym, c=c, c_alias_bound=float(np.abs(c[sym.K // 2 :]).max()))
-
-
-def _with_c(sym: SpectralSymbol) -> SpectralSymbol:
-    return sym if sym.c is not None else log_symbol_coefficients(sym)
+# log b(f) is refused unless the estimated tail of sum k|c_k|^2 is below this.
+_B_TAIL_TOL = 1e-12
 
 
 def geometric_mean(sym: SpectralSymbol) -> float:
     """G(f) = exp of the average of log f over the circle, i.e. exp(c_0)."""
-    sym = _with_c(sym)
     return math.exp(float(np.real(sym.c[0])))
 
 
@@ -155,7 +128,6 @@ class ConditionReport:
 
 def condition_report(sym: SpectralSymbol) -> ConditionReport:
     """Diagnose the absolute and weighted-square summability of the c_k."""
-    sym = _with_c(sym)
     mod = np.abs(sym.c)
     cmax = max(float(mod.max()), 1.0)
     abs_terms = mod[1:]
@@ -177,33 +149,30 @@ def condition_report(sym: SpectralSymbol) -> ConditionReport:
     )
 
 
-def _b_log(sym: SpectralSymbol, tail_tol: float = 1e-12) -> float:
-    """log b(f) = sum_{k>=1} k c_k c_{-k}, with a converged-tail requirement."""
-    sym = _with_c(sym)
-    k = np.arange(1, sym.K + 1, dtype=float)
-    terms = k * np.abs(sym.c[1:]) ** 2  # c_k c_{-k} = |c_k|^2 for real symbols
-    cmax = max(float(np.abs(sym.c).max()), 1.0)
-    tail, _ = _geometric_tail(terms, sym.K * (1e-13 * cmax) ** 2)
-    if not tail < tail_tol:
+def _b_log(sym: SpectralSymbol, report: ConditionReport) -> float:
+    """log b(f) = sum_{k>=1} k c_k c_{-k}, refused unless the report's tail has converged."""
+    tail = report.c2_tail / 2.0  # the one-sided tail
+    if not tail < _B_TAIL_TOL:
         raise NonConvergent(
-            f"tail of sum k|c_k|^2 estimated at {tail:.3e} > {tail_tol:.0e} at resolution "
+            f"tail of sum k|c_k|^2 estimated at {tail:.3e} > {_B_TAIL_TOL:.0e} at resolution "
             f"K={sym.K}; condition sum |k||c_k|^2 < inf effectively fails here"
         )
+    k = np.arange(1, sym.K + 1, dtype=float)
     return float(np.sum(k * (sym.c[1:] * np.conj(sym.c[1:])).real))
 
 
 def b_constant(sym: SpectralSymbol) -> float:
     """b(f) = exp(sum_{k>=1} k c_k c_{-k})."""
-    return math.exp(_b_log(sym))
+    return math.exp(_b_log(sym, condition_report(sym)))
 
 
 def _section_row(sym: SpectralSymbol, n: int) -> np.ndarray:
     """d_0..d_{n-1}, the first row of the n-th section."""
     if n < 1:
         raise ValueError("section size must be >= 1")
-    if n - 1 > sym.K:
+    if n > sym.K:
         raise InvalidSpec(
-            f"section n={n} needs coefficients up to lag {n - 1} > K={sym.K}; "
+            f"section n={n} needs coefficients up to lag {n - 1} >= K={sym.K}; "
             "use a finer grid"
         )
     return sym.d[:n]
@@ -238,13 +207,21 @@ class SzegoEstimate:
     """
 
     n: int
-    G: float
-    b: float
+    log_G: float
+    log_b: float
     asymptote: float
     exact_log_det: float | None
     ratio: float | None
     c1_sum: float
     c2_sum: float
+
+    @property
+    def G(self) -> float:
+        return math.exp(self.log_G)
+
+    @property
+    def b(self) -> float:
+        return math.exp(self.log_b)
 
     def to_json_dict(self) -> dict:
         return {
@@ -265,10 +242,9 @@ def szego_asymptote(sym: SpectralSymbol, n: int) -> SzegoEstimate:
     """Asymptote n c_0 + sum k c_k c_{-k}, plus the exact determinant for n <= MATRIX_N_CAP."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    sym = _with_c(sym)
     report = condition_report(sym)
     c0 = float(np.real(sym.c[0]))
-    log_b = _b_log(sym)
+    log_b = _b_log(sym, report)
     asymptote = n * c0 + log_b
     exact = ratio = None
     if n <= MATRIX_N_CAP:
@@ -276,8 +252,8 @@ def szego_asymptote(sym: SpectralSymbol, n: int) -> SzegoEstimate:
         ratio = math.exp(exact - asymptote)
     return SzegoEstimate(
         n=n,
-        G=math.exp(c0),
-        b=math.exp(log_b),
+        log_G=c0,
+        log_b=log_b,
         asymptote=asymptote,
         exact_log_det=exact,
         ratio=ratio,
@@ -336,42 +312,36 @@ def theorem2_constant(
     """
     if not sym.strictly_positive:
         raise NonPositiveSymbol("symbol must be strictly positive")
-    sym = _with_c(sym)
     report = condition_report(sym)
     if not report.passes:
         raise NonConvergent(
             f"coefficient conditions fail at resolution K={sym.K}: {report.to_json_dict()}"
         )
-    if n - 1 > sym.K:
+    if n > sym.K:
         raise InvalidSpec(f"section n={n} exceeds resolution K={sym.K}")
     p_section = stationary_decoupling_coefficient(np.abs(sym.d), n)
     if p < 2.0 * p_section:
         raise ConditionViolated(p, p_section)
-    c0 = float(np.real(sym.c[0]))
-    log_b = _b_log(sym)
+    est = szego_asymptote(sym, n)
     d0 = float(np.real(sym.d[0]))
-    normalized = abs(d0 - 1.0) > 1e-12
-    c0_unit = c0 - math.log(d0)
+    c0_unit = est.log_G - math.log(d0)
     delta_hat = 0.0
-    asymptotic_only = True
-    if n <= MATRIX_N_CAP:
-        exact = _section_log_det(sym, n)
-        delta_hat = max(0.0, math.exp((n * c0 + log_b) - exact) - 1.0)
-        asymptotic_only = False
+    if est.exact_log_det is not None:
+        delta_hat = max(0.0, math.exp(est.asymptote - est.exact_log_det) - 1.0)
     if as_stated:
         log_value = (n / 2.0) * math.log(2.0) - (n / (2.0 * p)) * (
-            math.log(2.0) + log_b + c0_unit
+            math.log(2.0) + est.log_b + c0_unit
         )
     else:
-        log_value = (n / 2.0) * (1.0 - 1.0 / p) * math.log(2.0) - (n * c0_unit + log_b) / (
+        log_value = (n / 2.0) * (1.0 - 1.0 / p) * math.log(2.0) - (n * c0_unit + est.log_b) / (
             2.0 * p
         )
     log_value += math.log1p(delta_hat)
     return Theorem2Constant(
         log_value=log_value,
         delta_hat=delta_hat,
-        asymptotic_only=asymptotic_only,
-        normalized=normalized,
+        asymptotic_only=est.exact_log_det is None,
+        normalized=abs(d0 - 1.0) > 1e-12,
         d0=d0,
         p_section=p_section,
         as_stated=as_stated,

@@ -403,6 +403,10 @@ GOLDEN_REPORTS = [
     ("szego_ma1", ["szego", "--model", "ma1:a=0.5", "--n", "4,16,64"], 0),
     ("szego_constant", ["szego", "--model", "constant:value=2", "--n", "3,8"], 0),
     ("szego_no_symbol", ["szego", "--model", "equicorr:rho=0.3"], 2),
+    # Every row a b(f) tail refusal, as in the benchmark's spectral workload.
+    ("szego_inverse_power", ["szego", "--model", "inverse_power:r=2", "--n", "64,1024"], 2),
+    # The symbol's NonPositiveSymbol, reported on each n.
+    ("szego_nonpositive", ["szego", "--model", "constant:value=-1", "--n", "3,8"], 2),
     # A non-even symbol: complex Fourier coefficients, a Hermitian section.
     (
         "szego_grid_nonsymmetric",
@@ -452,7 +456,7 @@ class TestStationaryRowsStayVectors:
             ["analyze", "--model", "sparse:support=1+4", "--n", "2048"],
             ["analyze", "--model", "inverse_power:r=1.5", "--n", "2048"],
             ["szego", "--model", "ma1:a=0.5", "--n", "2048"],
-            ["szego", "--model", "grid:file=grid_nonsymmetric.json", "--n", "129"],
+            ["szego", "--model", "grid:file=grid_nonsymmetric.json", "--n", "128"],
         ],
     )
     def test_no_dense_form(self, argv, monkeypatch, capsys):

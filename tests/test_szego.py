@@ -1,6 +1,8 @@
 """Log-symbol coefficients, G(f), b(f), determinant asymptotics, bound constant."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from gaussdecoup import (
     from_stationary,
     geometric_mean,
     grid_points,
-    log_symbol_coefficients,
     ma1_symbol,
+    parse_model,
     symbol_from_grid,
     szego_asymptote,
     theorem1_constant,
@@ -26,6 +28,8 @@ from gaussdecoup import (
     toeplitz_section,
 )
 from gaussdecoup.szego import _section_log_det
+
+DATA = Path(__file__).parent / "data"
 
 
 def tridiag_det(d0, d1, n):
@@ -49,13 +53,13 @@ def synthetic_slow_symbol(grid_size=4096):
 
 class TestLogSymbolCoefficients:
     def test_constant_e(self):
-        sym = log_symbol_coefficients(constant_symbol(math.e, 64))
+        sym = constant_symbol(math.e, 64)
         assert sym.c[0] == pytest.approx(1.0, abs=1e-14)
         assert np.abs(sym.c[1:]).max() < 1e-14
 
     def test_ma1_power_series(self):
         # log|1 + a e^{it}|^2 has c_k = (-1)^{k+1} a^k / k, k >= 1.
-        sym = log_symbol_coefficients(ma1_symbol(0.5))
+        sym = ma1_symbol(0.5)
         a = 0.5
         for k in (1, 2, 3, 4, 8):
             expected = (-1) ** (k + 1) * a**k / k
@@ -70,7 +74,7 @@ class TestLogSymbolCoefficients:
         t = grid_points(64)
         sym = symbol_from_grid(2.0 + 2.0 * np.cos(t))
         with pytest.raises(NonPositiveSymbol):
-            log_symbol_coefficients(sym)
+            sym.c
 
 
 class TestGeometricMean:
@@ -250,12 +254,12 @@ class TestTheorem2Constant:
             theorem2_constant(sym, 4, 2.0)
 
     def test_asymptotic_only_flag(self):
-        t2 = theorem2_constant(ma1_symbol(0.5), 2049, 4.0)
+        t2 = theorem2_constant(ma1_symbol(0.5, grid_size=8192), 2049, 4.0)
         assert t2.asymptotic_only and t2.delta_hat == 0.0
 
     def test_value_saturates_past_float_range(self):
         # log_value is about 710 here; math.exp raised OverflowError.
-        t2 = theorem2_constant(ma1_symbol(0.5), 2049, 1e6)
+        t2 = theorem2_constant(ma1_symbol(0.5, grid_size=8192), 2049, 1e6)
         assert 709.8 < t2.log_value < math.inf
         assert t2.value == math.inf and t2.to_json_dict()["value"] == math.inf
 
@@ -269,3 +273,41 @@ class TestTheorem2Constant:
                 gamma_unit = sym.d[:n] / sym.d[0]
                 t1 = theorem1_constant(from_stationary(gamma_unit, n), p)
                 assert t2.value >= t1 * (1.0 - 1e-12)
+
+
+class TestSectionResolution:
+    """Bin K of a 2K-point grid holds d_K + d_{-K}: sections stop at n = K."""
+
+    def test_nyquist_bin_is_aliased(self):
+        # 3 + cos(8t) on 16 points (K = 8): the true d_8 is 1/2.
+        sym = symbol_from_grid(3.0 + np.cos(8.0 * grid_points(16)))
+        assert sym.d[8] == pytest.approx(1.0, abs=1e-15)
+        assert sym.fourier_coefficient(7) == pytest.approx(0.0, abs=1e-15)
+        for k in (8, -8):
+            with pytest.raises(ValueError):
+                sym.fourier_coefficient(k)
+        np.testing.assert_allclose(toeplitz_section(sym, 8), 3.0 * np.eye(8), atol=1e-15)
+        with pytest.raises(InvalidSpec):
+            toeplitz_section(sym, 9)
+        with pytest.raises(InvalidSpec):
+            _section_log_det(sym, 9)
+
+    def test_theorem2_stops_at_k(self):
+        sym = ma1_symbol(0.5, 128)
+        assert not theorem2_constant(sym, 64, 4.0).asymptotic_only
+        with pytest.raises(InvalidSpec):
+            theorem2_constant(sym, 65, 4.0)
+
+
+def test_theorem2_values_frozen(monkeypatch):
+    # Both forms, several n and p, ma1 of both signs, a constant and a
+    # non-even symbol, and an asymptotic-only section (n = 2049 past the cap).
+    monkeypatch.chdir(DATA)
+    records = json.loads((DATA / "golden_theorem2.json").read_text())
+    symbols = {}
+    for rec in records:
+        key = (rec["symbol"], rec["grid_size"])
+        if key not in symbols:
+            symbols[key] = parse_model(rec["symbol"]).symbol(rec["grid_size"])
+        t2 = theorem2_constant(symbols[key], rec["n"], rec["p"], as_stated=rec["as_stated"])
+        assert t2.to_json_dict() == rec["constant"], rec
