@@ -440,7 +440,7 @@ def hilbert_covariance(spec: HilbertSpec, n: int) -> CovarianceMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSymbol:
     """A 2*pi-periodic real symbol sampled on a uniform grid over [-pi, pi).
 
@@ -448,7 +448,8 @@ class SpectralSymbol:
     k = 0..K; negative indices follow from d_{-k} = conj(d_k).  For even
     symbols the coefficients are stored as reals.  Bin K holds d_K + d_{-K}
     (aliased), so only |k| < K are exact.  ``c``, the coefficients of log f,
-    follows the same convention; it is computed on first read.
+    follows the same convention; it is computed on first read.  Equality and
+    hash are by identity: the array fields cannot decide ==.
     """
 
     grid: np.ndarray

@@ -239,7 +239,13 @@ class SzegoEstimate:
 
 
 def szego_asymptote(sym: SpectralSymbol, n: int) -> SzegoEstimate:
-    """Asymptote n c_0 + sum k c_k c_{-k}, plus the exact determinant for n <= MATRIX_N_CAP."""
+    """Asymptote n c_0 + sum k c_k c_{-k}, and the exact determinant where it exists.
+
+    The exact determinant is computed iff n <= min(K, MATRIX_N_CAP). Past
+    either limit the estimate keeps G, b and the asymptote, with
+    ``exact_log_det`` and ``ratio`` None: a section past K would need the
+    aliased bin K, and past the cap the recursion is not run.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     report = condition_report(sym)
@@ -247,7 +253,7 @@ def szego_asymptote(sym: SpectralSymbol, n: int) -> SzegoEstimate:
     log_b = _b_log(sym, report)
     asymptote = n * c0 + log_b
     exact = ratio = None
-    if n <= MATRIX_N_CAP:
+    if n <= min(sym.K, MATRIX_N_CAP):
         exact = _section_log_det(sym, n)
         ratio = math.exp(exact - asymptote)
     return SzegoEstimate(

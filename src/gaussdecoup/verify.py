@@ -13,6 +13,13 @@ from the run seed and the stream index, so results are bitwise reproducible
 regardless of how work is distributed.  Accumulation is pairwise with the
 stream order fixed.
 
+Each stream's block is coordinate-major: x = L Z^T, of shape (n, rows) and
+C-contiguous, so a functional reads coordinate i as the contiguous row x[i];
+read as columns strided by n, the test functions cost about as much as
+drawing the normals.  Z is drawn row-major, (rows, n), so the normals do not
+depend on the layout.  Each entry is the same dot product as in Z L^T,
+though for this operand order BLAS may round it differently in the last bit.
+
 Each stream is drawn once and every functional is evaluated on that block, so
 the CLI makes one sampling pass per (model, n): the theorem1 product, the
 box indicators and, for a stationary model, the KLS product, whose draws are
@@ -216,21 +223,29 @@ def _stream_sizes(n_samples: int):
 
 
 def _stream_blocks(C: CovarianceMatrix, n_samples: int, seed: int):
-    """Each stream's block of draws x = Z L^T, in stream order.
+    """Each stream's block of draws x = L Z^T, shape (n, size), in stream order.
 
-    The standard normals of a stream are freed as soon as the product is
-    formed; the caller owns each yielded block and may scale it in place.
+    The block is coordinate-major and C-contiguous: row i holds the stream's
+    draws of X_i, so evaluating f_i reads one contiguous row instead of a
+    column with a stride of n floats.  Z is drawn as (size, n), the order of
+    the Philox stream.  The standard normals of a stream are freed as soon as
+    the product is formed; the caller owns each yielded block and may scale
+    it in place.
     """
     L = C.chol
     for stream, size in enumerate(_stream_sizes(n_samples)):
-        yield _stream_rng(seed, stream).standard_normal((size, C.n)) @ L.T
+        yield L @ _stream_rng(seed, stream).standard_normal((size, C.n)).T
 
 
 def sample_gaussian(C: CovarianceMatrix, n_samples: int, seed: int) -> np.ndarray:
-    """(n_samples, n) matrix of i.i.d. draws of L Z, deterministic given seed."""
+    """(n_samples, n) matrix of i.i.d. draws of L Z, deterministic given seed.
+
+    It is the transpose of the stacked coordinate-major stream blocks, so its
+    memory is in Fortran order.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    return np.vstack(list(_stream_blocks(C, n_samples, seed)))
+    return np.hstack(list(_stream_blocks(C, n_samples, seed))).T
 
 
 def _ldexp(x: float, exp: int) -> float:
@@ -255,11 +270,11 @@ def _shifted_product(values, shift: int) -> float:
 
 
 def _stream_product_sums(x: np.ndarray, fns, grows, limit: int) -> tuple[float, float, int]:
-    """Sums of g 2^-shift and its square over one block, and the block's shift."""
-    g = np.ones(len(x))
+    """Sums of g 2^-shift and its square over one (n, rows) block, and its shift."""
+    g = np.ones(x.shape[1])
     exponent = None
     for i, f in enumerate(fns):
-        g *= f(x[:, i])
+        g *= f(x[i])
         if grows[i]:
             g, step = np.frexp(g)
             exponent = step.astype(np.int64) if exponent is None else exponent + step

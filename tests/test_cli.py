@@ -172,6 +172,19 @@ class TestSzegoCommand:
         row = json.loads(capsys.readouterr().out)[0]
         assert row["b"] == pytest.approx(4.0 / 3.0, rel=1e-8)
 
+    def test_one_size_rule_past_resolution(self, monkeypatch, capsys):
+        # K = 128: n = 200 (past K) and n = 3000 (past K and the cap) both keep
+        # G, b and the asymptote, with a null exact part.
+        monkeypatch.chdir(DATA)
+        argv = ["szego", "--model", "grid:file=grid_nonsymmetric.json", "--n", "200,3000"]
+        assert run(argv) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["n"] for r in rows] == [200, 3000]
+        for row in rows:
+            assert row["error"] is None
+            assert all(row[key] is not None for key in ("G", "b", "asymptote_log"))
+            assert row["exact_log_det"] is None and row["ratio"] is None
+
     def test_nonpositive_symbol_clean_error(self, capsys):
         assert run(["szego", "--model", "ma1:a=1.0", "--n", "4"]) == 2
         rows = json.loads(capsys.readouterr().out)

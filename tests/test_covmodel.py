@@ -25,6 +25,7 @@ from gaussdecoup import (
     inverse_power_gamma,
     inverse_power_gamma_sequence,
     inverse_power_symbol,
+    ma1_symbol,
     parse_model,
     symbol_from_grid,
 )
@@ -378,6 +379,14 @@ class TestSymbolFromGrid:
         assert not sym.even
         assert sym.fourier_coefficient(-2) == np.conj(sym.fourier_coefficient(2))
         assert abs(sym.fourier_coefficient(2) - (-0.25j)) < 1e-12
+
+    def test_equality_is_identity(self):
+        # Array fields cannot decide ==; equal grids still make two symbols.
+        a, b = ma1_symbol(0.5, 16), ma1_symbol(0.5, 16)
+        assert a == a and a != b
+        assert len({a, a, b}) == 2 and hash(a) == hash(a)
+        assert a.c is a.c
+        assert np.array_equal(a.c, b.c)
 
     def test_named_builtins(self):
         sym = parse_model("ma1:a=0.5").symbol(grid_size=256)

@@ -134,8 +134,14 @@ class TestSzegoAsymptote:
     def test_section_larger_than_resolution_rejected(self):
         with pytest.raises(InvalidSpec):
             toeplitz_section(ma1_symbol(0.5, grid_size=64), 40)
-        with pytest.raises(InvalidSpec):
-            szego_asymptote(ma1_symbol(0.5, grid_size=64), 40)
+
+    def test_asymptote_only_beyond_resolution(self):
+        # n > K = 32: the same asymptote-only estimate as past the cap.
+        sym = ma1_symbol(0.5, grid_size=64)
+        est = szego_asymptote(sym, 40)
+        assert est.exact_log_det is None and est.ratio is None
+        assert szego_asymptote(sym, 32).exact_log_det is not None
+        assert est.asymptote == pytest.approx(math.log(4.0 / 3.0), rel=1e-10)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 128])
     def test_non_even_symbol_matches_hermitian_cholesky(self, n):

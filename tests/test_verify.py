@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 from scipy.special import bdtr, bdtrc, erf
@@ -497,3 +497,80 @@ class TestOnePass:
         calls.clear()
         verify_kls([1.25, 0.5], 12, fns, 1000, seed=1)
         assert len(calls) == len(set(calls)) == 3
+
+
+def _row_major_moments(blocks, functionals, n_samples):
+    """The row-major slow path: each (rows, n) stream block, f_i read as x[:, i]."""
+    grows = [[f.sup_abs() > 1.0 for f in fns] for fns, _ in functionals]
+    limit = (1023 - n_samples.bit_length()) // 2
+    sums = [[] for _ in functionals]
+    for x in blocks:
+        x = x.copy()
+        divisor = 1.0
+        for (fns, d), grow, per_stream in zip(functionals, grows, sums):
+            if d != divisor:
+                x /= d / divisor
+                divisor = d
+            g = np.ones(len(x))
+            exponent = None
+            for i, f in enumerate(fns):
+                g *= f(x[:, i])
+                if grow[i]:
+                    g, step = np.frexp(g)
+                    exponent = step.astype(np.int64) if exponent is None else exponent + step
+            shift = 0
+            if exponent is not None:
+                shift = max(0, int(exponent.max()) - limit)
+                g = np.ldexp(g, exponent - shift)
+            per_stream.append((np.sum(g), np.sum(g * g), shift))
+    return [verify_module._combine_streams(per_stream, n_samples) for per_stream in sums]
+
+
+GROWING = TestFunctionSpec.bounded_poly((0.5, 2.0), clip=3.0)
+
+
+class TestCoordinateMajorBlocks:
+    """Stream blocks are x = L Z^T, shape (n, rows); the row-major path is the oracle."""
+
+    def test_blocks_are_contiguous_coordinate_rows(self):
+        C = build_dense([[1.0, 0.3], [0.3, 1.0]])
+        rows = verify_module._STREAM_ROWS
+        blocks = list(verify_module._stream_blocks(C, 2 * rows + 5, seed=3))
+        assert [b.shape for b in blocks] == [(2, rows), (2, rows), (2, 5)]
+        assert all(b.flags.c_contiguous for b in blocks)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        a=st.floats(-0.9, 0.9),
+        n=st.integers(1, 40),
+        n_samples=st.one_of(st.integers(1, 3000), st.integers(65_537, 70_000)),
+        kinds=st.lists(st.sampled_from(MIXED + [GROWING, BIG]), min_size=1, max_size=3),
+        divisor=st.floats(0.5, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(a=0.5, n=40, n_samples=70_001, kinds=[GROWING, COS], divisor=1.7, seed=11)
+    @example(a=-0.3, n=40, n_samples=3001, kinds=[BIG], divisor=0.8, seed=5)  # shift > 0
+    def test_matches_row_major_oracle(self, a, n, kinds, n_samples, divisor, seed):
+        C = from_stationary([1.0 + a * a, a], n)
+        L = C.chol
+        fns = [kinds[i % len(kinds)] for i in range(n)]
+        functionals = [(fns, 1.0), ([IND1] * n, 1.0), (fns, divisor)]
+        x = sample_gaussian(C, n_samples, seed)
+        assert x.shape == (n_samples, n)
+        # Z L^T per stream, row-major; the GEMM's two operand orders may round
+        # each dot product differently, within twice the bound gamma_n |Z||L|^T.
+        sizes = verify_module._stream_sizes(n_samples)
+        zs = [
+            verify_module._stream_rng(seed, stream).standard_normal((size, n))
+            for stream, size in enumerate(sizes)
+        ]
+        ref_x = np.vstack([z @ L.T for z in zs])
+        unit = np.finfo(float).eps / 2
+        gamma_n = n * unit / (1 - n * unit)
+        bound = 2 * gamma_n * np.vstack([np.abs(z) @ np.abs(L).T for z in zs])
+        assert np.all(np.abs(x - ref_x) <= bound)
+        # On the same draws, the per-column loop gives every moment bit for bit.
+        blocks = np.split(x, np.cumsum(sizes)[:-1])
+        assert _product_moments(C, functionals, n_samples, seed) == _row_major_moments(
+            blocks, functionals, n_samples
+        )
