@@ -44,7 +44,6 @@ from .decoupling import (
     DecouplingBound,
     RefinedBound,
     corollary1_bound,
-    corollary1_log_bound,
     decoupling_bound,
     decoupling_coefficient,
     refined_constant,

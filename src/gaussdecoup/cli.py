@@ -14,12 +14,14 @@ examples  canned scenario tables: the inverse-power growth of p(X^n) against
 analyze, szego, verify and eb share one per-n runner (``_run_per_n``): each
 supplies the body for one dimension n, and the runner makes the rows, turns an
 error in one n into that n's error row, sorts the rows and picks the exit code:
-0 clean, 2 if any n failed, 3 if any check hard-fails.  A malformed config
-(flag or file value) exits 2 with ``config error:`` before any row.
+0 clean, 2 if any n failed, 3 if any check hard-fails.  verify first makes
+one sampling pass for all its n, so ``--jobs`` splits only its reports.  A
+malformed config (flag or file value) exits 2 with ``config error:`` before
+any row.
 
 Configuration comes from a JSON file (--config) with flag overrides; flags
-win.  Runs are deterministic given the seed: repeating a run reproduces the
-report files byte for byte.
+win.  Runs are deterministic given the seed, the BLAS build and the BLAS
+thread count: repeating a run reproduces the report files byte for byte.
 """
 
 from __future__ import annotations
@@ -285,31 +287,52 @@ def _report_row(cfg, n, p, suite, report) -> dict:
 def cmd_verify(cfg: ScenarioConfig) -> tuple[list, int]:
     kls_g = cfg.spec.summable_gamma()
 
-    def fill(n: int, row: dict) -> list:
+    def resolve(n: int) -> tuple:
         C, p = _matrix_and_p(cfg, n, "sampling")
         kls_exp = None if kls_g is None else verify.stationary_exponent(kls_g)
         fns = [cfg.functions[i % len(cfg.functions)] for i in range(n)]
-        suite = "+".join(sorted({f.label() for f in fns}))
         decoupling.theorem1_log_constant(C, p)  # a p below 2 p(X) fails before sampling
-        # One sampling pass: the KLS section is C / gamma(0), so its draws are
-        # these divided by sqrt(gamma(0)), evaluated last.
+        C.chol  # so does a failed factorization
+        # The KLS section is C / gamma(0), so its draws are these divided by
+        # sqrt(gamma(0)), evaluated last.
         functionals = [(fns, 1.0), ([verify.TestFunctionSpec.indicator(cfg.eps)] * n, 1.0)]
         if kls_g is not None:
             functionals.append((fns, math.sqrt(kls_g[0])))
-        moments = verify._product_moments(C, functionals, cfg.mc_samples, cfg.seed)
-        report = verify.verify_theorem1(C, p, fns, cfg.mc_samples, cfg.seed, moments=moments[0])
+        return C, p, kls_exp, fns, functionals
+
+    points = {}
+    for n in cfg.n_list:
+        try:
+            points[n] = resolve(n)
+        except _ROW_ERRORS as exc:
+            points[n] = exc  # that n's error row, as in cmd_szego
+    resolved = {n: point for n, point in points.items() if not isinstance(point, Exception)}
+    # One sampling pass for every n that resolved: each stream is drawn once.
+    sampled = verify.sweep_moments(
+        [(C, functionals) for C, *_, functionals in resolved.values()], cfg.mc_samples, cfg.seed
+    )
+    moments = dict(zip(resolved, sampled))
+
+    def fill(n: int, row: dict) -> list:
+        if isinstance(points[n], Exception):
+            raise points[n]
+        C, p, kls_exp, fns, _ = points[n]
+        suite = "+".join(sorted({f.label() for f in fns}))
+        report = verify.verify_theorem1(C, p, fns, cfg.mc_samples, cfg.seed, moments=moments[n][0])
         rows = [_report_row(cfg, n, p, f"theorem1:{suite}", report)]
         p_ks = max(p, 2.0)
         ks = verify.verify_khatri_sidak(
             C, np.full(n, cfg.eps), p_ks, cfg.mc_samples, cfg.seed,
-            kls_exponent=kls_exp, moments=moments[1],
+            kls_exponent=kls_exp, moments=moments[n][1],
         )
         rows.append(_report_row(cfg, n, p_ks, "khatri_sidak:lower", ks.lower))
         rows.append(_report_row(cfg, n, p_ks, "khatri_sidak:upper", ks.upper))
         if ks.kls_upper is not None:
             rows.append(_report_row(cfg, n, kls_exp, "khatri_sidak:kls_upper", ks.kls_upper))
         if kls_g is not None:
-            report = verify.verify_kls(kls_g, n, fns, cfg.mc_samples, cfg.seed, moments=moments[2])
+            report = verify.verify_kls(
+                kls_g, n, fns, cfg.mc_samples, cfg.seed, moments=moments[n][2]
+            )
             rows.append(_report_row(cfg, n, kls_exp, f"kls:{suite}", report))
         return rows
 

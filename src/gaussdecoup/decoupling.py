@@ -39,7 +39,6 @@ __all__ = [
     "theorem1_log_constant",
     "theorem1_constant",
     "refined_constant",
-    "corollary1_log_bound",
     "corollary1_bound",
     "decoupling_bound",
 ]
@@ -169,8 +168,10 @@ def refined_constant(C: CovarianceMatrix, p: float) -> RefinedBound:
     return RefinedBound(log_value=log_value, log_generic=theorem1_log_constant(C, p))
 
 
-def corollary1_log_bound(C: CovarianceMatrix, p: float, eps) -> float:
-    """log of 2^{n/2}/det(C)^{1/(2p)} * prod (sigma_i/sqrt(2) * P{|X_i|<=eps_i})^{1/p}.
+def corollary1_bound(C: CovarianceMatrix, p: float, eps) -> float:
+    """2^{n/2}/det(C)^{1/(2p)} * prod (sigma_i/sqrt(2) * P{|X_i|<=eps_i})^{1/p}.
+
+    Computed in log space and exponentiated by ``_exp``, which saturates to inf.
 
     Central probabilities are exact error-function values,
     P{|X_i| <= eps_i} = erf(eps_i / (sigma_i sqrt(2))).
@@ -184,15 +185,11 @@ def corollary1_log_bound(C: CovarianceMatrix, p: float, eps) -> float:
     sigma = C.sigmas
     probs = erf(eps / (sigma * math.sqrt(2.0)))
     n = C.n
-    return (
+    return _exp(
         (n / 2.0) * math.log(2.0)
         - C.log_det / (2.0 * p)
         + float(np.sum(np.log(sigma / math.sqrt(2.0)) + np.log(probs))) / p
     )
-
-
-def corollary1_bound(C: CovarianceMatrix, p: float, eps) -> float:
-    return _exp(corollary1_log_bound(C, p, eps))
 
 
 @dataclass(frozen=True)

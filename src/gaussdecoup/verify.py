@@ -10,23 +10,32 @@ pass band is 3 standard errors and anything beyond 6 is a hard failure.
 Randomness uses the counter-based Philox generator keyed per (seed, stream):
 sample generation is partitioned into fixed-size streams whose seeds derive
 from the run seed and the stream index, so results are bitwise reproducible
-regardless of how work is distributed.  Accumulation is pairwise with the
-stream order fixed.
+for a given seed, BLAS build and BLAS thread count, however the n of a sweep
+are grouped.  Accumulation is pairwise with the stream order fixed.
 
-Each stream's block is coordinate-major: x = L Z^T, of shape (n, rows) and
-C-contiguous, so a functional reads coordinate i as the contiguous row x[i];
-read as columns strided by n, the test functions cost about as much as
-drawing the normals.  Z is drawn row-major, (rows, n), so the normals do not
-depend on the layout.  Each entry is the same dot product as in Z L^T,
-though for this operand order BLAS may round it differently in the last bit.
+A call makes one sampling pass for all its points (``sweep_moments``): each
+stream is drawn once, as the flat standard_normal(rows * n_max) for the
+largest dimension n_max.  A stream's normals at every n are prefixes of that
+Philox sequence, so point n reads the first rows * n values as its (rows, n)
+block Z, bit for bit the block standard_normal((rows, n)) draws.  Each
+point's block is coordinate-major: x = L Z^T, of shape (n, rows) and
+C-contiguous, written into one buffer reused across points and streams, so a
+functional reads coordinate i as the contiguous row x[i].  Each entry is the
+same dot product as in Z L^T, though for this operand order BLAS may round
+it differently in the last bit.
 
-Each stream is drawn once and every functional is evaluated on that block, so
-the CLI makes one sampling pass per (model, n): the theorem1 product, the
-box indicators and, for a stationary model, the KLS product, whose draws are
-the theorem1 draws scaled by 1/sqrt(gamma(0)) (chol(T/gamma0) =
-chol(T)/sqrt(gamma0)).  The Khatri-Sidak rows count hits, so their verdicts
-come from an exact binomial (Clopper-Pearson) bound at the one-sided levels
-of the 3 and 6 standard-error bands; zero hits still bound the probability.
+Every functional of a point is evaluated on that block: the theorem1
+product, the box indicators and, for a stationary model, the KLS product,
+whose draws are the theorem1 draws scaled by 1/sqrt(gamma(0)) (chol(T/gamma0)
+= chol(T)/sqrt(gamma0)).  Where no factor can exceed 1, the indicator factors
+are applied first, as one mask of the samples they keep, and the other
+factors are evaluated on the kept samples only; the rest are 0.  That is
+exact: an indicator factor is 1.0 where it keeps a sample, and a product with
+a 0 factor is 0 whatever the others are, so only the sign of a zero can
+differ, which no report reads (|mean| for theorem1 and KLS, 0/1 values for
+the box).  The Khatri-Sidak rows count hits, so their verdicts come from an
+exact binomial (Clopper-Pearson) bound at the one-sided levels of the 3 and
+6 standard-error bands; zero hits still bound the probability.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ __all__ = [
     "VerificationReport",
     "KhatriSidakReports",
     "sample_gaussian",
+    "sweep_moments",
     "marginal_p_norm",
     "verify_theorem1",
     "verify_khatri_sidak",
@@ -147,10 +157,8 @@ class TestFunctionSpec:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.kind == "indicator":
-            return (np.abs(x) <= self.eps).astype(float)
-        if self.kind == "shifted_indicator":
-            return (np.abs(x - self.shift) <= self.eps).astype(float)
+        if self.is_indicator:
+            return self._hits(x).astype(float)
         if self.kind == "cosine":
             return np.cos(self.omega * x)
         if self.kind == "bounded_poly":
@@ -158,6 +166,14 @@ class TestFunctionSpec:
             return np.clip(y, -self.clip, self.clip)
         xs = np.linspace(-self.half_width, self.half_width, len(self.values))
         return np.interp(x, xs, np.asarray(self.values))
+
+    @property
+    def is_indicator(self) -> bool:
+        return self.kind in ("indicator", "shifted_indicator")
+
+    def _hits(self, x: np.ndarray) -> np.ndarray:
+        """Where an indicator kind is 1, as a boolean mask."""
+        return np.abs(x if self.kind == "indicator" else x - self.shift) <= self.eps
 
     def sup_abs(self) -> float:
         """sup_x |f(x)|; a non-constant polynomial reaches its clip level."""
@@ -222,19 +238,28 @@ def _stream_sizes(n_samples: int):
     return sizes
 
 
-def _stream_blocks(C: CovarianceMatrix, n_samples: int, seed: int):
-    """Each stream's block of draws x = L Z^T, shape (n, size), in stream order.
+def _stream_blocks(factors, n_samples: int, seed: int):
+    """Stream by stream, the block x = L Z^T of each Cholesky factor L.
 
-    The block is coordinate-major and C-contiguous: row i holds the stream's
-    draws of X_i, so evaluating f_i reads one contiguous row instead of a
-    column with a stride of n floats.  Z is drawn as (size, n), the order of
-    the Philox stream.  The standard normals of a stream are freed as soon as
-    the product is formed; the caller owns each yielded block and may scale
-    it in place.
+    Yields ``(k, x)`` for factor k in order within each stream.  Each stream
+    is drawn once, as standard_normal(size * width) for the largest n; the
+    first size * n values read as (size, n) are bit for bit the block
+    standard_normal((size, n)) draws, and are the Z of a factor of size n.
+    x has shape (n, size) and is C-contiguous: row i holds the stream's draws
+    of X_i, so evaluating f_i reads one contiguous row instead of a column
+    with a stride of n floats.  Every x is a view of one buffer that the next
+    block overwrites; the caller may scale it in place.
     """
-    L = C.chol
+    width = max(L.shape[0] for L in factors)
+    buf = np.empty(width * min(n_samples, _STREAM_ROWS))
     for stream, size in enumerate(_stream_sizes(n_samples)):
-        yield L @ _stream_rng(seed, stream).standard_normal((size, C.n)).T
+        z = _stream_rng(seed, stream).standard_normal(size * width)
+        for k, L in enumerate(factors):
+            n = L.shape[0]
+            x = buf[: n * size].reshape(n, size)
+            np.matmul(L, z[: size * n].reshape(size, n).T, out=x)
+            yield k, x
+        del z  # freed before the next stream is drawn
 
 
 def sample_gaussian(C: CovarianceMatrix, n_samples: int, seed: int) -> np.ndarray:
@@ -245,7 +270,12 @@ def sample_gaussian(C: CovarianceMatrix, n_samples: int, seed: int) -> np.ndarra
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    return np.hstack(list(_stream_blocks(C, n_samples, seed))).T
+    out = np.empty((C.n, n_samples))
+    start = 0
+    for _, x in _stream_blocks([C.chol], n_samples, seed):
+        out[:, start : start + x.shape[1]] = x
+        start += x.shape[1]
+    return out.T
 
 
 def _ldexp(x: float, exp: int) -> float:
@@ -270,7 +300,29 @@ def _shifted_product(values, shift: int) -> float:
 
 
 def _stream_product_sums(x: np.ndarray, fns, grows, limit: int) -> tuple[float, float, int]:
-    """Sums of g 2^-shift and its square over one (n, rows) block, and its shift."""
+    """Sums of g 2^-shift and its square over one (n, rows) block, and its shift.
+
+    When no factor can exceed 1 and some are indicators, the indicators'
+    hit masks are ANDed first and the other factors, in coordinate order,
+    multiply only the samples every indicator keeps; the others stay 0.
+    The kept products are those of the in-order loop (a kept indicator
+    factor is exactly 1.0), and a dropped one was +-0 there, so the sums
+    differ at most in the sign of a zero.
+    """
+    indicators = [i for i, f in enumerate(fns) if f.is_indicator]
+    if indicators and not any(grows):
+        live = fns[indicators[0]]._hits(x[indicators[0]])
+        for i in indicators[1:]:
+            live &= fns[i]._hits(x[i])
+        g = live.astype(float)
+        if len(indicators) < len(fns):
+            keep = np.flatnonzero(live)
+            kept = np.ones(keep.size)
+            for i, f in enumerate(fns):
+                if not f.is_indicator:
+                    kept *= f(x[i, keep])
+            g[keep] = kept
+        return np.sum(g), np.sum(g * g), 0
     g = np.ones(x.shape[1])
     exponent = None
     for i, f in enumerate(fns):
@@ -297,19 +349,20 @@ def _combine_streams(per_stream, n_samples: int) -> tuple[float, float, int]:
     return mean, math.sqrt(var / n_samples), shift
 
 
-def _product_moments(
-    C: CovarianceMatrix, functionals, n_samples: int, seed: int
-) -> list[tuple[float, float, int]]:
-    """Mean, standard error and shift of each functional, from one sampling pass.
+def sweep_moments(points, n_samples: int, seed: int) -> list:
+    """Mean, standard error and shift of each functional of each point, from one pass.
 
-    A functional is a pair ``(fns, divisor)``: g = prod_i f_i(X_i / divisor),
-    of which the mean and standard error of g 2^-shift are returned with the
-    shift. Each stream block is drawn once and every functional is evaluated
-    on it; the block is divided in place when the divisor changes, so list
-    the undivided functionals (divisor 1.0) first. Streams are accumulated
-    chunk-by-chunk (never materializing the full sample) and combined by
-    pairwise summation in stream order, so each result is bitwise identical
-    to evaluating on sample_gaussian output.
+    A point is a pair ``(C, functionals)``; a functional is a pair
+    ``(fns, divisor)``: g = prod_i f_i(X_i / divisor), of which the mean and
+    standard error of g 2^-shift are returned with the shift, one list per
+    point.  Each stream is drawn once for all points, as the prefix of one
+    Philox draw for the largest dimension, and every functional of a point
+    is evaluated on that point's block; the block is divided in place when
+    the divisor changes, so list the undivided functionals (divisor 1.0)
+    first.  Streams are accumulated chunk-by-chunk (never materializing the
+    full sample) and combined by pairwise summation in stream order, so each
+    result is bitwise identical to evaluating on sample_gaussian output, and
+    to a pass over that point alone.
 
     After each factor that can exceed 1 in size (``sup_abs() > 1``) the
     running product is split by frexp into a mantissa and an integer exponent
@@ -318,19 +371,32 @@ def _product_moments(
     2^limit, where n_samples values of size 2^(2 limit) still sum to a
     finite float. It follows from the size each sample's product actually
     has, so it is 0, and the moments are the plain ones, whenever the plain
-    sum of g^2 cannot overflow; a power-of-two shift is exact.
+    sum of g^2 cannot overflow; a power-of-two shift is exact.  A functional
+    without such a factor applies its indicators first and evaluates its
+    other factors only on the samples they keep (``_stream_product_sums``).
     """
-    grows = [[f.sup_abs() > 1.0 for f in fns] for fns, _ in functionals]
+    if not points:
+        return []
+    functionals = [list(fs) for _, fs in points]
+    grows = [[[f.sup_abs() > 1.0 for f in fns] for fns, _ in fs] for fs in functionals]
     limit = (1023 - n_samples.bit_length()) // 2
-    sums = [[] for _ in functionals]
-    for x in _stream_blocks(C, n_samples, seed):
+    sums = [[[] for _ in fs] for fs in functionals]
+    for k, x in _stream_blocks([C.chol for C, _ in points], n_samples, seed):
         divisor = 1.0
-        for (fns, d), grow, per_stream in zip(functionals, grows, sums):
+        for (fns, d), grow, per_stream in zip(functionals[k], grows[k], sums[k]):
             if d != divisor:
                 x /= d / divisor
                 divisor = d
             per_stream.append(_stream_product_sums(x, fns, grow, limit))
-    return [_combine_streams(per_stream, n_samples) for per_stream in sums]
+    return [[_combine_streams(s, n_samples) for s in point] for point in sums]
+
+
+def _product_moments(
+    C: CovarianceMatrix, functionals, n_samples: int, seed: int
+) -> list[tuple[float, float, int]]:
+    """Mean, standard error and shift of each functional at one point (``sweep_moments``)."""
+    [moments] = sweep_moments([(C, functionals)], n_samples, seed)
+    return moments
 
 
 def _gl_segment_moment(f, a: float, b: float, sigma: float, p: float) -> float:

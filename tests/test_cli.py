@@ -287,23 +287,63 @@ class TestVerifyCommand:
             assert all(math.isfinite(row[k]) for k in ("lhs", "stderr", "rhs"))
 
     def test_one_sampling_pass_per_n(self, monkeypatch, capsys):
-        opened = []
+        opened, drawn = [], []
         stream_rng = verify_module._stream_rng
 
-        def counted(seed, stream):
-            opened.append((seed, stream))
-            return stream_rng(seed, stream)
+        class Counted:
+            def __init__(self, seed, stream):
+                opened.append((seed, stream))
+                self.rng = stream_rng(seed, stream)
 
-        monkeypatch.setattr(verify_module, "_stream_rng", counted)
-        argv = ["verify", "--model", "ma1:a=0.5", "--n", "3,5", "--samples", "70000"]
-        assert run(argv + ["--seed", "11"]) == 0
-        # 70000 rows are two streams; each is drawn once for each of the two n.
-        assert sorted(opened) == [(11, 0), (11, 0), (11, 1), (11, 1)]
+            def standard_normal(self, size):
+                drawn.append(size)
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(verify_module, "_stream_rng", Counted)
+        argv = ["verify", "--model", "ma1:a=0.5", "--samples", "70000", "--seed", "11"]
+        rows = verify_module._STREAM_ROWS
+        # 70000 rows are two streams, each drawn once for both n, at the larger.
+        assert run(argv + ["--n", "3,5"]) == 0
+        assert opened == [(11, 0), (11, 1)]
+        assert drawn == [rows * 5, (70000 - rows) * 5]
         assert len(json.loads(capsys.readouterr().out)) == 10
-        # A p below 2 p(X) = 3.6 gives the error row without sampling.
+        # A p below 2 p(X) = 3.6 fails every n before sampling: no stream opens.
         opened.clear()
-        assert run(argv + ["--p", "1"]) == 2
+        assert run(argv + ["--n", "3,5", "--p", "1"]) == 2
         assert opened == [] and "violates" in capsys.readouterr().out
+        # n = 4096 fails the sampling cap, so the pass draws for n = 5.
+        opened.clear()
+        drawn.clear()
+        assert run(argv + ["--n", "3,5,4096"]) == 2
+        assert opened == [(11, 0), (11, 1)]
+        assert drawn == [rows * 5, (70000 - rows) * 5]
+        out = json.loads(capsys.readouterr().out)
+        assert [r["n"] for r in out if r["function_suite"] == "error"] == [4096]
+
+    @pytest.mark.parametrize(
+        "functions",
+        [
+            str(DATA / "verify_mixed_functions.json"),
+            # A factor that can exceed 1 keeps the in-order frexp loop.
+            [{"kind": "bounded_poly", "coeffs": [0.5, 2.0], "clip": 3.0},
+             {"kind": "indicator", "eps": 1.5}, {"kind": "cosine", "omega": 0.4}],
+        ],
+        ids=["mixed", "clip_above_1"],
+    )
+    def test_each_n_matches_its_own_run(self, functions, tmp_path, capsys):
+        if isinstance(functions, list):
+            config = tmp_path / "functions.json"
+            config.write_text(json.dumps({"functions": functions}))
+            functions = str(config)
+        argv = ["verify", "--config", functions, "--model", "ma1:a=0.5", "--samples", "3000"]
+
+        def rows(n_arg):
+            run(argv + ["--n", n_arg])
+            return [json.dumps(r, sort_keys=True) for r in json.loads(capsys.readouterr().out)]
+
+        swept = rows("4,16,40")
+        alone = [row for n in ("4", "16", "40") for row in rows(n)]
+        assert swept == alone and len(swept) == 15
 
     def test_kls_two_sided_exponent_counterexample(self, tmp_path):
         # With the one-sided exponent 1.4 this run exited 3 with a kls
@@ -457,6 +497,50 @@ class TestGoldenReports:
         assert run(argv) == code
         captured = capsys.readouterr()
         assert captured.out.encode() == (DATA / f"golden_{name}.json").read_bytes()
+
+
+# Runs verify argument vectors in one process and prints [exit code, stdout] per run.
+_RUN_VERIFY = """
+import contextlib, io, json, sys
+from gaussdecoup.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        results.append([main(argv), out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+class TestBlasThreadKey:
+    """The verify goldens hold at 1 and at 2 BLAS threads.
+
+    A report is reproducible for a given seed, BLAS build and BLAS thread
+    count; a golden whose bytes come to depend on the thread count fails here.
+    """
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_verify_goldens(self, threads, tmp_path):
+        goldens = [golden for golden in GOLDEN_REPORTS if golden[0].startswith("verify")]
+        out = tmp_path / "golden"
+        file_argv = [
+            "verify", "--model", "ma1:a=0.5", "--n", "4", "--samples", "2000",
+            "--seed", "20260809", "--out", str(out),
+        ]
+        argvs = [argv for _, argv, _ in goldens] + [file_argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_VERIFY, json.dumps(argvs)],
+            env=dict(SRC_ENV, OPENBLAS_NUM_THREADS=threads),
+            cwd=DATA, capture_output=True, text=True, check=True, timeout=300,
+        )
+        results = json.loads(proc.stdout)
+        for (name, _, code), (got_code, got_out) in zip(goldens, results):
+            golden = (DATA / f"golden_{name}.json").read_bytes()
+            assert (got_code, got_out.encode()) == (code, golden)
+        assert results[-1] == [0, ""]
+        for suffix in (".json", ".csv"):
+            golden = (DATA / f"golden_verify{suffix}").read_bytes()
+            assert out.with_suffix(suffix).read_bytes() == golden
 
 
 class TestStationaryRowsStayVectors:

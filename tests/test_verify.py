@@ -535,9 +535,12 @@ class TestCoordinateMajorBlocks:
     def test_blocks_are_contiguous_coordinate_rows(self):
         C = build_dense([[1.0, 0.3], [0.3, 1.0]])
         rows = verify_module._STREAM_ROWS
-        blocks = list(verify_module._stream_blocks(C, 2 * rows + 5, seed=3))
-        assert [b.shape for b in blocks] == [(2, rows), (2, rows), (2, 5)]
-        assert all(b.flags.c_contiguous for b in blocks)
+        blocks = [
+            (k, x.shape, x.flags.c_contiguous)
+            for k, x in verify_module._stream_blocks([C.chol, np.eye(1)], 2 * rows + 5, seed=3)
+        ]
+        per_stream = [[(0, (2, size), True), (1, (1, size), True)] for size in (rows, rows, 5)]
+        assert blocks == sum(per_stream, [])
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(
@@ -550,6 +553,8 @@ class TestCoordinateMajorBlocks:
     )
     @example(a=0.5, n=40, n_samples=70_001, kinds=[GROWING, COS], divisor=1.7, seed=11)
     @example(a=-0.3, n=40, n_samples=3001, kinds=[BIG], divisor=0.8, seed=5)  # shift > 0
+    # Kept samples past 2^limit: a factor above 1 keeps the in-order frexp loop.
+    @example(a=0.2, n=40, n_samples=3001, kinds=[BIG, BIG, BIG, IND1], divisor=1.0, seed=6)
     def test_matches_row_major_oracle(self, a, n, kinds, n_samples, divisor, seed):
         C = from_stationary([1.0 + a * a, a], n)
         L = C.chol
@@ -574,3 +579,90 @@ class TestCoordinateMajorBlocks:
         assert _product_moments(C, functionals, n_samples, seed) == _row_major_moments(
             blocks, functionals, n_samples
         )
+
+
+class TestOnePassPerCall:
+    """One Philox draw per stream serves every n of a call."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        rows=st.integers(1, 3000),
+        n=st.integers(1, 40),
+        extra=st.integers(0, 100),
+        seed=st.integers(0, 2**32 - 1),
+        stream=st.integers(0, 3),
+    )
+    @example(rows=verify_module._STREAM_ROWS, n=16, extra=112, seed=101, stream=0)
+    def test_normals_are_prefixes(self, rows, n, extra, seed, stream):
+        # Sharing one draw across n rests on this numpy behaviour.
+        flat = verify_module._stream_rng(seed, stream).standard_normal(rows * (n + extra))
+        block = verify_module._stream_rng(seed, stream).standard_normal((rows, n))
+        assert flat[: rows * n].reshape(rows, n).tobytes() == block.tobytes()
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        a=st.floats(-0.9, 0.9),
+        ns=st.lists(st.integers(1, 24), min_size=1, max_size=4),
+        kinds=st.lists(st.sampled_from(MIXED + [GROWING]), min_size=1, max_size=3),
+        n_samples=st.one_of(st.integers(1, 2000), st.integers(65_537, 66_000)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sweep_matches_one_point_passes(self, a, ns, kinds, n_samples, seed):
+        gamma = [1.0 + a * a, a]
+        points = []
+        for n in ns:
+            fns = [kinds[i % len(kinds)] for i in range(n)]
+            points.append((from_stationary(gamma, n), [(fns, 1.0), ([IND1] * n, 1.0), (fns, 1.3)]))
+        swept = verify_module.sweep_moments(points, n_samples, seed)
+        assert swept == [_product_moments(C, fs, n_samples, seed) for C, fs in points]
+
+
+def _in_order_sums(x, fns):
+    """The reference loop: every factor on every sample, in coordinate order."""
+    g = np.ones(x.shape[1])
+    for i, f in enumerate(fns):
+        g *= f(x[i])
+    return np.sum(g), np.sum(g * g), 0
+
+
+FAR = TestFunctionSpec.shifted_indicator(9.0, 0.5)  # hits no sample of the blocks below
+WIDE = TestFunctionSpec.indicator(50.0)  # hits every one
+NEGATIVE = TestFunctionSpec.from_grid((-0.9, -0.3, -0.7), half_width=2.0)
+SHIFTED_LEFT = TestFunctionSpec.shifted_indicator(-1.0, 1.2)
+
+
+class TestPrunedProducts:
+    """Indicator-first products equal the in-order loop on the same block."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 12),
+        rows=st.integers(1, 5000),
+        kinds=st.lists(
+            st.sampled_from(MIXED + [FAR, WIDE, NEGATIVE, SHIFTED_LEFT]),
+            min_size=1,
+            max_size=4,
+        ),
+        scale=st.sampled_from([0.3, 1.0, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_in_order_loop(self, n, rows, kinds, scale, seed):
+        fns = [kinds[i % len(kinds)] for i in range(n)]
+        x = scale * np.random.default_rng(seed).standard_normal((n, rows))
+        pruned = verify_module._stream_product_sums(x, fns, [False] * n, 500)
+        assert pruned == _in_order_sums(x, fns)
+
+    def test_block_cases(self):
+        x = np.random.default_rng(7).standard_normal((4, 3000))
+        # Every sample zeroed (the in-order loop's products are -0 here).
+        assert verify_module._stream_product_sums(x, [NEGATIVE, FAR] * 2, [False] * 4, 500) == (
+            0.0, 0.0, 0
+        )
+        # No sample zeroed, some but not all, and indicators alone.
+        for fns in (
+            [WIDE, NEGATIVE, COS, GRIDF],
+            [IND1, NEGATIVE, COS, SHIFTED_LEFT],
+            [IND1, WIDE, SHIFTED_LEFT, IND1],
+        ):
+            pruned = verify_module._stream_product_sums(x, fns, [False] * 4, 500)
+            assert pruned == _in_order_sums(x, fns) and pruned[0] != 0.0
