@@ -19,6 +19,11 @@ one sampling pass for all its n, so ``--jobs`` splits only its reports.  A
 malformed config (flag or file value) exits 2 with ``config error:`` before
 any row.
 
+szego keeps its per-symbol work on the symbol: the condition report, log
+b(f) and one Durbin recursion, whose prefix at n is the exact n-th section
+bit for bit, so each row is that n run alone and the sizes of a call cost
+O(n_max^2) together.  The parser is built once per process.
+
 Configuration comes from a JSON file (--config) with flag overrides; flags
 win.  Runs are deterministic given the seed, the BLAS build and the BLAS
 thread count: repeating a run reproduces the report files byte for byte.
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -434,7 +440,13 @@ def _emit(command: str, cfg: ScenarioConfig, records: list) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use.
+
+    parse_args does not change it, and help reads the terminal width when it
+    is formatted.
+    """
     parser = argparse.ArgumentParser(
         prog="gaussdecoup",
         description="decoupling coefficients, bound constants and their verification",

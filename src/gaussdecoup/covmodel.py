@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -38,6 +39,7 @@ from scipy.special import exprel, gammaln, poch, zeta
 
 from .errors import (
     InvalidSpec,
+    NonConvergent,
     NonFiniteInput,
     NonPositiveDiagonal,
     NonPositiveSymbol,
@@ -48,12 +50,17 @@ from .errors import (
 # Dense covariance matrices (O(n^2) storage, O(n^3) factorization) and exact
 # Toeplitz determinants (Durbin's recursion, O(n^2) time) stop at this dimension.
 MATRIX_N_CAP = 2048
+# Side of the tiles in which _validate_spd compares e with its transpose: 128
+# beat 32..192 at n = 256, 1024 and 2048 (Hilbert, one BLAS thread).
+_SYMMETRY_TILE = 128
 # Lags per block of inverse_power_gamma_sequence's one-sided sums.
 _LAG_BLOCK = 256
 # Default number of grid points (2K) for spectral symbols.
 DEFAULT_GRID_SIZE = 4096
 # A symbol whose smallest grid value is at or below this has no log-symbol.
 _MIN_SYMBOL_VALUE = 1e-300
+# log b(f) is refused unless the estimated tail of sum k|c_k|^2 is below this.
+_B_TAIL_TOL = 1e-12
 # Even terms j = 0..30 of the Clausen series: the j-th is at most about
 # 2 (2 pi)^(r-1) (2j)^-r 4^-j for theta <= pi, below 1e-17 of the sum at j = 30.
 _CLAUSEN_TERMS = 31
@@ -140,11 +147,28 @@ def _cholesky_log_det(a: np.ndarray) -> tuple[np.ndarray, float]:
     return chol, 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
 
 
+def _max_asymmetry(entries: np.ndarray) -> float:
+    """max |e[i][j] - e[j][i]|, tile by tile over the upper triangle.
+
+    |x - y| = |y - x| exactly, so this is the max over the whole matrix, bit
+    for bit, without the two n x n temporaries of ``abs(e - e.T)``; a tile
+    pair stays in cache.
+    """
+    n = entries.shape[0]
+    asym = 0.0
+    for i in range(0, n, _SYMMETRY_TILE):
+        for j in range(i, n, _SYMMETRY_TILE):
+            upper = entries[i : i + _SYMMETRY_TILE, j : j + _SYMMETRY_TILE]
+            lower = entries[j : j + _SYMMETRY_TILE, i : i + _SYMMETRY_TILE]
+            asym = max(asym, np.abs(upper - lower.T).max())
+    return asym
+
+
 def _validate_spd(entries: np.ndarray) -> CovarianceMatrix:
     """Symmetry, diagonal and Cholesky checks shared by all builders."""
     n = entries.shape[0]
     scale = np.abs(entries).max() if n else 1.0
-    asym = np.abs(entries - entries.T).max() if n else 0.0
+    asym = _max_asymmetry(entries)
     if asym > 1e-12 * max(scale, 1e-300):
         raise NotSymmetric(
             f"max |e[i][j]-e[j][i]| = {asym:.3e} exceeds 1e-12 * max|e| = {1e-12 * scale:.3e}"
@@ -184,18 +208,27 @@ def build_dense(entries) -> CovarianceMatrix:
     return _validate_spd(entries)
 
 
-def _levinson_durbin(row: np.ndarray) -> tuple[float, float]:
-    """(log det T, smallest pivot) of the Hermitian Toeplitz T with first row ``row``.
+class _Durbin:
+    """Durbin's recursion on one Hermitian Toeplitz first row, run as far as asked.
 
-    Durbin's recursion (Durbin 1960; Golub & Van Loan, Matrix Computations,
-    section 4.7) in O(n^2) time and O(n) memory, no matrix formed. The
-    prediction-error variances v_0 = row[0] >= v_1 >= ... >= v_{n-1} are
-    the pivots of T's Cholesky factorization (v_k = det T_{k+1} / det T_k),
-    so log det T = sum log v_k and the smallest pivot is v_{n-1}. A complex
-    row (a non-even symbol) uses the Hermitian form of the recursion.
+    Durbin 1960; Golub & Van Loan, Matrix Computations, section 4.7: O(n^2)
+    time and O(n) memory, no matrix formed. The prediction-error variances
+    v_0 = row[0] >= v_1 >= ... are the pivots of the Cholesky factorization
+    (v_k = det T_{k+1} / det T_k), so the leading n x n section T_n has
+    log det T_n = sum_{k<n} log v_k and smallest pivot v_{n-1}. A complex
+    row (a non-even symbol) uses the Hermitian form.
 
-    Raises ``numpy.linalg.LinAlgError`` when a reflection coefficient reaches
-    |kappa| >= 1, i.e. T is not positive definite.
+    ``prefix(n)`` extends the recursion from where it stopped to order n and
+    reads the running log det and pivot there. Order k reads only row[:k+1],
+    so every prefix is bit for bit the recursion on ``row[:n]`` alone, and
+    the sections of one row share one O(N^2) run instead of costing
+    sum n^2. The state holds the predictor, v, the running log dets and
+    pivots, and the first failure (its order and |kappa|); a lock makes it
+    safe to share between threads.
+
+    Raises ``numpy.linalg.LinAlgError`` when row[0] is not positive (at
+    construction), or from ``prefix(n)`` when a reflection coefficient of
+    order below n reaches |kappa| >= 1, i.e. T_n is not positive definite.
 
     Accuracy: the recursion is weakly stable (Cybenko 1980); its error grows
     with cond(T), faster than Cholesky's. For ``sparse:support=1+4``
@@ -204,24 +237,57 @@ def _levinson_durbin(row: np.ndarray) -> tuple[float, float]:
     differs from Cholesky by 8e-10 relative there, and by at most 2e-12 for
     the ma1, equicorr and inverse-power families.
     """
-    n = row.size
-    v = float(row[0].real)
-    if not v > 0:
-        raise np.linalg.LinAlgError(f"leading entry {v:.3e} is not positive")
-    a = np.zeros(n, dtype=row.dtype)  # predictor coefficients a[1..k-1] of order k-1
-    log_det = math.log(v)
-    for k in range(1, n):
-        kappa = -(row[k] + a[1:k] @ row[k - 1 : 0 : -1]) / v
-        shrink = 1.0 - abs(kappa) ** 2
-        if not shrink > 0:
+
+    def __init__(self, row: np.ndarray):
+        v = float(row[0].real)
+        if not v > 0:
+            raise np.linalg.LinAlgError(f"leading entry {v:.3e} is not positive")
+        self.row = row
+        self._a = np.zeros(row.size, dtype=row.dtype)  # predictor a[1..k-1] of order k-1
+        self._v = v
+        self._log_dets = [math.log(v)]  # [k - 1]: log det T_k
+        self._pivots = [v]  # [k - 1]: smallest pivot of T_k
+        self._failure = None  # (order, |kappa|) of the first |kappa| >= 1
+        self._lock = threading.Lock()
+
+    def prefix(self, n: int) -> tuple[float, float]:
+        """(log det, smallest pivot) of the leading n x n section."""
+        with self._lock:
+            self._extend(n)
+            failure = self._failure
+        if failure is not None and failure[0] < n:
             raise np.linalg.LinAlgError(
-                f"reflection coefficient |kappa| = {abs(kappa):.6g} >= 1 at order {k}"
+                f"reflection coefficient |kappa| = {failure[1]:.6g} >= 1 at order {failure[0]}"
             )
-        a[1:k] += kappa * np.conj(a[k - 1 : 0 : -1])
-        a[k] = kappa
-        v *= shrink
-        log_det += math.log(v)
-    return log_det, v
+        return self._log_dets[n - 1], self._pivots[n - 1]
+
+    def _extend(self, n: int) -> None:
+        if self._failure is not None:
+            return
+        row, a, v = self.row, self._a, self._v
+        log_det = self._log_dets[-1]
+        for k in range(len(self._log_dets), n):
+            kappa = -(row[k] + a[1:k] @ row[k - 1 : 0 : -1]) / v
+            shrink = 1.0 - abs(kappa) ** 2
+            if not shrink > 0:
+                self._failure = (k, abs(kappa))
+                break
+            a[1:k] += kappa * np.conj(a[k - 1 : 0 : -1])
+            a[k] = kappa
+            v *= shrink
+            log_det += math.log(v)
+            self._log_dets.append(log_det)
+            self._pivots.append(v)
+        self._v = v
+
+
+def _levinson_durbin(row: np.ndarray) -> tuple[float, float]:
+    """(log det T, smallest pivot) of the Hermitian Toeplitz T with first row ``row``.
+
+    The one-shot ``_Durbin``; raises ``numpy.linalg.LinAlgError`` when T is
+    not positive definite.
+    """
+    return _Durbin(row).prefix(row.size)
 
 
 def from_stationary(gamma, n: int) -> CovarianceMatrix:
@@ -381,7 +447,9 @@ def inverse_power_gamma_sequence(max_lag: int, r: float = 1.0) -> np.ndarray:
     ``inverse_power_gamma``: the middle sums sum_{0<m<mu} (m (mu-m))^-r are
     one convolution, and the one-sided sums come from ``_one_sided_sums``
     in whole blocks of 256 lags. A lag's block does not depend on max_lag,
-    so a longer sequence extends a shorter one bit for bit. About
+    but numpy sums the centre term of a short convolution in another order,
+    so gamma(max_lag) can differ in the last bit from a longer sequence's
+    value at max_lag <= 10 (r = 1.5: 4, 7; r = 2: 6; r = 2.7: 4, 9, 10). About
     3 max_lag^2 flops (a block's head length is at most 8 times its lags);
     matches the per-lag sums of ``inverse_power_gamma`` to 1e-13 relative.
     """
@@ -471,6 +539,34 @@ class SpectralSymbol:
                 "log-symbol coefficients undefined"
             )
         return _freeze(_grid_coefficients(np.log(self.grid), self.even))
+
+    @cached_property
+    def condition(self):
+        """``szego.condition_report`` of the symbol, computed on first read."""
+        from . import szego  # szego imports this module
+
+        return szego.condition_report(self)
+
+    @cached_property
+    def log_b(self) -> float:
+        """log b(f) = sum_{k>=1} k c_k c_{-k}, computed on first read.
+
+        Refused (NonConvergent, on every read) unless ``condition``'s estimate
+        of the tail of sum k|c_k|^2 has converged at this resolution.
+        """
+        tail = self.condition.c2_tail / 2.0  # the one-sided tail
+        if not tail < _B_TAIL_TOL:
+            raise NonConvergent(
+                f"tail of sum k|c_k|^2 estimated at {tail:.3e} > {_B_TAIL_TOL:.0e} at resolution "
+                f"K={self.K}; condition sum |k||c_k|^2 < inf effectively fails here"
+            )
+        k = np.arange(1, self.K + 1, dtype=float)
+        return float(np.sum(k * (self.c[1:] * np.conj(self.c[1:])).real))
+
+    @cached_property
+    def _durbin(self) -> _Durbin:
+        """Durbin's recursion on d_0..d_{K-1}: section n reads its prefix."""
+        return _Durbin(self.d[: self.K])
 
     @property
     def c_alias_bound(self) -> float:

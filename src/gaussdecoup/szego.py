@@ -14,6 +14,12 @@ n <= min(K, MATRIX_N_CAP) by Durbin's recursion on the first row d_0..d_{n-1}
 resulting bound constant for stationary sections, with the deviation of the
 asymptote from the exact determinant measured rather than assumed.
 
+The per-symbol work is done once and kept on the symbol: ``c``, the
+condition report (``sym.condition``), log b(f) (``sym.log_b``) and one
+Durbin recursion whose prefixes are the exact sections, so the sizes of one
+``szego`` call cost O(n_max^2) together and each size's numbers are those
+of a call at that size alone.
+
 All quantities that scale with n are kept in log space.
 """
 
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .covmodel import MATRIX_N_CAP, SpectralSymbol, _levinson_durbin
+from .covmodel import MATRIX_N_CAP, SpectralSymbol
 from .decoupling import _exp, stationary_decoupling_coefficient
 from .errors import (
     ConditionViolated,
@@ -46,10 +52,6 @@ __all__ = [
     "condition_report",
     "theorem2_constant",
 ]
-
-# log b(f) is refused unless the estimated tail of sum k|c_k|^2 is below this.
-_B_TAIL_TOL = 1e-12
-
 
 def geometric_mean(sym: SpectralSymbol) -> float:
     """G(f) = exp of the average of log f over the circle, i.e. exp(c_0)."""
@@ -127,7 +129,11 @@ class ConditionReport:
 
 
 def condition_report(sym: SpectralSymbol) -> ConditionReport:
-    """Diagnose the absolute and weighted-square summability of the c_k."""
+    """Diagnose the absolute and weighted-square summability of the c_k.
+
+    Computes afresh; the symbol keeps its report as ``sym.condition``, which
+    the estimates here read.
+    """
     mod = np.abs(sym.c)
     cmax = max(float(mod.max()), 1.0)
     abs_terms = mod[1:]
@@ -149,21 +155,9 @@ def condition_report(sym: SpectralSymbol) -> ConditionReport:
     )
 
 
-def _b_log(sym: SpectralSymbol, report: ConditionReport) -> float:
-    """log b(f) = sum_{k>=1} k c_k c_{-k}, refused unless the report's tail has converged."""
-    tail = report.c2_tail / 2.0  # the one-sided tail
-    if not tail < _B_TAIL_TOL:
-        raise NonConvergent(
-            f"tail of sum k|c_k|^2 estimated at {tail:.3e} > {_B_TAIL_TOL:.0e} at resolution "
-            f"K={sym.K}; condition sum |k||c_k|^2 < inf effectively fails here"
-        )
-    k = np.arange(1, sym.K + 1, dtype=float)
-    return float(np.sum(k * (sym.c[1:] * np.conj(sym.c[1:])).real))
-
-
 def b_constant(sym: SpectralSymbol) -> float:
-    """b(f) = exp(sum_{k>=1} k c_k c_{-k})."""
-    return math.exp(_b_log(sym, condition_report(sym)))
+    """b(f) = exp(sum_{k>=1} k c_k c_{-k}); NonConvergent unless the tail has converged."""
+    return math.exp(sym.log_b)
 
 
 def _section_row(sym: SpectralSymbol, n: int) -> np.ndarray:
@@ -187,9 +181,14 @@ def toeplitz_section(sym: SpectralSymbol, n: int) -> np.ndarray:
 
 
 def _section_log_det(sym: SpectralSymbol, n: int) -> float:
-    """log det of the n-th section by Durbin's recursion on its first row, O(n^2)."""
+    """log det of the n-th section by Durbin's recursion on its first row.
+
+    The symbol keeps one recursion for all its sections, so the sizes of a
+    sweep cost O(n_max^2) together and each reads its prefix.
+    """
+    _section_row(sym, n)  # 1 <= n <= K
     try:
-        return _levinson_durbin(_section_row(sym, n))[0]
+        return sym._durbin.prefix(n)[0]
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
             f"Toeplitz section n={n} of the truncated symbol (K={sym.K}) is not positive "
@@ -248,9 +247,9 @@ def szego_asymptote(sym: SpectralSymbol, n: int) -> SzegoEstimate:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    report = condition_report(sym)
+    report = sym.condition
     c0 = float(np.real(sym.c[0]))
-    log_b = _b_log(sym, report)
+    log_b = sym.log_b
     asymptote = n * c0 + log_b
     exact = ratio = None
     if n <= min(sym.K, MATRIX_N_CAP):
@@ -318,7 +317,7 @@ def theorem2_constant(
     """
     if not sym.strictly_positive:
         raise NonPositiveSymbol("symbol must be strictly positive")
-    report = condition_report(sym)
+    report = sym.condition
     if not report.passes:
         raise NonConvergent(
             f"coefficient conditions fail at resolution K={sym.K}: {report.to_json_dict()}"

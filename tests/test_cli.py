@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gaussdecoup import CovarianceMatrix, ma1_symbol, theorem2_constant
+from gaussdecoup import cli as cli_module
 from gaussdecoup import verify as verify_module
 from gaussdecoup.cli import main
 
@@ -767,3 +768,50 @@ class TestMalformedInput:
         rows = load_json(out.with_suffix(".json"))
         theorem1 = [r for r in rows if r["function_suite"].startswith("theorem1:")]
         assert len(theorem1) == 1 and theorem1[0]["rhs"] == math.inf
+
+
+class TestCallLevelReuse:
+    """What is computed once (the parser; a symbol's report and recursion)
+    leaves every row as that n run alone, and every call as a fresh
+    process's."""
+
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    @pytest.mark.parametrize(
+        "argv, n_list",
+        [
+            (["szego", "--model", "ma1:a=0.313"], "1,7,256,1024,2048,3000"),
+            (["szego", "--model", "grid:file=grid_nonsymmetric.json"], "1,4,64,127,128,200"),
+            (["analyze", "--model", "inverse_power:r=1.5"], "1,5,8,64,300,3000"),
+            (["analyze", "--model", "inverse_power:r=1.5", "--p", "4"], "1,5,8,64,300,3000"),
+            (["analyze", "--model", "sparse:support=1+4", "--p", "4"], "1,5,9,40,300"),
+            # Sections from n = 5 on are indefinite.
+            (["analyze", "--model", "equicorr:rho=-0.3"], "1,3,4,5,40"),
+        ],
+    )
+    def test_rows_equal_each_n_alone(self, argv, n_list, jobs, monkeypatch, capsys):
+        monkeypatch.chdir(DATA)
+
+        def rows(n_arg, jobs_arg="1"):
+            run(argv + ["--n", n_arg, "--jobs", jobs_arg])
+            return [json.dumps(r, sort_keys=True) for r in json.loads(capsys.readouterr().out)]
+
+        swept = rows(n_list, jobs)
+        assert swept == [row for n in n_list.split(",") for row in rows(n)]
+
+    def test_second_call_gives_a_fresh_process_bytes(self, capsys):
+        argv = [
+            "verify", "--model", "equicorr:rho=0.9", "--n", "4,8", "--samples", "5000",
+            "--seed", "3",
+        ]
+        assert run(argv + ["--self-test-negate"]) == 3
+        capsys.readouterr()
+        assert run(argv) == 0
+        second = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "gaussdecoup", *argv],
+            capture_output=True, text=True, env=SRC_ENV, check=True,
+        )
+        assert (second.out, second.err) == (fresh.stdout, fresh.stderr)
+
+    def test_one_parser_per_process(self):
+        assert cli_module._build_parser() is cli_module._build_parser()

@@ -1,5 +1,9 @@
 """Covariance builders: examples with independent oracles, invariants, errors."""
 
+import math
+import sys
+import threading
+
 import mpmath
 import numpy as np
 import pytest
@@ -30,7 +34,14 @@ from gaussdecoup import (
     symbol_from_grid,
 )
 from gaussdecoup.brascamp import matrix_B
-from gaussdecoup.covmodel import DEFAULT_GRID_SIZE, _levinson_durbin, _unit_support, clausen_cos
+from gaussdecoup.covmodel import (
+    DEFAULT_GRID_SIZE,
+    _Durbin,
+    _levinson_durbin,
+    _max_asymmetry,
+    _unit_support,
+    clausen_cos,
+)
 from gaussdecoup.verify import sample_gaussian
 
 
@@ -764,3 +775,133 @@ class TestInversePowerSequence:
         long = inverse_power_gamma_sequence(4096, r)
         for max_lag in (0, 1, 255, 256, 257, 1000, 2047, 3000):
             assert np.array_equal(inverse_power_gamma_sequence(max_lag, r), long[: max_lag + 1])
+
+
+def _durbin_loop(row):
+    """The one-shot Durbin loop that _Durbin replaced, kept as its oracle."""
+    n = row.size
+    v = float(row[0].real)
+    if not v > 0:
+        raise np.linalg.LinAlgError(f"leading entry {v:.3e} is not positive")
+    a = np.zeros(n, dtype=row.dtype)
+    log_det = math.log(v)
+    for k in range(1, n):
+        kappa = -(row[k] + a[1:k] @ row[k - 1 : 0 : -1]) / v
+        shrink = 1.0 - abs(kappa) ** 2
+        if not shrink > 0:
+            raise np.linalg.LinAlgError(
+                f"reflection coefficient |kappa| = {abs(kappa):.6g} >= 1 at order {k}"
+            )
+        a[1:k] += kappa * np.conj(a[k - 1 : 0 : -1])
+        a[k] = kappa
+        v *= shrink
+        log_det += math.log(v)
+    return log_det, v
+
+
+def _hermitian_row(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    d[1:] /= np.arange(1, n)
+    d[0] = np.abs(d[1:]).sum() * 2.0 + 1.0
+    return d
+
+
+class TestResumableDurbin:
+    """Every prefix of one resumable recursion is the old loop on that prefix, bit for bit."""
+
+    ROWS = {
+        "ma1": lambda: parse_model("ma1:a=0.5").gamma(2047),
+        "sparse": lambda: parse_model("sparse:support=1+4").gamma(2047),
+        "inverse_power_1.5": lambda: parse_model("inverse_power:r=1.5").gamma(1023),
+        "szego_ma1": lambda: ma1_symbol(0.313).d[:2048],
+        "hermitian": lambda: _hermitian_row(300, 3),
+        "szego_nonsymmetric": lambda: symbol_from_grid(
+            2.0 + np.cos(grid_points(1024)) + 0.5 * np.sin(2.0 * grid_points(1024))
+        ).d[:512],
+    }
+
+    @pytest.mark.parametrize("name", list(ROWS))
+    def test_prefixes_are_the_old_loop(self, name):
+        row = self.ROWS[name]()
+        durbin = _Durbin(row)
+        sizes = sorted({1, 2, 3, 17, 64, 255, 256, 1000, row.size} & set(range(1, row.size + 1)))
+        # Largest first, then the rest: a prefix does not depend on how far the run went.
+        for n in sizes[::-1] + sizes:
+            assert durbin.prefix(n) == _durbin_loop(row[:n])
+
+    @pytest.mark.parametrize("rho", [-0.6, -0.07, -0.03])
+    def test_failure_order_and_message(self, rho):
+        # The k-section of equicorr has the eigenvalue 1 + (k-1) rho, so the
+        # recursion fails at an order that grows as rho goes to 0.
+        row = parse_model(f"equicorr:rho={rho}").gamma(59)
+        durbin = _Durbin(row)
+        failed = []
+        for n in list(range(row.size, 0, -1)) + [1, row.size]:
+            got, want = _outcome(durbin.prefix, n), _outcome(_durbin_loop, row[:n])
+            assert got == want
+            failed.append(isinstance(got, str))
+        assert any(failed) and not all(failed)
+
+    def test_shared_between_threads(self):
+        # More threads than cores, switching often: each reads its prefix
+        # while others extend the same recursion.
+        row = parse_model("sparse:support=1+4").gamma(767)
+        durbin = _Durbin(row)
+        sizes = [int(k) for k in np.random.default_rng(5).integers(1, row.size + 1, 48)]
+        got = {}
+
+        def work(ns):
+            for n in ns:
+                got[n] = durbin.prefix(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(sizes[i::8],)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {n: _durbin_loop(row[:n]) for n in sizes}
+
+    def test_leading_entry(self):
+        with pytest.raises(np.linalg.LinAlgError, match="leading entry"):
+            _Durbin(np.array([-1.0, 0.1]))
+
+    def test_one_shot_call(self):
+        row = parse_model("ma1:a=0.5").gamma(99)
+        assert _levinson_durbin(row) == _durbin_loop(row)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the LinAlgError it raises."""
+    try:
+        return fn(*args)
+    except np.linalg.LinAlgError as exc:
+        return f"LinAlgError: {exc}"
+
+
+class TestMaxAsymmetry:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 300).filter(lambda n: n % 128 != 0 or n == 0),
+        seed=st.integers(0, 2**32 - 1),
+        skew=st.sampled_from([0.0, 1e-17, 1e-9, 1.0]),
+    )
+    def test_matches_full_temporaries(self, n, seed, skew):
+        rng = np.random.default_rng(seed)
+        e = rng.standard_normal((n, n))
+        e = e + e.T + skew * rng.standard_normal((n, n))
+        full = np.abs(e - e.T).max() if n else 0.0
+        assert _max_asymmetry(e) == full
+
+    def test_tile_edges(self):
+        for n in (127, 128, 129, 257):
+            e = np.eye(n)
+            e[n - 1, 0] = 1e-3
+            e[0, n - 1] = -2e-3
+            assert _max_asymmetry(e) == np.abs(e - e.T).max() == 3e-3

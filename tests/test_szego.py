@@ -27,6 +27,7 @@ from gaussdecoup import (
     theorem2_constant,
     toeplitz_section,
 )
+from gaussdecoup.covmodel import _levinson_durbin
 from gaussdecoup.szego import _section_log_det
 
 DATA = Path(__file__).parent / "data"
@@ -317,3 +318,42 @@ def test_theorem2_values_frozen(monkeypatch):
             symbols[key] = parse_model(rec["symbol"]).symbol(rec["grid_size"])
         t2 = theorem2_constant(symbols[key], rec["n"], rec["p"], as_stated=rec["as_stated"])
         assert t2.to_json_dict() == rec["constant"], rec
+
+
+class TestPerSymbolWork:
+    """A symbol's report, log b(f) and section recursion are computed once."""
+
+    def test_report_computed_once(self, monkeypatch):
+        import gaussdecoup.szego as szego_module
+
+        calls = []
+        real = szego_module.condition_report
+        monkeypatch.setattr(
+            szego_module, "condition_report", lambda sym: calls.append(sym) or real(sym)
+        )
+        sym = ma1_symbol(0.5)
+        estimates = [szego_asymptote(sym, n) for n in (4, 16, 64)]
+        theorem2_constant(sym, 16, 8.0)
+        b_constant(sym)
+        assert calls == [sym]
+        fresh = real(ma1_symbol(0.5))
+        assert sym.condition == fresh
+        assert [e.c2_sum for e in estimates] == [fresh.c2_sum] * 3
+
+    def test_refusal_on_every_read(self):
+        sym = parse_model("inverse_power:r=2").symbol()
+        for n in (64, 1024):
+            with pytest.raises(NonConvergent, match="tail of sum k"):
+                szego_asymptote(sym, n)
+        with pytest.raises(NonConvergent, match="tail of sum k"):
+            b_constant(sym)
+
+    @pytest.mark.parametrize("even", [True, False])
+    def test_sections_are_one_shot_recursions(self, even):
+        t = grid_points(1024)
+        f = 2.0 + np.cos(t) + (0.0 if even else 0.4 * np.sin(3.0 * t))
+        sym = symbol_from_grid(f)
+        for n in (512, 3, 100, 1, 511):
+            fresh = symbol_from_grid(f)
+            assert _section_log_det(sym, n) == _levinson_durbin(fresh.d[:n])[0]
+            assert szego_asymptote(sym, n) == szego_asymptote(fresh, n)

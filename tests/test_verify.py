@@ -666,3 +666,23 @@ class TestPrunedProducts:
         ):
             pruned = verify_module._stream_product_sums(x, fns, [False] * 4, 500)
             assert pruned == _in_order_sums(x, fns) and pruned[0] != 0.0
+
+    def test_later_indicators_see_only_survivors(self, monkeypatch):
+        x = np.random.default_rng(11).standard_normal((5, 4000))
+        fns = [IND1, COS, SHIFTED_LEFT, IND1, FAR]
+        seen = []
+        real = TestFunctionSpec._hits
+        monkeypatch.setattr(
+            TestFunctionSpec, "_hits", lambda f, v: seen.append(v.size) or real(f, v)
+        )
+        pruned = verify_module._stream_product_sums(x, fns, [False] * 5, 500)
+        masks = [real(fns[i], x[i]) for i in (0, 2, 3)]  # the indicators before FAR
+        survivors = [int(np.count_nonzero(np.all(masks[:k], axis=0))) for k in (1, 2, 3)]
+        # Each indicator after the first tests the samples all earlier ones kept.
+        assert seen == [4000] + survivors
+        assert 4000 > survivors[0] > survivors[1] > 0 and pruned == (0.0, 0.0, 0)
+        # FAR keeps none, so nothing is left for a later indicator either.
+        fns = [IND1, FAR, COS, IND1]
+        seen.clear()
+        assert verify_module._stream_product_sums(x, fns, [False] * 4, 500) == (0.0, 0.0, 0)
+        assert seen == [4000, int(np.count_nonzero(real(IND1, x[0]))), 0]
