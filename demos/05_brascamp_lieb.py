@@ -16,7 +16,6 @@ from gaussdecoup import (
     eb_optimize,
     eb_upper_bound,
     matrix_B,
-    random_spd,
 )
 
 print("=" * 68)
@@ -38,7 +37,10 @@ rng = np.random.default_rng(7)
 print(f"{'n':>3} {'p':>6} {'eb_log':>12} {'upper_log':>12} {'gap':>10} {'conv':>5}")
 for _ in range(8):
     n = int(rng.integers(2, 7))
-    B = random_spd(n, rng)
+    # Random SPD B = Q diag(lambda) Q^T, eigenvalues log-uniform in [1e-2, 1e2].
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (Q * 10.0 ** rng.uniform(-2.0, 2.0, size=n)) @ Q.T
+    B = 0.5 * (A + A.T)
     p = 1.0 + float(rng.uniform(0.3, 2.5))
     prob = eb_optimize(B, p)
     print(

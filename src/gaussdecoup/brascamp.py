@@ -1,4 +1,4 @@
-"""Gaussian-weighted Brascamp-Lieb constant and the determinant lemmas behind it.
+"""Gaussian-weighted Brascamp-Lieb constant E_B and its general upper bound.
 
 The sharp constant in the Gaussian-weighted Hoelder-type inequality is
 
@@ -14,11 +14,11 @@ damped Newton method in log b from a single start finds it.  ``converged``
 reports whether the stationarity residual met the tolerance; it is false, not
 an error, when rounding stalls the residual on an ill-conditioned B.
 
-Also provides the determinant inequalities used alongside E_B: the
-log-concavity (Minkowski) inequality det(lU+(1-l)V) >= det(U)^l det(V)^{1-l},
-the Hadamard-type lower bound det(A) >= prod(|a_ii| - sum_{j!=i} |a_ij|) for
-strictly diagonally dominant A, and the factorization identity
-det(B) = det(p*I(var) - C) / (p^n det(C) prod var_i).
+The determinant lemmas used alongside E_B (Minkowski log-concavity, the
+Hadamard-type bound for diagonally dominant matrices, the factorization
+identity det(B) = det(p*I(var) - C) / (p^n det(C) prod var_i) and the
+Gaussian extremal ratio) and a random SPD generator are test oracles, in
+``tests/oracles.py``; no command or report reads them.
 
 Everything is computed and returned in log space.
 """
@@ -33,19 +33,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .covmodel import CovarianceMatrix
 from .errors import NotPositiveDefinite
-
-__all__ = [
-    "EbProblem",
-    "matrix_B",
-    "eb_objective",
-    "eb_optimize",
-    "eb_upper_bound",
-    "minkowski_check",
-    "ostrowski_bound",
-    "detB_identity_check",
-    "gaussian_extremal_check",
-    "random_spd",
-]
 
 # Damped Newton for E_B: largest step in log b, Armijo slope fraction,
 # backtracking factors, full steps allowed once the line search can no longer
@@ -247,76 +234,3 @@ def eb_optimize(B: np.ndarray, p: float) -> EbProblem:
         n_iter=n_iter,
     )
 
-
-def minkowski_check(U: np.ndarray, V: np.ndarray, lam: float) -> tuple[float, float]:
-    """Both sides of det(l U + (1-l) V) >= det(U)^l det(V)^{1-l}, in log space."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    if U.shape != V.shape:
-        raise ValueError("U and V must have the same shape")
-    lhs = _logdet_spd(lam * U + (1.0 - lam) * V, "lam*U + (1-lam)*V")
-    rhs = lam * _logdet_spd(U, "U") + (1.0 - lam) * _logdet_spd(V, "V")
-    return lhs, rhs
-
-
-def ostrowski_bound(A) -> float | None:
-    """Log of prod(|a_ii| - sum_{j!=i}|a_ij|) for strictly diagonally dominant A.
-
-    Returns None (inapplicable) when some row fails strict dominance.
-    """
-    A = np.asarray(A, dtype=float)
-    diag = np.abs(np.diag(A))
-    off = np.abs(A).sum(axis=1) - diag
-    margins = diag - off
-    if np.any(margins <= 0):
-        return None
-    return float(np.sum(np.log(margins)))
-
-
-def detB_identity_check(C: CovarianceMatrix, p: float) -> tuple[float, float]:
-    """log det(B) directly vs via det(p*I(var) - C) / (p^n det(C) prod var_i)."""
-    direct = _logdet_spd(matrix_B(C, p), "B")
-    shifted = p * np.diag(C.variances) - C.entries
-    factored = (
-        _logdet_spd(shifted, "p*I(var) - C")
-        - C.n * math.log(p)
-        - C.log_det
-        - float(np.sum(np.log(C.variances)))
-    )
-    return direct, factored
-
-
-def gaussian_extremal_check(B: np.ndarray, p: float, b) -> tuple[float, float]:
-    """Gaussian extremal ratio via the two-integral route vs the closed form.
-
-    The first value evaluates numerator and denominator Gaussian integrals
-    through their determinant formulas; the second plugs into the displayed
-    closed form.  They must agree to wiring precision (~1e-12).
-    """
-    b = np.asarray(b, dtype=float).ravel()
-    if np.any(b <= 0):
-        raise ValueError("all b_i must be strictly positive")
-    if p <= 1:
-        raise ValueError(f"needs p > 1, got {p}")
-    n = B.shape[0]
-    logdet = _logdet_spd(B + np.diag(b), "B + diag(b)")
-    # Route 1: log[(2 pi)^{n/2} det(B+diag(b))^{-1/2}] - log prod (2 pi/(p b_i))^{1/(2p)}
-    numerator = (n / 2.0) * math.log(2.0 * math.pi) - 0.5 * logdet
-    denominator = float(np.sum(np.log(2.0 * math.pi / (p * b)))) / (2.0 * p)
-    via_integrals = numerator - denominator
-    # Route 2: closed form (2 pi)^{(n/2)(1-1/p)} p^{n/(2p)} prod b^{1/(2p)} / det^{1/2}
-    via_closed = (
-        (n / 2.0) * (1.0 - 1.0 / p) * math.log(2.0 * math.pi)
-        + (n / (2.0 * p)) * math.log(p)
-        + float(np.sum(np.log(b))) / (2.0 * p)
-        - 0.5 * logdet
-    )
-    return via_integrals, via_closed
-
-
-def random_spd(n: int, rng: np.random.Generator, log10_eig_range=(-2.0, 2.0)) -> np.ndarray:
-    """Random SPD matrix Q diag(lambda) Q^T, eigenvalues log-uniform in the range."""
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = 10.0 ** rng.uniform(*log10_eig_range, size=n)
-    A = (Q * lam) @ Q.T
-    return 0.5 * (A + A.T)

@@ -41,6 +41,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -388,6 +389,24 @@ def cmd_examples(cfg: ScenarioConfig) -> tuple[list, int]:
     return records, EXIT_OK
 
 
+class _Command(NamedTuple):
+    run: Callable[[ScenarioConfig], tuple[list, int]]
+    help: str
+    columns: list | None  # CSV columns; None writes JSON only
+
+
+# The one table of subcommands: the parser, the dispatch and _emit read it.
+_COMMANDS = {
+    "analyze": _Command(cmd_analyze, "p(X) and bound constants per dimension", _ANALYZE_COLUMNS),
+    "szego": _Command(cmd_szego, "Toeplitz determinant asymptotics per dimension", _SZEGO_COLUMNS),
+    "verify": _Command(
+        cmd_verify, "Monte Carlo inequality checks (exit 3 on hard failure)", _VERIFY_COLUMNS
+    ),
+    "eb": _Command(cmd_eb, "Brascamp-Lieb constant optimization", _EB_COLUMNS),
+    "examples": _Command(cmd_examples, "canned scenario tables", None),
+}
+
+
 # ---------------------------------------------------------------------------
 # Output
 # ---------------------------------------------------------------------------
@@ -406,14 +425,6 @@ def _csv_bytes(records: list, columns: list) -> bytes:
     return buf.getvalue().encode()
 
 
-_COLUMNS = {
-    "analyze": _ANALYZE_COLUMNS,
-    "szego": _SZEGO_COLUMNS,
-    "verify": _VERIFY_COLUMNS,
-    "eb": _EB_COLUMNS,
-}
-
-
 def _emit(command: str, cfg: ScenarioConfig, records: list) -> None:
     if cfg.out is None:
         if command != "examples":
@@ -423,7 +434,7 @@ def _emit(command: str, cfg: ScenarioConfig, records: list) -> None:
     if base.suffix in (".json", ".csv"):
         base = base.with_suffix("")
     base.parent.mkdir(parents=True, exist_ok=True)
-    columns = _COLUMNS.get(command)
+    columns = _COMMANDS[command].columns
     if command == "verify":
         # Records as JSON plus the aggregate CSV, side by side.
         base.with_suffix(".json").write_bytes(_json_bytes(records))
@@ -452,14 +463,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="decoupling coefficients, bound constants and their verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("analyze", "p(X) and bound constants per dimension"),
-        ("szego", "Toeplitz determinant asymptotics per dimension"),
-        ("verify", "Monte Carlo inequality checks (exit 3 on hard failure)"),
-        ("eb", "Brascamp-Lieb constant optimization"),
-        ("examples", "canned scenario tables"),
-    ):
-        cmd = sub.add_parser(name, help=helptext)
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
         cmd.add_argument("--config", type=str, default=None, help="JSON scenario file")
         cmd.add_argument("--model", type=str, default=None)
         cmd.add_argument("--n", type=str, default=None, help="comma-separated dimensions")
@@ -570,21 +575,12 @@ def make_config(args: argparse.Namespace) -> ScenarioConfig:
     return cfg
 
 
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "szego": cmd_szego,
-    "verify": cmd_verify,
-    "eb": cmd_eb,
-    "examples": cmd_examples,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = make_config(args)
         cfg.validate(args.command)
-        records, code = _COMMANDS[args.command](cfg)
+        records, code = _COMMANDS[args.command].run(cfg)
         _emit(args.command, cfg, records)
         return code
     except ConfigError as exc:

@@ -164,6 +164,15 @@ def _max_asymmetry(entries: np.ndarray) -> float:
     return asym
 
 
+def _check_pivot_floor(smallest: float, floor: float) -> None:
+    """Reject a numerically marginal matrix; each builder computes its floor, 1e-12 * trace/n."""
+    if smallest <= floor:
+        raise NotPositiveDefinite(
+            f"smallest Cholesky pivot {smallest:.3e} at or below threshold "
+            f"{floor:.3e} (1e-12 * trace/n)"
+        )
+
+
 def _validate_spd(entries: np.ndarray) -> CovarianceMatrix:
     """Symmetry, diagonal and Cholesky checks shared by all builders."""
     n = entries.shape[0]
@@ -182,14 +191,7 @@ def _validate_spd(entries: np.ndarray) -> CovarianceMatrix:
         chol, log_det = _cholesky_log_det(entries)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Cholesky failed: {exc}") from exc
-    # Scale-aware pivot floor: reject numerically marginal matrices.
-    pivot_floor = 1e-12 * np.trace(entries) / n
-    pivots = np.diag(chol) ** 2
-    if pivots.min() <= pivot_floor:
-        raise NotPositiveDefinite(
-            f"smallest Cholesky pivot {pivots.min():.3e} at or below threshold "
-            f"{pivot_floor:.3e} (1e-12 * trace/n)"
-        )
+    _check_pivot_floor((np.diag(chol) ** 2).min(), 1e-12 * np.trace(entries) / n)
     return CovarianceMatrix(log_det, entries=_freeze(entries), chol=_freeze(chol))
 
 
@@ -312,12 +314,7 @@ def from_stationary(gamma, n: int) -> CovarianceMatrix:
         log_det, smallest = _levinson_durbin(row)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Durbin recursion failed: {exc}") from exc
-    pivot_floor = 1e-12 * row[0]
-    if smallest <= pivot_floor:
-        raise NotPositiveDefinite(
-            f"smallest Cholesky pivot {smallest:.3e} at or below threshold "
-            f"{pivot_floor:.3e} (1e-12 * trace/n)"
-        )
+    _check_pivot_floor(smallest, 1e-12 * row[0])
     return CovarianceMatrix(log_det, gamma=row)
 
 

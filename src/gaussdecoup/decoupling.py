@@ -30,19 +30,6 @@ from scipy.special import erf
 from .covmodel import CovarianceMatrix, _cholesky_log_det, _levinson_durbin
 from .errors import ConditionViolated, NonFiniteInput, NotPositiveDefinite
 
-__all__ = [
-    "DecouplingBound",
-    "RefinedBound",
-    "decoupling_coefficient",
-    "stationary_decoupling_coefficient",
-    "stationary_p_bounds",
-    "theorem1_log_constant",
-    "theorem1_constant",
-    "refined_constant",
-    "corollary1_bound",
-    "decoupling_bound",
-]
-
 
 def _exp(log_value: float) -> float:
     """exp for display, saturating to inf where math.exp would overflow."""

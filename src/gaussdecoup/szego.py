@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .covmodel import MATRIX_N_CAP, SpectralSymbol
 from .decoupling import _exp, stationary_decoupling_coefficient
@@ -41,17 +40,6 @@ from .errors import (
     NotPositiveDefinite,
 )
 
-__all__ = [
-    "ConditionReport",
-    "SzegoEstimate",
-    "Theorem2Constant",
-    "geometric_mean",
-    "b_constant",
-    "toeplitz_section",
-    "szego_asymptote",
-    "condition_report",
-    "theorem2_constant",
-]
 
 def geometric_mean(sym: SpectralSymbol) -> float:
     """G(f) = exp of the average of log f over the circle, i.e. exp(c_0)."""
@@ -170,14 +158,6 @@ def _section_row(sym: SpectralSymbol, n: int) -> np.ndarray:
             "use a finer grid"
         )
     return sym.d[:n]
-
-
-def toeplitz_section(sym: SpectralSymbol, n: int) -> np.ndarray:
-    """The n x n Toeplitz matrix {d_{j-i}} generated by the symbol."""
-    d = _section_row(sym, n)
-    if sym.even:
-        return toeplitz(d)
-    return toeplitz(np.conj(d), d)
 
 
 def _section_log_det(sym: SpectralSymbol, n: int) -> float:

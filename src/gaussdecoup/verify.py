@@ -51,20 +51,6 @@ from .covmodel import CovarianceMatrix, from_stationary
 from .decoupling import _exp, corollary1_bound, theorem1_log_constant
 from .errors import InvalidSpec
 
-__all__ = [
-    "TestFunctionSpec",
-    "VerificationReport",
-    "KhatriSidakReports",
-    "sample_gaussian",
-    "sweep_moments",
-    "marginal_p_norm",
-    "verify_theorem1",
-    "verify_khatri_sidak",
-    "verify_kls",
-    "stationary_exponent",
-    "with_rhs",
-]
-
 # Rows generated per stream; fixes the reduction layout independently of workers.
 _STREAM_ROWS = 1 << 16
 
@@ -661,7 +647,8 @@ def verify_theorem1(
         sigma = float(sigma)
         if (f, sigma) not in norms:
             norms[f, sigma] = marginal_p_norm(f, sigma, p)
-        log_rhs += math.log(norms[f, sigma])
+        # A zero norm makes the bound exactly 0 (log -inf, _exp gives 0.0).
+        log_rhs += math.log(norms[f, sigma]) if norms[f, sigma] > 0 else -math.inf
     if moments is None:
         [moments] = _product_moments(C, [(fns, 1.0)], n_samples, seed)
     mean, stderr, shift = moments

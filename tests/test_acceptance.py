@@ -20,19 +20,14 @@ from gaussdecoup import (
     b_constant,
     build_dense,
     decoupling_coefficient,
-    detB_identity_check,
     eb_optimize,
     eb_upper_bound,
     from_stationary,
-    gaussian_extremal_check,
     geometric_mean,
     hilbert_covariance,
     inverse_power_gamma,
     inverse_power_gamma_sequence,
     ma1_symbol,
-    minkowski_check,
-    ostrowski_bound,
-    random_spd,
     sample_gaussian,
     stationary_decoupling_coefficient,
     szego_asymptote,
@@ -41,6 +36,13 @@ from gaussdecoup import (
     verify_theorem1,
 )
 from gaussdecoup.cli import main as cli_main
+from oracles import (
+    detB_identity_check,
+    gaussian_extremal_check,
+    minkowski_check,
+    ostrowski_bound,
+    random_spd,
+)
 
 ACCEPTANCE_SEED = 20260809
 

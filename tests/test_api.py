@@ -1,0 +1,81 @@
+"""The public API is declared once: the import list of ``gaussdecoup/__init__.py``.
+
+A public function or class that a layer module defines is either exported by
+the root or named below as belonging to its module alone, so a new helper
+cannot enter (or leave) the API unnoticed.  The CLI front end is reached as
+``gaussdecoup.cli`` and is not a layer here.
+"""
+
+import importlib
+import inspect
+
+import pytest
+
+import gaussdecoup
+
+LAYERS = ("errors", "covmodel", "decoupling", "szego", "brascamp", "verify")
+
+# Public in their module, left out of the root on purpose.
+MODULE_ONLY = {
+    "covmodel.clausen_cos",
+    "covmodel.load_values",
+    "covmodel.load_matrix",
+}
+
+# Test oracles: they live in tests/oracles.py, not in the package.
+ORACLES = {
+    "brascamp": (
+        "minkowski_check",
+        "ostrowski_bound",
+        "detB_identity_check",
+        "gaussian_extremal_check",
+        "random_spd",
+    ),
+    "szego": ("toeplitz_section",),
+}
+
+
+def _defined_public(layer: str) -> dict:
+    module = importlib.import_module(f"gaussdecoup.{layer}")
+    return {
+        name: obj
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+
+
+def test_verify_sweep_names_are_exported():
+    from gaussdecoup import verify
+
+    assert gaussdecoup.sweep_moments is verify.sweep_moments
+    assert gaussdecoup.with_rhs is verify.with_rhs
+
+
+@pytest.mark.parametrize("layer", sorted(ORACLES))
+def test_oracles_left_the_package(layer):
+    module = importlib.import_module(f"gaussdecoup.{layer}")
+    for name in ORACLES[layer]:
+        assert not hasattr(gaussdecoup, name), name
+        assert not hasattr(module, name), f"{layer}.{name}"
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_no_second_declaration(layer):
+    assert not hasattr(importlib.import_module(f"gaussdecoup.{layer}"), "__all__")
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_public_name_is_exported_or_module_only(layer):
+    for name, obj in _defined_public(layer).items():
+        if f"{layer}.{name}" in MODULE_ONLY:
+            assert getattr(gaussdecoup, name, None) is not obj, f"{layer}.{name} is exported"
+        else:
+            assert getattr(gaussdecoup, name, None) is obj, f"{layer}.{name} is not exported"
+
+
+def test_module_only_names_exist():
+    for dotted in MODULE_ONLY:
+        layer, name = dotted.split(".")
+        assert name in _defined_public(layer), dotted

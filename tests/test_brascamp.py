@@ -11,18 +11,20 @@ from gaussdecoup import (
     NotPositiveDefinite,
     build_dense,
     decoupling_coefficient,
-    detB_identity_check,
     eb_objective,
     eb_optimize,
     eb_upper_bound,
     from_stationary,
-    gaussian_extremal_check,
     matrix_B,
+)
+from gaussdecoup.covmodel import parse_model
+from oracles import (
+    detB_identity_check,
+    gaussian_extremal_check,
     minkowski_check,
     ostrowski_bound,
     random_spd,
 )
-from gaussdecoup.covmodel import parse_model
 
 C_half = build_dense([[1.0, 0.5], [0.5, 1.0]])
 

@@ -287,6 +287,28 @@ class TestVerifyCommand:
             assert row["verdict"] == "pass"
             assert all(math.isfinite(row[k]) for k in ("lhs", "stderr", "rhs"))
 
+    @pytest.mark.parametrize(
+        "function",
+        [
+            {"kind": "shifted_indicator", "shift": 50, "eps": 1},
+            {"kind": "bounded_poly", "coeffs": [0], "clip": 1},
+        ],
+    )
+    def test_zero_marginal_norm_gets_a_verdict(self, function, tmp_path, capsys):
+        # A zero p-norm made log(norm) a math domain error, and every row of
+        # that n, the Khatri-Sidak ones included, an error row with exit 2.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"functions": [function]}))
+        argv = ["verify", "--config", str(cfg), "--model", "ma1:a=0.5", "--n", "2"]
+        assert run(argv + ["--samples", "1000", "--seed", "1"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 5  # theorem1, three khatri_sidak, kls
+        assert all(row["verdict"] == "pass" for row in rows)
+        products = [r for r in rows if r["function_suite"].startswith(("theorem1:", "kls:"))]
+        assert len(products) == 2
+        for row in products:
+            assert (row["lhs"], row["stderr"], row["rhs"]) == (0.0, 0.0, 0.0)
+
     def test_one_sampling_pass_per_n(self, monkeypatch, capsys):
         opened, drawn = [], []
         stream_rng = verify_module._stream_rng
@@ -564,7 +586,8 @@ class TestStationaryRowsStayVectors:
         monkeypatch.chdir(DATA)
         monkeypatch.setattr(CovarianceMatrix, "entries", property(refuse))
         monkeypatch.setattr(CovarianceMatrix, "chol", property(refuse))
-        monkeypatch.setattr("gaussdecoup.szego.toeplitz", refuse)
+        # szego forms no section; the package's one dense Toeplitz builder is here.
+        monkeypatch.setattr("gaussdecoup.covmodel.toeplitz", refuse)
         tracemalloc.start()
         try:
             code = run(argv)

@@ -17,7 +17,6 @@ from gaussdecoup import (
     from_stationary,
     inverse_power_gamma_sequence,
     parse_model,
-    random_spd,
     refined_constant,
     stationary_decoupling_coefficient,
     stationary_p_bounds,
@@ -25,6 +24,7 @@ from gaussdecoup import (
     theorem1_log_constant,
 )
 from gaussdecoup.verify import marginal_p_norm  # noqa: F401  (cross-module import sanity)
+from oracles import random_spd
 
 C_half = build_dense([[1.0, 0.5], [0.5, 1.0]])
 

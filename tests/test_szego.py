@@ -25,10 +25,10 @@ from gaussdecoup import (
     szego_asymptote,
     theorem1_constant,
     theorem2_constant,
-    toeplitz_section,
 )
 from gaussdecoup.covmodel import _levinson_durbin
 from gaussdecoup.szego import _section_log_det
+from oracles import toeplitz_section
 
 DATA = Path(__file__).parent / "data"
 
