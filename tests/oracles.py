@@ -1,4 +1,5 @@
-"""Test oracles: the determinant lemmas behind E_B and a dense Toeplitz section.
+"""Test oracles: the determinant lemmas behind E_B, a dense Toeplitz section
+and the serial Monte Carlo stream blocks.
 
 No command, report or workload reads these; the tests use them to check the
 package against independent routes.
@@ -14,6 +15,9 @@ package against independent routes.
 - ``random_spd``: a random SPD matrix with log-uniform eigenvalues.
 - ``toeplitz_section``: the dense n x n section of a spectral symbol, next to
   the package's O(n^2) recursion that never forms it.
+- ``stream_blocks``: verify's stream blocks drawn and multiplied on one
+  thread, next to the package's generator whose normals a helper thread
+  draws while the caller evaluates.
 
 The four lemma checks return their determinants and ratios in log space.
 """
@@ -28,6 +32,7 @@ from scipy.linalg import toeplitz
 from gaussdecoup.brascamp import _logdet_spd, matrix_B
 from gaussdecoup.covmodel import CovarianceMatrix, SpectralSymbol
 from gaussdecoup.szego import _section_row
+from gaussdecoup.verify import _STREAM_ROWS, _stream_rng, _stream_sizes
 
 
 def minkowski_check(U: np.ndarray, V: np.ndarray, lam: float) -> tuple[float, float]:
@@ -110,3 +115,23 @@ def toeplitz_section(sym: SpectralSymbol, n: int) -> np.ndarray:
     if sym.even:
         return toeplitz(d)
     return toeplitz(np.conj(d), d)
+
+
+def stream_blocks(factors, n_samples: int, seed: int):
+    """Stream by stream, the block x = L Z^T of each Cholesky factor L, serially.
+
+    Each stream is drawn whole, as standard_normal(size * width) for the
+    largest n, before its GEMMs; a factor of size n reads the first size * n
+    values as its (size, n) block Z.  Every x is a view of one buffer that
+    the next block overwrites.
+    """
+    width = max(L.shape[0] for L in factors)
+    buf = np.empty(width * min(n_samples, _STREAM_ROWS))
+    for stream, size in enumerate(_stream_sizes(n_samples)):
+        z = _stream_rng(seed, stream).standard_normal(size * width)
+        for k, L in enumerate(factors):
+            n = L.shape[0]
+            x = buf[: n * size].reshape(n, size)
+            np.matmul(L, z[: size * n].reshape(size, n).T, out=x)
+            yield k, x
+        del z  # freed before the next stream is drawn

@@ -314,13 +314,17 @@ class TestVerifyCommand:
         stream_rng = verify_module._stream_rng
 
         class Counted:
+            # The drawing thread fills each stream in out= chunks; drawn sums
+            # them per stream.
             def __init__(self, seed, stream):
                 opened.append((seed, stream))
+                drawn.append(0)
+                self.index = len(drawn) - 1
                 self.rng = stream_rng(seed, stream)
 
-            def standard_normal(self, size):
-                drawn.append(size)
-                return self.rng.standard_normal(size)
+            def standard_normal(self, size=None, *, out=None):
+                drawn[self.index] += out.size if size is None else size
+                return self.rng.standard_normal(size, out=out)
 
         monkeypatch.setattr(verify_module, "_stream_rng", Counted)
         argv = ["verify", "--model", "ma1:a=0.5", "--samples", "70000", "--seed", "11"]

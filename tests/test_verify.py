@@ -1,7 +1,12 @@
 """Monte Carlo verification machinery: sampling, quadrature, reports."""
 
+import hashlib
 import math
+import sys
+import threading
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +29,9 @@ from gaussdecoup import (
     verify_theorem1,
 )
 from gaussdecoup import verify as verify_module
+from gaussdecoup.cli import main
 from gaussdecoup.verify import _hit_bound, _product_moments, with_rhs
+from oracles import stream_blocks
 
 IND1 = TestFunctionSpec.indicator(1.0)
 COS = TestFunctionSpec.cosine(0.7)
@@ -142,6 +149,19 @@ class TestMarginalPNorm:
         )
         val = marginal_p_norm(TestFunctionSpec.shifted_indicator(a, e), s, 3.0)
         assert val == pytest.approx(expected ** (1.0 / 3.0), rel=1e-12)
+
+    @pytest.mark.parametrize("shift", [8.0, 10.0, -10.0, 3.0, -2.5])
+    @pytest.mark.parametrize("p", [1.0, 2.5])
+    def test_shifted_indicator_far_tail(self, shift, p):
+        # erf(hi) - erf(lo) cancelled here: 2.2e-6 off at shift 8, and 0
+        # instead of 1.1e-19 at shift 10.
+        eps, sigma = 1.0, 1.0
+        with mpmath.workdps(40):
+            lo = mpmath.mpf(shift - eps) / (sigma * mpmath.sqrt(2))
+            hi = mpmath.mpf(shift + eps) / (sigma * mpmath.sqrt(2))
+            expected = float(((mpmath.erf(hi) - mpmath.erf(lo)) / 2) ** (1 / mpmath.mpf(p)))
+        val = marginal_p_norm(TestFunctionSpec.shifted_indicator(shift, eps), sigma, p)
+        assert val == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.kind)
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
@@ -599,6 +619,26 @@ class TestOnePassPerCall:
         block = verify_module._stream_rng(seed, stream).standard_normal((rows, n))
         assert flat[: rows * n].reshape(rows, n).tobytes() == block.tobytes()
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        total=st.integers(1, 20_000),
+        cuts=st.lists(st.integers(0, 20_000), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        stream=st.integers(0, 3),
+    )
+    @example(total=65_536 * 16, cuts=[12_345, 1 << 19], seed=101, stream=0)
+    @example(total=34_464 * 128, cuts=[1 << 20, 2 << 20, 3 << 20, 4 << 20], seed=7, stream=1)
+    @example(total=777 * 40, cuts=[777, 777], seed=3, stream=2)
+    def test_chunked_draws_are_one_draw(self, total, cuts, seed, stream):
+        # The drawing thread fills a stream in out= chunks; that rests on this.
+        whole = verify_module._stream_rng(seed, stream).standard_normal(total)
+        gen = verify_module._stream_rng(seed, stream)
+        z = np.empty(total)
+        edges = [0, *sorted(min(c, total) for c in cuts), total]
+        for a, b in zip(edges, edges[1:]):
+            gen.standard_normal(out=z[a:b])
+        assert z.tobytes() == whole.tobytes()
+
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
         a=st.floats(-0.9, 0.9),
@@ -615,6 +655,137 @@ class TestOnePassPerCall:
             points.append((from_stationary(gamma, n), [(fns, 1.0), ([IND1] * n, 1.0), (fns, 1.3)]))
         swept = verify_module.sweep_moments(points, n_samples, seed)
         assert swept == [_product_moments(C, fs, n_samples, seed) for C, fs in points]
+
+
+def _drawing_threads():
+    return [t for t in threading.enumerate() if t.name == verify_module._DRAW_THREAD]
+
+
+def _factors(ns):
+    return [from_stationary([1.25, 0.5], n).chol for n in ns]
+
+
+class _BrokenDraw(RuntimeError):
+    pass
+
+
+def _second_stream_breaks(seed, stream, *, stream_rng=verify_module._stream_rng):
+    """A _stream_rng whose stream 1 raises inside its draw."""
+    gen = stream_rng(seed, stream)
+    if stream != 1:
+        return gen
+
+    class Broken:
+        def standard_normal(self, size=None, *, out=None):
+            raise _BrokenDraw(f"stream {stream} failed")
+
+    return Broken()
+
+
+class TestDrawingThread:
+    """A helper thread draws the normals; the blocks are the serial loop's."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        ns=st.lists(st.integers(1, 48), min_size=1, max_size=3),
+        streams=st.integers(1, 3),
+        tail=st.integers(1, 3000),
+        chunk=st.sampled_from([997, 4093, 65_537, verify_module._DRAW_CHUNK]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(ns=[40, 5], streams=3, tail=777, chunk=verify_module._DRAW_CHUNK, seed=101)
+    @example(ns=[5, 40, 17], streams=2, tail=34_464, chunk=verify_module._DRAW_CHUNK, seed=11)
+    def test_blocks_match_the_serial_loop(self, ns, streams, tail, chunk, seed):
+        n_samples = (streams - 1) * verify_module._STREAM_ROWS + tail
+        factors = _factors(ns)
+        with mock.patch.object(verify_module, "_DRAW_CHUNK", chunk):
+            threaded = verify_module._stream_blocks(factors, n_samples, seed)
+            serial = stream_blocks(factors, n_samples, seed)
+            count = 0
+            for (k, x), (k_ref, x_ref) in zip(threaded, serial, strict=True):
+                assert (k, x.tobytes()) == (k_ref, x_ref.tobytes())
+                count += 1
+        assert count == streams * len(ns)
+        assert not _drawing_threads()
+
+    def test_concurrent_passes_under_fast_switching(self):
+        # More passes than cores, each with its own drawing thread, switching
+        # every microsecond: a lost update between a pass's two threads would
+        # show as a block read before its normals were drawn.
+        factors, n_samples = _factors([40, 5]), verify_module._STREAM_ROWS + 500
+        expected = [(k, hashlib.sha256(x).digest()) for k, x in stream_blocks(factors, n_samples, 5)]
+        results = {}
+
+        def one_pass(i):
+            blocks = verify_module._stream_blocks(factors, n_samples, 5)
+            results[i] = [(k, hashlib.sha256(x).digest()) for k, x in blocks]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(verify_module, "_DRAW_CHUNK", 997):
+                workers = [threading.Thread(target=one_pass, args=(i,)) for i in range(4)]
+                for t in workers:
+                    t.start()
+                for t in workers:
+                    t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert results == {i: expected for i in range(4)}
+        assert not _drawing_threads()
+
+    def test_a_draw_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(verify_module, "_stream_rng", _second_stream_breaks)
+        rows = verify_module._STREAM_ROWS
+        blocks = verify_module._stream_blocks(_factors([3]), rows + 10, 7)
+        k, x = next(blocks)  # stream 0 draws
+        assert (k, x.shape) == (0, (3, rows))
+        with pytest.raises(_BrokenDraw, match="stream 1 failed"):
+            next(blocks)
+        assert not _drawing_threads()
+        C = from_stationary([1.25, 0.5], 3)
+        with pytest.raises(_BrokenDraw):
+            sample_gaussian(C, rows + 10, 7)
+        assert not _drawing_threads()
+
+    def test_closing_after_the_first_block_joins_the_thread(self):
+        blocks = verify_module._stream_blocks(_factors([3, 2]), 2 * verify_module._STREAM_ROWS, 7)
+        next(blocks)
+        # Stream 0 is not released before its last factor's block: the thread waits.
+        [thread] = _drawing_threads()
+        assert thread.is_alive()
+        blocks.close()
+        assert not thread.is_alive()
+        assert not _drawing_threads()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sample_gaussian(from_stationary([1.25, 0.5], 4), 70_000, 3),
+            lambda: verify_theorem1(from_stationary([1.25, 0.5], 4), 4.0, [COS] * 4, 70_000, 3),
+            lambda: verify_khatri_sidak(from_stationary([1.25, 0.5], 4), [1.0] * 4, 4.0, 5000, 3),
+            lambda: verify_kls([1.25, 0.5], 4, [IND1] * 4, 5000, 3),
+            lambda: main(["verify", "--model", "ma1:a=0.5", "--n", "3,5", "--samples", "70000",
+                          "--jobs", "2"]),
+        ],
+        ids=["sample_gaussian", "theorem1", "khatri_sidak", "kls", "cli_jobs_2"],
+    )
+    def test_no_thread_outlives_a_call(self, call, capsys):
+        result = call()
+        assert not isinstance(result, int) or result == 0  # the CLI's exit code
+        assert not _drawing_threads()
+
+    def test_no_thread_outlives_a_failed_evaluation(self, monkeypatch):
+        # The functional raises between blocks, while the next stream is drawn.
+        def broken(*args):
+            raise ValueError("evaluation failed")
+
+        monkeypatch.setattr(verify_module, "_stream_product_sums", broken)
+        C = from_stationary([1.25, 0.5], 3)
+        with pytest.raises(ValueError, match="evaluation failed"):
+            verify_theorem1(C, 4.0, [COS] * 3, 70_000, 3)
+        assert not _drawing_threads()
 
 
 def _in_order_sums(x, fns):
