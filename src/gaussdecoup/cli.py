@@ -15,9 +15,10 @@ analyze, szego, verify and eb share one per-n runner (``_run_per_n``): each
 supplies the body for one dimension n, and the runner makes the rows, turns an
 error in one n into that n's error row, sorts the rows and picks the exit code:
 0 clean, 2 if any n failed, 3 if any check hard-fails.  verify first makes
-one sampling pass for all its n, so ``--jobs`` splits only its reports.  A
-malformed config (flag or file value) exits 2 with ``config error:`` before
-any row.
+one sampling pass for all its n, so ``--jobs`` splits only its reports; an
+error in that pass is the error row of every n it covered.  A malformed
+config (flag or file value) exits 2 with ``config error:`` before any row,
+and so does a report that cannot be written.
 
 szego keeps its per-symbol work on the symbol: the condition report, log
 b(f) and one Durbin recursion, whose prefix at n is the exact n-th section
@@ -160,8 +161,8 @@ class ScenarioConfig:
         except GaussDecoupError as exc:
             raise ConfigError(f"model {self.model!r}: {exc}") from exc
         self.p_fixed = _parse_p_policy(self.p_policy)
-        if not self.eps > 0:
-            raise ConfigError(f"eps must be positive, got {self.eps!r}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"eps must be a positive finite number, got {self.eps!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
 
@@ -315,9 +316,13 @@ def cmd_verify(cfg: ScenarioConfig) -> tuple[list, int]:
             points[n] = exc  # that n's error row, as in cmd_szego
     resolved = {n: point for n, point in points.items() if not isinstance(point, Exception)}
     # One sampling pass for every n that resolved: each stream is drawn once.
-    sampled = verify.sweep_moments(
-        [(C, functionals) for C, *_, functionals in resolved.values()], cfg.mc_samples, cfg.seed
-    )
+    try:
+        sampled = verify.sweep_moments(
+            [(C, functionals) for C, *_, functionals in resolved.values()], cfg.mc_samples, cfg.seed
+        )
+    except _ROW_ERRORS as exc:
+        sampled = []
+        points.update(dict.fromkeys(resolved, exc))  # the error row of every n the pass covered
     moments = dict(zip(resolved, sampled))
 
     def fill(n: int, row: dict) -> list:
@@ -581,7 +586,10 @@ def main(argv=None) -> int:
         cfg = make_config(args)
         cfg.validate(args.command)
         records, code = _COMMANDS[args.command].run(cfg)
-        _emit(args.command, cfg, records)
+        try:
+            _emit(args.command, cfg, records)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc}") from exc
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

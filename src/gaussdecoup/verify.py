@@ -22,13 +22,13 @@ point's block is coordinate-major: x = L Z^T, of shape (n, rows) and
 C-contiguous, written into one buffer reused across points and streams, so a
 functional reads coordinate i as the contiguous row x[i].  Each entry is the
 same dot product as in Z L^T, though for this operand order BLAS may round
-it differently in the last bit.  One helper thread per pass draws the
-normals, stream after stream, into one stream buffer, in chunks of 2^20
-values that are bit for bit the one draw; numpy releases the GIL while it
-fills them.  The calling thread waits only until the values a block reads
-are drawn, and makes every GEMM itself, unchunked, so the reproducibility key
-does not change; the next stream is drawn while it evaluates the last block
-of the current one.
+it differently in the last bit.  Each pass draws its normals on a one-worker
+executor, stream after stream, into one stream buffer, in chunks of 2^20
+values that run in order and are bit for bit the one draw; numpy releases
+the GIL while it fills them.  The calling thread waits only for the chunks a
+block reads, and makes every GEMM itself, unchunked, so the reproducibility
+key does not change; the next stream is drawn while it evaluates the last
+block of the current one.
 
 Every functional of a point is evaluated on that block: the theorem1
 product, the box indicators and, for a stationary model, the KLS product,
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,7 +60,7 @@ from .errors import InvalidSpec
 
 # Rows generated per stream; fixes the reduction layout independently of workers.
 _STREAM_ROWS = 1 << 16
-# Normals per fill of the drawing thread, and its name.
+# Normals per fill of the drawing thread, and its name prefix.
 _DRAW_CHUNK = 1 << 20
 _DRAW_THREAD = "gaussdecoup-normals"
 
@@ -234,70 +234,6 @@ def _stream_sizes(n_samples: int):
     return sizes
 
 
-class _Normals:
-    """A helper thread that draws each stream's normals into z, chunk by chunk.
-
-    Stream s is drawn once the caller has released stream s - 1, as
-    standard_normal(out=...) fills of _DRAW_CHUNK values, bit for bit the
-    one draw standard_normal(size * width).  ``wait(s, count)`` returns once z
-    holds the first count values of stream s, or raises the exception that
-    stopped the draw; ``close`` stops the thread and joins it.
-    """
-
-    def __init__(self, z: np.ndarray, sizes, width: int, seed: int):
-        self._z, self._sizes, self._width, self._seed = z, sizes, width, seed
-        self._cond = threading.Condition()
-        self._stream, self._drawn, self._released = 0, 0, 0
-        self._error = None
-        self._stop = False
-        self._thread = threading.Thread(target=self._draw, name=_DRAW_THREAD, daemon=True)
-        self._thread.start()
-
-    def _draw(self):
-        cond = self._cond
-        try:
-            for stream, size in enumerate(self._sizes):
-                with cond:
-                    while self._released < stream and not self._stop:
-                        cond.wait()
-                    if self._stop:
-                        return
-                    self._stream, self._drawn = stream, 0
-                gen = _stream_rng(self._seed, stream)
-                total = size * self._width
-                for a in range(0, total, _DRAW_CHUNK):
-                    b = min(a + _DRAW_CHUNK, total)
-                    gen.standard_normal(out=self._z[a:b])  # numpy releases the GIL here
-                    with cond:
-                        if self._stop:
-                            return
-                        self._drawn = b
-                        cond.notify_all()
-        except BaseException as exc:  # raised again on the calling thread by wait
-            with cond:
-                self._error = exc
-                cond.notify_all()
-
-    def wait(self, stream: int, count: int) -> None:
-        with self._cond:
-            while self._stream != stream or self._drawn < count:
-                if self._error is not None:
-                    raise self._error
-                self._cond.wait()
-
-    def release(self, stream: int) -> None:
-        """The caller is done with stream's values: z may take the next stream."""
-        with self._cond:
-            self._released = stream + 1
-            self._cond.notify_all()
-
-    def close(self) -> None:
-        with self._cond:
-            self._stop = True
-            self._cond.notify_all()
-        self._thread.join()
-
-
 def _stream_blocks(factors, n_samples: int, seed: int):
     """Stream by stream, the block x = L Z^T of each Cholesky factor L.
 
@@ -310,28 +246,41 @@ def _stream_blocks(factors, n_samples: int, seed: int):
     with a stride of n floats.  Every x is a view of one buffer that the next
     block overwrites; the caller may scale it in place.
 
-    A helper thread (``_Normals``) draws the normals into one stream buffer
-    z; each GEMM waits only for the values it reads and runs here, unchunked.
-    z is released after a stream's last GEMM, so the next stream is drawn
-    while the caller evaluates that block.
+    A one-worker executor draws the normals into one stream buffer z, as
+    standard_normal(out=...) fills of _DRAW_CHUNK values run in order, bit
+    for bit the one draw.  Each GEMM waits only for the chunks it reads (a
+    draw error is raised again here) and runs here, unchunked.  The next
+    stream is queued after a stream's last GEMM, so it is drawn while the
+    caller evaluates that block.
     """
     width = max(L.shape[0] for L in factors)
     sizes = _stream_sizes(n_samples)
     z = np.empty(width * min(n_samples, _STREAM_ROWS))
     buf = np.empty_like(z)
-    normals = _Normals(z, sizes, width, seed)
+    pool = ThreadPoolExecutor(1, thread_name_prefix=_DRAW_THREAD)
+
+    def draw(stream: int) -> list:
+        gen = _stream_rng(seed, stream)
+        total = sizes[stream] * width
+        return [
+            pool.submit(gen.standard_normal, out=z[a : min(a + _DRAW_CHUNK, total)])
+            for a in range(0, total, _DRAW_CHUNK)
+        ]
+
     try:
+        chunks = draw(0)
         for stream, size in enumerate(sizes):
             for k, L in enumerate(factors):
                 n = L.shape[0]
-                normals.wait(stream, size * n)
+                for chunk in chunks[: -(-size * n // _DRAW_CHUNK)]:
+                    chunk.result()
                 x = buf[: n * size].reshape(n, size)
                 np.matmul(L, z[: size * n].reshape(size, n).T, out=x)
-                if k == len(factors) - 1:
-                    normals.release(stream)
+                if k == len(factors) - 1 and stream + 1 < len(sizes):
+                    chunks = draw(stream + 1)
                 yield k, x
     finally:
-        normals.close()
+        pool.shutdown(cancel_futures=True)
 
 
 def sample_gaussian(C: CovarianceMatrix, n_samples: int, seed: int) -> np.ndarray:

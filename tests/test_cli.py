@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -637,6 +638,25 @@ class TestPerNErrors:
         assert "injected" in json.dumps(failed)
         assert any(r["n"] == 2 for r in rows) and rows == sorted(rows, key=lambda r: r["n"])
 
+    def test_value_error_in_the_sampling_pass_is_an_error_row_per_n(self, monkeypatch, capsys):
+        # verify samples all its n in one pass before the per-n bodies: an
+        # error inside it is the error row of every n the pass covered, and
+        # the pass leaves no drawing thread behind.  70000 samples make two
+        # streams, so the error comes while the second one is drawn.
+        def broken(*args):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(verify_module, "_stream_product_sums", broken)
+        argv = ["verify", "--model", "ma1:a=0.5", "--n", "3,5", "--samples", "70000"]
+        assert run(argv) == 2
+        rows = json.loads(capsys.readouterr().out)
+        assert [(r["n"], r["function_suite"], r["verdict"]) for r in rows] == [
+            (3, "error", "error: injected"),
+            (5, "error", "error: injected"),
+        ]
+        prefix = verify_module._DRAW_THREAD
+        assert not [t for t in threading.enumerate() if t.name.startswith(prefix)]
+
 
 class TestEbCommand:
     def test_sandwich_rows(self, capsys):
@@ -706,6 +726,8 @@ CONFIG_ERRORS = [
     (["analyze"], {"mc_samples": "x"}),
     (["analyze"], {"eps": "abc"}),
     (["analyze", "--eps", "nan"], None),
+    (["verify", "--eps", "inf"], None),
+    (["verify"], {"eps": math.inf}),
     (["analyze"], {"model": "identity", "n_list": "12"}),
     (["analyze"], {"model": "identity", "n_list": [2.7]}),
     (["analyze"], {"model": "identity", "n_list": [True]}),
@@ -734,6 +756,15 @@ class TestMalformedInput:
         assert run(argv + ["--n", "4"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:")
+        assert captured.out == ""
+
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub" / "r"
+        assert run(["analyze", "--model", "ma1:a=0.5", "--n", "4", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: cannot write report")
         assert captured.out == ""
 
     @pytest.mark.parametrize("policy", ["fixed:4", "fixed(4)", "fixed=4", "4", 4, 4.0])

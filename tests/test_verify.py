@@ -658,7 +658,7 @@ class TestOnePassPerCall:
 
 
 def _drawing_threads():
-    return [t for t in threading.enumerate() if t.name == verify_module._DRAW_THREAD]
+    return [t for t in threading.enumerate() if t.name.startswith(verify_module._DRAW_THREAD)]
 
 
 def _factors(ns):
