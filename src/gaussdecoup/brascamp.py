@@ -20,7 +20,10 @@ identity det(B) = det(p*I(var) - C) / (p^n det(C) prod var_i) and the
 Gaussian extremal ratio) and a random SPD generator are test oracles, in
 ``tests/oracles.py``; no command or report reads them.
 
-Everything is computed and returned in log space.
+Everything is computed and returned in log space. Every factorization is
+``scipy.linalg``'s LAPACK Cholesky (``cho_factor``/``cho_solve``), imported in
+the functions that factor, so the ``eb`` command is the only one that loads
+``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+
+# scipy.linalg is imported only in the functions that factor, so eb alone loads it.
 
 from .covmodel import CovarianceMatrix
 from .errors import NotPositiveDefinite
@@ -49,6 +53,8 @@ _EPS = float(np.finfo(float).eps)
 def _factor(A: np.ndarray):
     """Cholesky factor and log-det of A, or None when A is not positive definite."""
     # scipy's LAPACK, not covmodel._cholesky_log_det: numpy's build moves E_B in the last bits.
+    from scipy.linalg import cho_factor
+
     try:
         cf = cho_factor(A, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
@@ -71,6 +77,8 @@ def matrix_B(C: CovarianceMatrix, p: float) -> np.ndarray:
     definite and is guaranteed when p >= 2 p(X); failure signals a violated
     or numerically marginal exponent hypothesis.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     cf = cho_factor(C.entries, lower=True)
     inv = cho_solve(cf, np.eye(C.n))
     inv = 0.5 * (inv + inv.T)
@@ -149,6 +157,8 @@ def _newton_step(b: np.ndarray, M: np.ndarray, g: np.ndarray) -> np.ndarray:
     The negative Hessian 0.5 [diag(b m) - (M o M) o b b^T], m = diag(M), is
     positive definite.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     neg_hess = -0.5 * (M * M) * np.outer(b, b)
     neg_hess[np.diag_indices_from(neg_hess)] += 0.5 * b * np.diag(M)
     return cho_solve(cho_factor(neg_hess, lower=True, check_finite=False), g)
@@ -173,6 +183,8 @@ def eb_optimize(B: np.ndarray, p: float) -> EbProblem:
     """
     if p <= 1:
         raise ValueError(f"E_B optimization needs p > 1, got {p}")
+    from scipy.linalg import cho_solve
+
     n = B.shape[0]
     logdet_B = _logdet_spd(B, "B")
     half_p = 1.0 / (2.0 * p)

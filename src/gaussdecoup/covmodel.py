@@ -18,6 +18,11 @@ Fourier coefficients ``d_k``, which generate the Toeplitz sections.
 ...) against the one table of families and returns a ``ModelSpec``, which
 yields the family's autocovariance, covariance matrix, p(X) or symbol.
 
+Everything here runs on numpy alone except the inverse-power family at
+r != 1: its Hurwitz-zeta tails and its Clausen-series symbol import
+``scipy.special`` inside the functions that evaluate them, so no other family
+loads scipy.
+
 All returned objects are immutable after construction; every function here is
 pure and safe to call concurrently.
 """
@@ -34,8 +39,8 @@ from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.special import exprel, gammaln, poch, zeta
+
+# scipy.special is imported only where inverse_power at r != 1 needs it: start-up stays numpy.
 
 from .errors import (
     InvalidSpec,
@@ -110,7 +115,7 @@ class CovarianceMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        return _freeze(toeplitz(self.gamma))
+        return _freeze(_dense_toeplitz(self.gamma))
 
     @cached_property
     def chol(self) -> np.ndarray:
@@ -135,6 +140,15 @@ class CovarianceMatrix:
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _dense_toeplitz(gamma: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix with entries gamma[|i - j|], copied with no arithmetic.
+
+    Row i is the window vals[n-1-i : 2n-1-i] of vals = gamma[n-1..1], gamma[0..n-1].
+    """
+    vals = np.concatenate([gamma[:0:-1], gamma])
+    return np.lib.stride_tricks.sliding_window_view(vals, gamma.size)[::-1].copy()
 
 
 def _cholesky_log_det(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -267,6 +281,7 @@ class _Durbin:
         if self._failure is not None:
             return
         row, a, v = self.row, self._a, self._v
+        hermitian = np.iscomplexobj(row)  # a real row needs no conjugated copy
         log_det = self._log_dets[-1]
         for k in range(len(self._log_dets), n):
             kappa = -(row[k] + a[1:k] @ row[k - 1 : 0 : -1]) / v
@@ -274,7 +289,8 @@ class _Durbin:
             if not shrink > 0:
                 self._failure = (k, abs(kappa))
                 break
-            a[1:k] += kappa * np.conj(a[k - 1 : 0 : -1])
+            reflected = a[k - 1 : 0 : -1]
+            a[1:k] += kappa * (np.conj(reflected) if hermitian else reflected)
             a[k] = kappa
             v *= shrink
             log_det += math.log(v)
@@ -367,6 +383,8 @@ def _one_sided_sum(mu: int, r: float) -> float:
     Hurwitz zeta values.  The binomial series converges geometrically since
     mu/(K+1) <= 1/4.
     """
+    from scipy.special import zeta
+
     K = max(1000, 4 * mu)
     k = np.arange(1, K + 1, dtype=float)
     head = float(np.sum(1.0 / (k**r * (k + mu) ** r)))
@@ -396,6 +414,8 @@ def inverse_power_gamma(mu: int, r: float = 1.0) -> float:
         raise ValueError(f"inverse-power autocovariance needs r >= 1, got {r}")
     if r == 1.0:
         return float(inverse_power_gamma_sequence(mu, 1.0)[mu])
+    from scipy.special import zeta
+
     if mu == 0:
         return 2.0 * float(zeta(2.0 * r, 1))
     middle = 0.0
@@ -419,6 +439,8 @@ def _one_sided_sums(lo: int, hi: int, r: float) -> np.ndarray:
     across the lags, summed until its term at mu = hi falls below 1e-14 of
     the j = 0 term (mu/(K+1) <= 1/4: it converges geometrically).
     """
+    from scipy.special import zeta
+
     K = 1024
     while 4 * hi > K:
         K *= 2
@@ -456,6 +478,8 @@ def inverse_power_gamma_sequence(max_lag: int, r: float = 1.0) -> np.ndarray:
         return np.concatenate([[PI_SQUARED_OVER_3], (2.0 / mu) * (H[1:] + H[:-1])])
     if r < 1:
         raise ValueError(f"inverse-power autocovariance needs r >= 1, got {r}")
+    from scipy.special import zeta
+
     v = np.zeros(max_lag + 1)
     v[1:] = np.arange(1, max_lag + 1, dtype=float) ** -r  # v[m] = m^-r, v[0] = 0
     gamma = np.convolve(v, v)[: max_lag + 1]
@@ -636,6 +660,8 @@ def ma1_symbol(a: float, grid_size: int = DEFAULT_GRID_SIZE) -> SpectralSymbol:
 
 def _power_over_factorial(theta: np.ndarray, a: float) -> np.ndarray:
     """theta^a / Gamma(a + 1) for theta > 0, in log space so neither side overflows."""
+    from scipy.special import gammaln
+
     return np.exp(a * np.log(theta) - gammaln(a + 1.0))
 
 
@@ -647,6 +673,7 @@ def _pole_pair_regular_part(n: int, eps: float) -> float:
     H_{n-1} at eps = 0), so it is interpolated on [-1/2, 1/2] through an
     even number of Chebyshev nodes, none of them near eps = 0.
     """
+    from scipy.special import poch, zeta
 
     def direct(e):
         return zeta(1.0 + e) - 1.0 / (e * poch(n, e) * np.sinc(e / 2.0))
@@ -672,6 +699,8 @@ def clausen_cos(r: float, theta) -> np.ndarray:
     (-1)^j theta^(2j)/(2j)! (H_{n-1} - log theta). Absolute error against
     mpmath.clcos is below 1e-13 zeta(r) for 1 < r <= 8.
     """
+    from scipy.special import exprel, gammaln, poch, zeta
+
     theta = np.asarray(theta, dtype=float)
     n = round(r)
     eps = r - n

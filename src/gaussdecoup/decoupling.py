@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
+
+# scipy.special is imported only in corollary1_bound (verify's): start-up stays numpy.
 
 from .covmodel import CovarianceMatrix, _cholesky_log_det, _levinson_durbin
 from .errors import ConditionViolated, NonFiniteInput, NotPositiveDefinite
@@ -36,22 +37,32 @@ def _exp(log_value: float) -> float:
     return math.exp(log_value) if log_value < 700 else math.inf
 
 
+def _finite_p(ratios: np.ndarray) -> float:
+    """max of the row ratios |row sum| / variance, NonFiniteInput where it overflows."""
+    p_x = float(ratios.max())
+    if not math.isfinite(p_x):
+        raise NonFiniteInput("p(X) overflows: a row sum over its variance is not finite")
+    return p_x
+
+
 def decoupling_coefficient(C: CovarianceMatrix) -> float:
     """p(X): max over rows of the absolute row sum normalized by the variance.
 
-    A stationary section is read from its first row in O(n).
+    A stationary section is read from its first row in O(n). Raises
+    NonFiniteInput when a row sum overflows.
     """
     if C.gamma is not None:
         return stationary_decoupling_coefficient(C.gamma, C.n)
-    rows = np.abs(C.entries).sum(axis=1)
-    return float((rows / C.variances).max())
+    with np.errstate(over="ignore"):  # an overflow is refused by _finite_p
+        return _finite_p(np.abs(C.entries).sum(axis=1) / C.variances)
 
 
 def stationary_decoupling_coefficient(gamma, n: int) -> float:
     """p(X) of the n-section Toeplitz matrix, from gamma alone (no matrix built).
 
     Row k sums gamma(0) plus both one-sided partial sums of |gamma|, so a
-    prefix-sum scan gives the exact coefficient in O(n).
+    prefix-sum scan gives the exact coefficient in O(n). Raises
+    NonFiniteInput when a row sum overflows.
     """
     gamma = np.asarray(gamma, dtype=float).ravel()
     if not np.all(np.isfinite(gamma)):
@@ -61,10 +72,11 @@ def stationary_decoupling_coefficient(gamma, n: int) -> float:
     g = np.zeros(n)
     m = min(n, gamma.size)
     g[:m] = np.abs(gamma[:m])
-    prefix = np.concatenate([[0.0], np.cumsum(g[1:])])  # prefix[m] = sum_{h=1}^m |gamma(h)|
     k = np.arange(1, n + 1)
-    rows = g[0] + prefix[k - 1] + prefix[n - k]
-    return float(rows.max() / g[0])
+    with np.errstate(over="ignore"):  # an overflow is refused by _finite_p
+        prefix = np.concatenate([[0.0], np.cumsum(g[1:])])  # prefix[m] = sum_{h=1}^m |gamma(h)|
+        rows = g[0] + prefix[k - 1] + prefix[n - k]
+        return _finite_p(rows.max() / g[0])
 
 
 def stationary_p_bounds(gamma, n: int) -> tuple[float, float]:
@@ -128,9 +140,12 @@ def refined_constant(C: CovarianceMatrix, p: float) -> RefinedBound:
     dominant whenever p > 2 p(X)) while its log det is taken: by Cholesky for
     a dense C, and for a stationary section by Durbin's recursion on the
     Toeplitz row ((p-1) gamma(0), -gamma(1), -gamma(2), ...), O(n^2) with no
-    matrix formed.
+    matrix formed. Raises NonFiniteInput where p var_i overflows, and with it
+    the diagonal p var_i - var_i.
     """
     n = C.n
+    if not math.isfinite(p * float(C.variances.max())):
+        raise NonFiniteInput(f"p*I(var) - C overflows at p={p}: p var_i is not finite")
     try:
         if C.gamma is not None:
             g = C.gamma
@@ -169,6 +184,8 @@ def corollary1_bound(C: CovarianceMatrix, p: float, eps) -> float:
     eps = np.asarray(eps, dtype=float).ravel()
     if eps.size != C.n or np.any(eps <= 0):
         raise ValueError("eps must be a length-n vector of positive reals")
+    from scipy.special import erf
+
     sigma = C.sigmas
     probs = erf(eps / (sigma * math.sqrt(2.0)))
     n = C.n

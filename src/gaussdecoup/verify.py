@@ -42,17 +42,24 @@ differ, which no report reads (|mean| for theorem1 and KLS, 0/1 values for
 the box).  The Khatri-Sidak rows count hits, so their verdicts come from an
 exact binomial (Clopper-Pearson) bound at the one-sided levels of the 3 and
 6 standard-error bands; zero hits still bound the probability.
+
+The error-function marginals and the binomial bounds take ``erf``, ``erfc``
+and ``betaincinv`` from ``scipy.special``, imported by the functions that
+evaluate them; the Gauss-Hermite and Gauss-Legendre rules of the smooth
+marginals are built on their first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betaincinv, erf, erfc
+
+# scipy.special is imported only where erf or betaincinv is taken: start-up stays numpy.
 
 from .covmodel import CovarianceMatrix, from_stationary
 from .decoupling import _exp, corollary1_bound, theorem1_log_constant
@@ -65,9 +72,17 @@ _DRAW_CHUNK = 1 << 20
 _DRAW_THREAD = "gaussdecoup-normals"
 
 _GH_POINTS = 201
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(_GH_POINTS)
 _SQRT_PI = math.sqrt(math.pi)
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL_POINTS = 64
+
+
+@functools.cache
+def _quadrature(rule, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of numpy's Gauss ``rule`` at ``points``, built on first use."""
+    nodes, weights = rule(points)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _is_real(value) -> bool:
@@ -424,13 +439,16 @@ def _product_moments(
 
 def _gl_segment_moment(f, a: float, b: float, sigma: float, p: float) -> float:
     """integral_a^b |f(x)|^p phi_sigma(x) dx by Gauss-Legendre (f smooth on [a,b])."""
+    nodes, weights = _quadrature(np.polynomial.legendre.leggauss, _GL_POINTS)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x = mid + half * _GL_NODES
+    x = mid + half * nodes
     dens = np.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-    return float(half * np.sum(_GL_WEIGHTS * np.abs(f(x)) ** p * dens))
+    return float(half * np.sum(weights * np.abs(f(x)) ** p * dens))
 
 
 def _lower_tail(x: float, sigma: float) -> float:
+    from scipy.special import erf
+
     return 0.5 * (1.0 + float(erf(x / (sigma * math.sqrt(2.0)))))
 
 
@@ -499,6 +517,8 @@ def marginal_p_norm(f: TestFunctionSpec, sigma: float, p: float) -> float:
         raise ValueError("sigma must be positive")
     if p < 1:
         raise ValueError("p must be >= 1")
+    from scipy.special import erf, erfc
+
     root2 = math.sqrt(2.0)
     if f.kind == "indicator":
         prob = float(erf(f.eps / (sigma * root2)))
@@ -533,8 +553,9 @@ def marginal_p_norm(f: TestFunctionSpec, sigma: float, p: float) -> float:
         return _piecewise_moment(
             f, sorted(knots), sigma, p, float(vs[0]), float(vs[-1])
         ) ** (1.0 / p)
-    vals = np.abs(f(sigma * root2 * _GH_NODES)) ** p
-    moment = float(np.sum(_GH_WEIGHTS * vals)) / _SQRT_PI
+    nodes, weights = _quadrature(np.polynomial.hermite.hermgauss, _GH_POINTS)
+    vals = np.abs(f(sigma * root2 * nodes)) ** p
+    moment = float(np.sum(weights * vals)) / _SQRT_PI
     return moment ** (1.0 / p)
 
 
@@ -602,6 +623,8 @@ _ALPHA_HARD = 0.5 * math.erfc(6.0 / math.sqrt(2.0))
 
 def _hit_bound(hits: int, n_samples: int, alpha: float, upper: bool) -> float:
     """One-sided exact (Clopper-Pearson) bound at level alpha on a hit probability."""
+    from scipy.special import betaincinv
+
     if upper:
         if hits == n_samples:
             return 1.0
@@ -739,6 +762,8 @@ def verify_khatri_sidak(
     if moments is None:
         fns = [TestFunctionSpec.indicator(float(e)) for e in eps]
         [moments] = _product_moments(C, [(fns, 1.0)], n_samples, seed)
+    from scipy.special import erf
+
     center, stderr, _ = moments
     hits = round(center * n_samples)
     probs = erf(eps / (C.sigmas * math.sqrt(2.0)))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -592,7 +593,10 @@ class TestStationaryRowsStayVectors:
         monkeypatch.setattr(CovarianceMatrix, "entries", property(refuse))
         monkeypatch.setattr(CovarianceMatrix, "chol", property(refuse))
         # szego forms no section; the package's one dense Toeplitz builder is here.
-        monkeypatch.setattr("gaussdecoup.covmodel.toeplitz", refuse)
+        monkeypatch.setattr("gaussdecoup.covmodel._dense_toeplitz", refuse)
+        # inverse_power at r != 1 imports scipy.special on first use: its
+        # modules would count in the peak, though they are no dense form.
+        importlib.import_module("scipy.special")
         tracemalloc.start()
         try:
             code = run(argv)
@@ -698,6 +702,51 @@ class TestExamplesCommand:
             [sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "argvs, loads_scipy",
+        [
+            (
+                [
+                    ["analyze", "--model", "ma1:a=0.5", "--n", "64"],
+                    ["analyze", "--model", "hilbert", "--n", "10"],
+                    ["szego", "--model", "ma1:a=0.5", "--n", "64"],
+                    ["--help"],
+                ],
+                False,
+            ),
+            (
+                [
+                    ["eb", "--model", "ma1:a=0.5", "--n", "8"],
+                    ["verify", "--model", "ma1:a=0.5", "--n", "8", "--samples", "1000"],
+                ],
+                True,
+            ),
+        ],
+        ids=["numpy_only", "eb_and_verify"],
+    )
+    def test_startup_imports_no_scipy(self, argvs, loads_scipy):
+        # p(X), the Theorem-1 constants and the MA(1) asymptote need numpy
+        # only; scipy is imported by the first call that takes a number from it.
+        code = (
+            "import contextlib, io, sys\n"
+            "from gaussdecoup.cli import main\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy')], 'scipy at import'\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        try:\n"
+            "            code = main(argv)\n"
+            "        except SystemExit as exc:\n"
+            "            code = exc.code\n"
+            "    assert code == 0, (argv, code)\n"
+            "print(sorted(m for m in sys.modules if m in ('scipy.special', 'scipy.linalg')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.strip()
+        assert loaded == ("['scipy.linalg', 'scipy.special']" if loads_scipy else "[]")
 
 
 # Each of these used to end in a traceback (exit 1), in a report holding NaN,
@@ -813,6 +862,29 @@ class TestMalformedInput:
         assert "n = 5 exceeds the dense file's size m = 3" in json.dumps(rows)
         if command == "analyze":
             assert rows[0]["log_det"] == pytest.approx(np.log(3.75), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "family, values, n",
+        [
+            ("stationary", "[1e308, 1e308]", 1),
+            ("stationary", "[1e308, 1e308]", 2),
+            ("dense", "[[1e308]]", 1),
+        ],
+    )
+    def test_overflowing_covariance_is_an_error_row(self, family, values, n, tmp_path, capsys):
+        # At n = 1 p*gamma(0) overflows in the shifted diagonal (the refined
+        # constant read -Infinity); at n = 2 the row sum gamma(0) + gamma(1)
+        # does (p_X read Infinity with valid true).
+        path = tmp_path / "big.json"
+        path.write_text(values)
+        argv = ["analyze", "--model", f"{family}:file={path}", "--n", str(n)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            assert run(argv) == 2
+        captured = capsys.readouterr()
+        [row] = json.loads(captured.out)
+        assert "overflows" in row["error"] and "Infinity" not in captured.out
+        assert row["log_constant_refined"] is None and row["constant_refined"] is None
 
     def test_theorem1_rhs_overflow_saturates(self, tmp_path):
         # The log right-hand side passes 709; exp() used to raise OverflowError.
