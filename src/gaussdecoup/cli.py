@@ -25,9 +25,13 @@ b(f) and one Durbin recursion, whose prefix at n is the exact n-th section
 bit for bit, so each row is that n run alone and the sizes of a call cost
 O(n_max^2) together.  The parser is built once per process.
 
-Configuration comes from a JSON file (--config) with flag overrides; flags
-win.  Runs are deterministic given the seed, the BLAS build and the BLAS
-thread count: repeating a run reproduces the report files byte for byte.
+Each setting is a field of ``ScenarioConfig``, whose name is its key in the
+JSON config file (--config) and its flag's ``dest``.  File values are checked
+when the file loads; flags override them.  Without --out the rows go to
+stdout as JSON (examples prints its tables instead); ``--out <base>`` writes
+``<base>.json`` and, for every command but examples, ``<base>.csv``.  Runs
+are deterministic given the seed, the BLAS build and the BLAS thread count:
+repeating a run reproduces the report files byte for byte.
 """
 
 from __future__ import annotations
@@ -136,8 +140,7 @@ class ScenarioConfig:
     functions: list = field(default_factory=lambda: [verify.TestFunctionSpec.indicator(1.0)])
     mc_samples: int = 100_000
     seed: int = 20260809
-    out: str | None = None
-    format: str = "json"
+    output: str | None = None  # report base path; None writes JSON to stdout
     eps: float = 1.0
     jobs: int = 1
     self_test_negate: bool = False
@@ -154,8 +157,6 @@ class ScenarioConfig:
             raise ConfigError("n_list must be ascending")
         if command == "verify" and self.mc_samples < 1000:
             raise ConfigError("mc_samples must be >= 1000 for verify runs")
-        if self.format not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, got {self.format!r}")
         try:
             self.spec = covmodel.parse_model(self.model)
         except GaussDecoupError as exc:
@@ -431,23 +432,18 @@ def _csv_bytes(records: list, columns: list) -> bytes:
 
 
 def _emit(command: str, cfg: ScenarioConfig, records: list) -> None:
-    if cfg.out is None:
-        if command != "examples":
+    """The rows as JSON on stdout, or as <base>.json plus <base>.csv if the command has columns."""
+    if cfg.output is None:
+        if command != "examples":  # examples has printed its tables
             sys.stdout.write(_json_bytes(records).decode())
         return
-    base = Path(cfg.out)
+    base = Path(cfg.output)
     if base.suffix in (".json", ".csv"):
         base = base.with_suffix("")
     base.parent.mkdir(parents=True, exist_ok=True)
+    base.with_suffix(".json").write_bytes(_json_bytes(records))
     columns = _COMMANDS[command].columns
-    if command == "verify":
-        # Records as JSON plus the aggregate CSV, side by side.
-        base.with_suffix(".json").write_bytes(_json_bytes(records))
-        base.with_suffix(".csv").write_bytes(_csv_bytes(records, columns))
-        return
-    if cfg.format == "json" or columns is None:
-        base.with_suffix(".json").write_bytes(_json_bytes(records))
-    else:
+    if columns is not None:
         base.with_suffix(".csv").write_bytes(_csv_bytes(records, columns))
 
 
@@ -469,17 +465,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=command.help)
-        cmd.add_argument("--config", type=str, default=None, help="JSON scenario file")
-        cmd.add_argument("--model", type=str, default=None)
-        cmd.add_argument("--n", type=str, default=None, help="comma-separated dimensions")
-        cmd.add_argument("--p", type=str, default=None, help="auto2pX (default) or a number")
-        cmd.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
-        cmd.add_argument("--eps", type=float, default=None, help="probability box half-width")
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--out", type=str, default=None, help="output base path")
-        cmd.add_argument("--format", type=str, default=None, choices=("json", "csv"))
-        cmd.add_argument("--jobs", type=int, default=None)
+        # A flag not given is absent from the namespace, so it overrides nothing.
+        cmd = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        cmd.add_argument("--config", type=str, help="JSON scenario file; flags override it")
+        cmd.add_argument("--model", type=str)
+        cmd.add_argument("--n", dest="n_list", type=_flag_n_list, help="comma-separated dimensions")
+        cmd.add_argument("--p", dest="p_policy", type=str, help="auto2pX (default) or a number")
+        cmd.add_argument("--samples", dest="mc_samples", type=int, help="Monte Carlo sample count")
+        cmd.add_argument("--eps", type=float, help="probability box half-width")
+        cmd.add_argument("--seed", type=int)
+        cmd.add_argument("--out", dest="output", type=str, help="output base path")
+        cmd.add_argument("--jobs", type=int)
         if name == "verify":
             cmd.add_argument(
                 "--self-test-negate",
@@ -513,76 +509,66 @@ def _file_number(value, name: str, kind=int):
     raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
+def _file_n_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
+    return [_file_number(n, f"{name} entries") for n in value]
+
+
+def _file_functions(value, name: str) -> list:
+    if not (isinstance(value, list) and value):
+        raise ConfigError(f"{name} must be a nonempty list, got {value!r}")
+    try:
+        return [verify.TestFunctionSpec.from_json_dict(item) for item in value]
+    except GaussDecoupError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _file_output(value, name: str):
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{name} must be a path string, got {value!r}")
+    return value
+
+
+# The config-file keys, each a ScenarioConfig field, with the reader that
+# checks its value when the file loads.
+_FILE_READERS = {
+    "model": lambda value, name: value,  # validate parses model and p_policy
+    "n_list": _file_n_list,
+    "p_policy": lambda value, name: value,
+    "functions": _file_functions,
+    "mc_samples": _file_number,
+    "seed": _file_number,
+    "output": _file_output,
+    "eps": functools.partial(_file_number, kind=float),
+    "jobs": _file_number,
+}
+
+
+def _flag_n_list(text: str) -> list:
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError as exc:
+        raise ConfigError(f"--n must be comma-separated integers: {exc}") from exc
+
+
 def make_config(args: argparse.Namespace) -> ScenarioConfig:
-    cfg = ScenarioConfig()
-    if args.config:
-        data = _load_config_file(args.config)
-        known = {
-            "model",
-            "n_list",
-            "p_policy",
-            "functions",
-            "mc_samples",
-            "seed",
-            "output",
-            "format",
-            "eps",
-            "jobs",
-        }
-        unknown = set(data) - known
+    settings = vars(args).copy()
+    del settings["command"]
+    path = settings.pop("config", None)
+    if path:
+        data = _load_config_file(path)
+        unknown = set(data) - set(_FILE_READERS)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        cfg.model = data.get("model", cfg.model)
-        cfg.p_policy = data.get("p_policy", cfg.p_policy)
-        if "functions" in data:
-            fns = data["functions"]
-            if not (isinstance(fns, list) and fns):
-                raise ConfigError(f"functions must be a nonempty list, got {fns!r}")
-            try:
-                cfg.functions = [verify.TestFunctionSpec.from_json_dict(item) for item in fns]
-            except GaussDecoupError as exc:
-                raise ConfigError(f"functions: {exc}") from exc
-        n_list = data.get("n_list", cfg.n_list)
-        if not isinstance(n_list, list):
-            raise ConfigError(f"n_list must be a list of integers, got {n_list!r}")
-        cfg.n_list = [_file_number(n, "n_list entries") for n in n_list]
-        cfg.mc_samples = _file_number(data.get("mc_samples", cfg.mc_samples), "mc_samples")
-        cfg.seed = _file_number(data.get("seed", cfg.seed), "seed")
-        cfg.eps = _file_number(data.get("eps", cfg.eps), "eps", float)
-        cfg.jobs = _file_number(data.get("jobs", cfg.jobs), "jobs")
-        cfg.out = data.get("output", cfg.out)
-        if cfg.out is not None and not isinstance(cfg.out, str):
-            raise ConfigError(f"output must be a path string, got {cfg.out!r}")
-        cfg.format = data.get("format", cfg.format)
-    # Flags override the file.
-    if args.model is not None:
-        cfg.model = args.model
-    if args.n is not None:
-        try:
-            cfg.n_list = [int(tok) for tok in args.n.split(",") if tok]
-        except ValueError as exc:
-            raise ConfigError(f"--n must be comma-separated integers: {exc}") from exc
-    if args.p is not None:
-        cfg.p_policy = args.p
-    if args.samples is not None:
-        cfg.mc_samples = args.samples
-    if args.eps is not None:
-        cfg.eps = args.eps
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    if args.format is not None:
-        cfg.format = args.format
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    cfg.self_test_negate = bool(getattr(args, "self_test_negate", False))
-    return cfg
+        file_settings = {key: _FILE_READERS[key](value, key) for key, value in data.items()}
+        settings = {**file_settings, **settings}  # flags override the file
+    return ScenarioConfig(**settings)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)  # a malformed --n raises ConfigError here
         cfg = make_config(args)
         cfg.validate(args.command)
         records, code = _COMMANDS[args.command].run(cfg)

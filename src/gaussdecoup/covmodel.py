@@ -205,7 +205,8 @@ def _validate_spd(entries: np.ndarray) -> CovarianceMatrix:
         chol, log_det = _cholesky_log_det(entries)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Cholesky failed: {exc}") from exc
-    _check_pivot_floor((np.diag(chol) ** 2).min(), 1e-12 * np.trace(entries) / n)
+    # trace/n summed as diag/n terms: the trace of a huge diagonal overflows.
+    _check_pivot_floor((np.diag(chol) ** 2).min(), 1e-12 * (diag / n).sum())
     return CovarianceMatrix(log_det, entries=_freeze(entries), chol=_freeze(chol))
 
 
@@ -639,9 +640,13 @@ def symbol_from_grid(values) -> SpectralSymbol:
     n = v.size
     scale = max(np.abs(v).max(), 1e-300)
     even = bool(np.abs(v - v[-np.arange(n) % n]).max() <= 1e-12 * scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        d = _grid_coefficients(v, even)
+    if not np.all(np.isfinite(d)):
+        raise NonFiniteInput("the Fourier coefficients of the grid values overflow")
     return SpectralSymbol(
         grid=_freeze(v.copy()),
-        d=_freeze(_grid_coefficients(v, even)),
+        d=_freeze(d),
         K=n // 2,
         strictly_positive=bool(v.min() > 0.0),
         even=even,

@@ -57,6 +57,16 @@ def decoupling_coefficient(C: CovarianceMatrix) -> float:
         return _finite_p(np.abs(C.entries).sum(axis=1) / C.variances)
 
 
+def _autocovariance(gamma) -> np.ndarray:
+    """gamma as a flat float array: NonFiniteInput unless finite, ValueError unless gamma[0] > 0."""
+    gamma = np.asarray(gamma, dtype=float).ravel()
+    if not np.all(np.isfinite(gamma)):
+        raise NonFiniteInput("autocovariance contains NaN or infinity")
+    if gamma.size == 0 or gamma[0] <= 0:
+        raise ValueError("gamma[0] must be strictly positive")
+    return gamma
+
+
 def stationary_decoupling_coefficient(gamma, n: int) -> float:
     """p(X) of the n-section Toeplitz matrix, from gamma alone (no matrix built).
 
@@ -64,11 +74,7 @@ def stationary_decoupling_coefficient(gamma, n: int) -> float:
     prefix-sum scan gives the exact coefficient in O(n). Raises
     NonFiniteInput when a row sum overflows.
     """
-    gamma = np.asarray(gamma, dtype=float).ravel()
-    if not np.all(np.isfinite(gamma)):
-        raise NonFiniteInput("autocovariance contains NaN or infinity")
-    if gamma.size == 0 or gamma[0] <= 0:
-        raise ValueError("gamma[0] must be strictly positive")
+    gamma = _autocovariance(gamma)
     g = np.zeros(n)
     m = min(n, gamma.size)
     g[:m] = np.abs(gamma[:m])
@@ -85,9 +91,7 @@ def stationary_p_bounds(gamma, n: int) -> tuple[float, float]:
     The usable sandwich for the Toeplitz section is S <= p(X) <= 1 + 2S;
     the first row alone already gives p(X) >= 1 + S.
     """
-    gamma = np.asarray(gamma, dtype=float).ravel()
-    if gamma.size == 0 or gamma[0] <= 0:
-        raise ValueError("gamma[0] must be strictly positive")
+    gamma = _autocovariance(gamma)
     m = min(n, gamma.size)
     s = float(np.abs(gamma[1:m]).sum() / gamma[0])
     return s, 2.0 * s

@@ -62,7 +62,7 @@ import numpy as np
 # scipy.special is imported only where erf or betaincinv is taken: start-up stays numpy.
 
 from .covmodel import CovarianceMatrix, from_stationary
-from .decoupling import _exp, corollary1_bound, theorem1_log_constant
+from .decoupling import _autocovariance, _exp, corollary1_bound, theorem1_log_constant
 from .errors import InvalidSpec
 
 # Rows generated per stream; fixes the reduction layout independently of workers.
@@ -793,9 +793,7 @@ def stationary_exponent(gamma) -> float:
     needs; the one-sided sum over k >= 0 does not (1.4 instead of 1.8 for
     ma1:a=0.5).
     """
-    gamma = np.asarray(gamma, dtype=float).ravel()
-    if gamma.size == 0 or gamma[0] <= 0:
-        raise ValueError("gamma[0] must be strictly positive")
+    gamma = _autocovariance(gamma)
     return 1.0 + 2.0 * float(np.abs(gamma[1:]).sum()) / gamma[0]
 
 

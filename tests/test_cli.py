@@ -1,5 +1,7 @@
 """Command-line front end: exit codes, schemas, determinism, scenario tables."""
 
+import argparse
+import dataclasses
 import importlib
 import json
 import math
@@ -38,10 +40,15 @@ class TestConfigHandling:
         cfg.write_text("{not json")
         assert run(["analyze", "--config", str(cfg)]) == 2
 
-    def test_unknown_field_exit_2(self, tmp_path):
+    # "format" was a key until the one output rule replaced it.
+    @pytest.mark.parametrize("config", [{"model": "identity", "n_lst": [3]}, {"format": "json"}])
+    def test_unknown_field_exit_2(self, config, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": "identity", "n_lst": [3]}))
+        cfg.write_text(json.dumps(config))
         assert run(["analyze", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: unknown config fields")
+        assert captured.out == ""
 
     def test_descending_n_list_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -81,6 +88,63 @@ class TestConfigHandling:
         assert any("cosine" in r["function_suite"] for r in rows)
 
 
+class TestOneDeclarationPerSetting:
+    """ScenarioConfig's fields are the config keys and the flags' dests."""
+
+    FIELDS = {f.name for f in dataclasses.fields(cli_module.ScenarioConfig) if f.init}
+
+    def test_every_field_is_a_config_key_with_a_reader(self):
+        assert set(cli_module._FILE_READERS) == self.FIELDS - {"self_test_negate"}
+
+    def test_every_flag_dest_is_a_field(self):
+        [subparsers] = [
+            action
+            for action in cli_module._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        for name, parser in subparsers.choices.items():
+            dests = {action.dest for action in parser._actions} - {"help", "config"}
+            assert dests <= self.FIELDS, name
+
+    def test_format_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", "--model", "identity", "--n", "3", "--format", "csv"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestOneOutputRule:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--model", "ma1:a=0.5", "--n", "3,4"],
+            ["szego", "--model", "ma1:a=0.5", "--n", "3,4"],
+            ["eb", "--model", "ma1:a=0.5", "--n", "2,3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_writes_stdout_json_and_csv(self, argv, tmp_path, capsys):
+        assert run(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "r"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
+        assert out.with_suffix(".json").read_bytes() == printed.encode()
+        columns = cli_module._COMMANDS[argv[0]].columns
+        lines = out.with_suffix(".csv").read_text().splitlines()
+        assert lines[0].split(",") == columns
+        assert len(lines) == 1 + len(json.loads(printed))
+        # Every CSV column is a key of the JSON rows: the CSV loses nothing.
+        assert all(set(columns) <= set(row) for row in json.loads(printed))
+
+    def test_examples_out_writes_json_only(self, tmp_path, capsys):
+        assert run(["examples", "--out", str(tmp_path / "r")]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+        rows = load_json(tmp_path / "r.json")
+        assert {row["model"] for row in rows} == {"inverse_power:r=1", "hilbert"}
+
+
 class TestAnalyze:
     def test_inverse_power_growth_table(self, capsys):
         assert run(["analyze", "--model", "inverse_power:r=1", "--n", "100,1000,10000"]) == 0
@@ -110,10 +174,7 @@ class TestAnalyze:
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "a"
-        assert (
-            run(["analyze", "--model", "identity", "--n", "3", "--format", "csv", "--out", str(out)])
-            == 0
-        )
+        assert run(["analyze", "--model", "identity", "--n", "3", "--out", str(out)]) == 0
         text = out.with_suffix(".csv").read_text()
         header = text.splitlines()[0]
         assert header.startswith("model,n,p_X,p,valid,log_det")
@@ -187,6 +248,18 @@ class TestSzegoCommand:
             assert row["error"] is None
             assert all(row[key] is not None for key in ("G", "b", "asymptote_log"))
             assert row["exact_log_det"] is None and row["ratio"] is None
+
+    @pytest.mark.parametrize("model", ["constant:value=1e308", "grid:file={path}"])
+    def test_overflowing_symbol_clean_error(self, model, tmp_path, capsys):
+        # A grid whose Fourier coefficients overflow is refused as such, with
+        # no numpy warning, not reported as a section that is not positive definite.
+        path = tmp_path / "symbol.csv"
+        path.write_text("1e308\n" * 16)
+        assert run(["szego", "--model", model.format(path=path), "--n", "4"]) == 2
+        captured = capsys.readouterr()
+        [row] = json.loads(captured.out)
+        assert "Fourier coefficients" in row["error"]
+        assert captured.err == ""
 
     def test_nonpositive_symbol_clean_error(self, capsys):
         assert run(["szego", "--model", "ma1:a=1.0", "--n", "4"]) == 2
@@ -805,6 +878,12 @@ class TestMalformedInput:
         assert run(argv + ["--n", "4"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:")
+        assert captured.out == ""
+
+    def test_malformed_n_flag_is_a_config_error(self, capsys):
+        assert run(["analyze", "--model", "identity", "--n", "4,x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --n must be comma-separated integers")
         assert captured.out == ""
 
     def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):

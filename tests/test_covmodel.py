@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import mpmath
 import numpy as np
@@ -136,6 +137,13 @@ class TestBuildDense:
     def test_nan_rejected(self):
         with pytest.raises(NonFiniteInput):
             build_dense([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_huge_diagonal_pivot_floor_does_not_overflow(self):
+        # The trace of this matrix overflows; its mean diagonal does not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            C = build_dense([[1e308, 0.0], [0.0, 1e308]])
+        assert C.log_det == pytest.approx(2.0 * math.log(1e308), rel=1e-15)
 
     def test_entries_read_only(self):
         C = build_dense(np.eye(2))
@@ -353,6 +361,14 @@ class TestSymbolFromGrid:
         values[3] = np.inf
         with pytest.raises(NonFiniteInput):
             symbol_from_grid(values)
+
+    @pytest.mark.parametrize("values", [np.full(16, 1e308), np.full(4096, 1e308)])
+    def test_overflowing_coefficients_rejected(self, values):
+        # Finite grid values whose DFT overflows: refused, with no numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput, match="Fourier coefficients"):
+                symbol_from_grid(values)
 
     def test_odd_length_rejected(self):
         with pytest.raises(InvalidSpec):

@@ -10,6 +10,7 @@ from scipy.linalg import toeplitz
 
 from gaussdecoup import (
     ConditionViolated,
+    NonFiniteInput,
     build_dense,
     corollary1_bound,
     decoupling_bound,
@@ -73,6 +74,11 @@ class TestCoefficient:
 
 
 class TestStationaryBounds:
+    @pytest.mark.parametrize("gamma", [[1.0, np.inf], [1.0, np.nan], [np.nan, 1.0]])
+    def test_nonfinite_gamma_rejected(self, gamma):
+        with pytest.raises(NonFiniteInput):
+            stationary_p_bounds(gamma, 2)
+
     def test_white_noise(self):
         assert stationary_p_bounds([1.0, 0.0, 0.0], 3) == (0.0, 0.0)
         p = stationary_decoupling_coefficient([1.0, 0.0, 0.0], 3)

@@ -17,6 +17,7 @@ from scipy.special import bdtr, bdtrc, erf
 from gaussdecoup import (
     ConditionViolated,
     InvalidSpec,
+    NonFiniteInput,
     TestFunctionSpec,
     build_dense,
     from_stationary,
@@ -367,6 +368,11 @@ class TestVerifyKls:
             assert np.linalg.eigvalsh(C.entries).max() <= stationary_exponent(gamma)
         with pytest.raises(ValueError):
             stationary_exponent([0.0, 1.0])
+
+    @pytest.mark.parametrize("gamma", [[1.0, np.nan], [1.0, -np.inf], [np.inf, 1.0]])
+    def test_exponent_refuses_nonfinite_gamma(self, gamma):
+        with pytest.raises(NonFiniteInput):
+            stationary_exponent(gamma)
 
     def test_ma1_clipped_poly_counterexample(self):
         # The one-sided exponent 1.4 hard-failed here (z about -14).
