@@ -3,8 +3,9 @@
 The matrices {1/(a_k + a_l)} are Gram matrices (integrals of decaying
 exponentials), hence covariances of Gaussian vectors.  With a = (1..n) the
 normalized row sums grow linearly: 2k(H_{n+k} - H_k) -> 2n log 2 at k = n.
-Their determinants are Cauchy determinants, exactly computable and falling
-below double precision already near n = 12 (condition number ~ e^{3.5 n}).
+Their determinants are Cauchy determinants, which the package sums exactly;
+a Cholesky factorization of the matrix fails in double precision from about
+n = 12 (condition number ~ e^{3.5 n}), and is refused where it is read.
 """
 
 import math
@@ -29,10 +30,13 @@ C3 = hilbert_covariance(HilbertSpec(np.array([1.0, 2.0, 3.0])), 3)
 print(f"\ndet(C_3) = {math.exp(C3.log_det):.12e}  (Cauchy formula: 1/43200 = "
       f"{1 / 43200:.12e})")
 
-# Factorization exhausts double precision quickly; the failure is explicit.
+# At n = 16 the determinant is still exact; the factorization is not.
+C16 = hilbert_covariance(HilbertSpec(np.arange(1.0, 17.0)), 16)
+print(f"\nn = 16 Cauchy log det: {C16.log_det:.13f}")
 try:
-    hilbert_covariance(HilbertSpec(np.arange(1.0, 17.0)), 16)
+    C16.chol
 except NotPositiveDefinite as exc:
-    print(f"\nn = 16 factorization: {exc}")
-print("\np(X^n) needs only row sums, so the linear-growth table above keeps")
-print("going long after the determinant leaves float range.")
+    print(f"n = 16 factorization: {exc}")
+print("\np(X^n), log det and both bound constants need no Cholesky of C, so")
+print("`analyze --model hilbert` gives them up to n = 2048; sampling and E_B")
+print("need the Cholesky factor and stop where it fails.")

@@ -217,10 +217,15 @@ def _run_per_n(cfg: ScenarioConfig, fill, error_rows=_error_field) -> tuple[list
 
 
 def _matrix_and_p(cfg: ScenarioConfig, n: int, cap_name: str):
-    """The covariance of dimension n and the exponent p the run uses for it."""
+    """The factored covariance of dimension n and the exponent p the run uses for it.
+
+    eb and verify both need the Cholesky factor, so a matrix whose
+    factorization fails (a Hilbert section from n = 12) is refused here.
+    """
     if n > covmodel.MATRIX_N_CAP:
         raise ConfigError(f"n={n} exceeds the {cap_name} cap {covmodel.MATRIX_N_CAP}")
     C = cfg.spec.covariance(n)
+    C.chol  # formed (or refused) before p is read
     return C, cfg.resolve_p(decoupling.decoupling_coefficient(C))
 
 
@@ -301,7 +306,6 @@ def cmd_verify(cfg: ScenarioConfig) -> tuple[list, int]:
         kls_exp = None if kls_g is None else verify.stationary_exponent(kls_g)
         fns = [cfg.functions[i % len(cfg.functions)] for i in range(n)]
         decoupling.theorem1_log_constant(C, p)  # a p below 2 p(X) fails before sampling
-        C.chol  # so does a failed factorization
         # The KLS section is C / gamma(0), so its draws are these divided by
         # sqrt(gamma(0)), evaluated last.
         functionals = [(fns, 1.0), ([verify.TestFunctionSpec.indicator(cfg.eps)] * n, 1.0)]
@@ -441,10 +445,11 @@ def _emit(command: str, cfg: ScenarioConfig, records: list) -> None:
     if base.suffix in (".json", ".csv"):
         base = base.with_suffix("")
     base.parent.mkdir(parents=True, exist_ok=True)
-    base.with_suffix(".json").write_bytes(_json_bytes(records))
+    # Any other suffix is kept: "run.v2" writes run.v2.json.
+    Path(f"{base}.json").write_bytes(_json_bytes(records))
     columns = _COMMANDS[command].columns
     if columns is not None:
-        base.with_suffix(".csv").write_bytes(_csv_bytes(records, columns))
+        Path(f"{base}.csv").write_bytes(_csv_bytes(records, columns))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ Builders for the covariance families used throughout the package:
 - finite moving averages ``X_k = sum_m c_m xi_{k-m}`` of i.i.d. standard
   Gaussian innovations, the sparse family (unit c at +-m, m in A) among them,
 - the inverse-power family ``c_m = |m|^{-r}``, closed form at ``r = 1``,
-- Hilbert-type matrices ``{1/(a_k + a_l)}`` (Cauchy/Gram structure).
+- Hilbert-type matrices ``{1/(a_k + a_l)}``, kept as the sequence a: log det
+  is the Cauchy determinant and p(X) reads the row sums of the same O(n^2)
+  pass, so no n x n array is formed unless entries or chol are read.
 
 Also houses the spectral-symbol representation: a 2*pi-periodic non-negative
 function sampled on a uniform grid over ``[-pi, pi)`` together with its
@@ -58,6 +60,8 @@ MATRIX_N_CAP = 2048
 # Side of the tiles in which _validate_spd compares e with its transpose: 128
 # beat 32..192 at n = 256, 1024 and 2048 (Hilbert, one BLAS thread).
 _SYMMETRY_TILE = 128
+# Rows per block of the Cauchy log-determinant pass over a Hilbert-type matrix.
+_CAUCHY_BLOCK = 256
 # Lags per block of inverse_power_gamma_sequence's one-sided sums.
 _LAG_BLOCK = 256
 # Default number of grid points (2K) for spectral symbols.
@@ -80,19 +84,23 @@ PI_SQUARED_OVER_3 = np.pi**2 / 3.0
 class CovarianceMatrix:
     """Validated symmetric positive-definite covariance matrix.
 
-    A dense covariance (``build_dense``, the Hilbert family) is validated and
-    factored by Cholesky when built. A stationary section (``from_stationary``)
-    is kept as its first row ``gamma`` and validated by Durbin's recursion in
-    O(n^2) time and O(n) memory; its ``entries`` and ``chol`` are formed only
-    when first read (sampling, E_B), and are then the same arrays, bit for
-    bit, that the dense builder gives for that Toeplitz matrix.
+    A dense covariance (``build_dense``) is validated and factored by
+    Cholesky when built. A stationary section (``from_stationary``) is kept
+    as its first row ``gamma`` and validated by Durbin's recursion in O(n^2)
+    time and O(n) memory; its ``entries`` and ``chol`` are formed only when
+    first read (sampling, E_B), and are then the same arrays, bit for bit,
+    that the dense builder gives for that Toeplitz matrix. A Hilbert-type
+    covariance (``hilbert_covariance``) is kept as its sequence a, with its
+    ``entries`` and ``chol`` formed the same way; the first read of ``chol``
+    runs the dense builder's checks and may refuse the matrix.
 
     Attributes
     ----------
     log_det : float
         log det of the matrix: ``2 * sum(log(diag(chol)))`` for a dense
         covariance, the sum of the logs of Durbin's prediction-error
-        variances for a stationary one.
+        variances for a stationary one, the Cauchy determinant for a
+        Hilbert-type one.
     gamma : (n,) ndarray or None
         gamma(0..n-1), the first row of a stationary section; None if dense.
     entries : (n, n) ndarray
@@ -508,12 +516,12 @@ class HilbertSpec:
         object.__setattr__(self, "a", _freeze(a))
 
 
-def hilbert_covariance(spec: HilbertSpec, n: int) -> CovarianceMatrix:
-    """Hilbert-type covariance entries[k][l] = 1/(a_k + a_l)."""
-    if spec.a.size < n:
-        raise InvalidSpec(f"spec has {spec.a.size} terms, need at least n = {n}")
-    a = spec.a[:n]
-    entries = 1.0 / (a[:, None] + a[None, :])
+def _hilbert_entries(a: np.ndarray) -> np.ndarray:
+    return 1.0 / (a[:, None] + a[None, :])
+
+
+def _validated_hilbert(entries: np.ndarray) -> CovarianceMatrix:
+    """The dense builder's checks on {1/(a_k + a_l)}, with the Hilbert refusal."""
     try:
         return _validate_spd(entries)
     except NotPositiveDefinite as exc:
@@ -523,6 +531,90 @@ def hilbert_covariance(spec: HilbertSpec, n: int) -> CovarianceMatrix:
             f"{exc}; condition number beyond double precision "
             "(nearly equal a's degrade rank)"
         ) from exc
+
+
+def _cauchy_log_det(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """log det {1/(a_k + a_l)} from the Cauchy determinant, and the row sums.
+
+    det = prod_{k<l} (a_l - a_k)^2 / prod_{k,l} (a_k + a_l), so
+    log det = sum_{k,l} log((|a_k - a_l| + delta_kl) / (a_k + a_l)): n^2
+    logs of ratios rounded once each, with no factorization. It runs over
+    blocks of 256 rows: each block adds its diagonal square and twice the
+    part right of it (about n^2/2 logs), and sums its whole rows of
+    1/(a_k + a_l) in the order numpy sums a dense row, so the row sums equal
+    ``np.abs(entries).sum(axis=1)`` bit for bit. O(n^2) time, O(256 n) memory.
+    """
+    n = a.size
+    log_det = 0.0
+    row_sums = np.empty(n)
+    for lo in range(0, n, _CAUCHY_BLOCK):
+        hi = min(lo + _CAUCHY_BLOCK, n)
+        column = a[lo:hi, None]
+        sums = column + a
+        with np.errstate(over="ignore"):  # decoupling refuses an overflowing row sum
+            row_sums[lo:hi] = (1.0 / sums).sum(axis=1)
+        gaps = np.abs(column - a[lo:hi])
+        np.fill_diagonal(gaps, 1.0)
+        log_det += float(np.log(gaps / sums[:, lo:hi]).sum())
+        log_det += 2.0 * float(np.log((a[hi:] - column) / sums[:, hi:]).sum())
+    return log_det, _freeze(row_sums)
+
+
+class _CauchyMatrix(CovarianceMatrix):
+    """The Hilbert-type covariance {1/(a_k + a_l)}, kept as the sequence a.
+
+    ``log_det`` and ``row_sums`` (the absolute row sums, which give p(X))
+    come from one ``_cauchy_log_det`` pass; ``entries`` and ``chol`` are
+    formed on first read. The first read of ``chol`` runs the dense
+    builder's checks and pivot floor, and raises ``NotPositiveDefinite``
+    where the factorization fails in double precision (n >= 12 for
+    a_i = i); the exact log det stands either way.
+    """
+
+    def __init__(self, a: np.ndarray):
+        log_det, row_sums = _cauchy_log_det(a)
+        fields = self.__dict__  # frozen: __setattr__ refuses every write
+        fields.update(log_det=log_det, gamma=None, a=a, row_sums=row_sums)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return _freeze(_hilbert_entries(self.a))
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        return _validated_hilbert(self.entries).chol
+
+    @property
+    def n(self) -> int:
+        return self.a.size
+
+    @property
+    def variances(self) -> np.ndarray:
+        return 1.0 / (self.a + self.a)  # diag(entries), bit for bit
+
+
+def hilbert_covariance(spec: HilbertSpec, n: int) -> CovarianceMatrix:
+    """Hilbert-type covariance entries[k][l] = 1/(a_k + a_l), kept as a[:n].
+
+    log det is the exact Cauchy determinant and p(X) reads its row sums,
+    with no n x n array; ``entries`` and ``chol`` are formed on first read,
+    and reading ``chol`` raises NotPositiveDefinite where the dense
+    Cholesky fails or falls below the pivot floor.
+
+    Raises
+    ------
+    InvalidSpec, NonPositiveDiagonal
+    """
+    if spec.a.size < n:
+        raise InvalidSpec(f"spec has {spec.a.size} terms, need at least n = {n}")
+    a = spec.a[:n]
+    with np.errstate(over="ignore"):
+        variances = 1.0 / (a + a)
+    if not (variances[-1] > 0 and math.isfinite(variances[0])):
+        # 2 a_n or 1/(2 a_1) overflows: the dense checks refuse it, as they always have.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _validated_hilbert(_hilbert_entries(a))
+    return _CauchyMatrix(a)
 
 
 # ---------------------------------------------------------------------------

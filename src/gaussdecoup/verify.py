@@ -62,7 +62,7 @@ import numpy as np
 # scipy.special is imported only where erf or betaincinv is taken: start-up stays numpy.
 
 from .covmodel import CovarianceMatrix, from_stationary
-from .decoupling import _autocovariance, _exp, corollary1_bound, theorem1_log_constant
+from .decoupling import _autocovariance, _exp, _lag_sum, corollary1_bound, theorem1_log_constant
 from .errors import InvalidSpec
 
 # Rows generated per stream; fixes the reduction layout independently of workers.
@@ -791,10 +791,10 @@ def stationary_exponent(gamma) -> float:
     It bounds the largest eigenvalue of every correlation section of the
     stationary process, which is what the stationary decoupling inequality
     needs; the one-sided sum over k >= 0 does not (1.4 instead of 1.8 for
-    ma1:a=0.5).
+    ma1:a=0.5). Raises NonFiniteInput where the sum overflows.
     """
     gamma = _autocovariance(gamma)
-    return 1.0 + 2.0 * float(np.abs(gamma[1:]).sum()) / gamma[0]
+    return 1.0 + 2.0 * _lag_sum(gamma, gamma.size)
 
 
 def verify_kls(

@@ -18,8 +18,10 @@ import pytest
 
 from gaussdecoup import CovarianceMatrix, ma1_symbol, theorem2_constant
 from gaussdecoup import cli as cli_module
+from gaussdecoup import covmodel as covmodel_module
 from gaussdecoup import verify as verify_module
 from gaussdecoup.cli import main
+from oracles import cauchy_log_det_progression
 
 DATA = Path(__file__).parent / "data"
 # Subprocesses import the package from this checkout's src/.
@@ -138,6 +140,19 @@ class TestOneOutputRule:
         # Every CSV column is a key of the JSON rows: the CSV loses nothing.
         assert all(set(columns) <= set(row) for row in json.loads(printed))
 
+    @pytest.mark.parametrize(
+        "out, names",
+        [
+            ("run.v2", ["run.v2.csv", "run.v2.json"]),
+            ("run.json", ["run.csv", "run.json"]),
+            ("run.csv", ["run.csv", "run.json"]),
+        ],
+    )
+    def test_out_keeps_other_suffixes(self, out, names, tmp_path):
+        # Only a trailing .json or .csv is stripped; any other suffix is kept.
+        assert run(["analyze", "--model", "identity", "--n", "2", "--out", str(tmp_path / out)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
     def test_examples_out_writes_json_only(self, tmp_path, capsys):
         assert run(["examples", "--out", str(tmp_path / "r")]) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
@@ -187,14 +202,18 @@ class TestAnalyze:
         assert len(rows) == 2
         assert all(r["error"] is not None for r in rows)
 
-    def test_hilbert_note_beyond_float_range(self, capsys):
-        # Large Hilbert sections: p(X) succeeds, determinant fields are
-        # honestly unavailable (matrix numerically singular at double
-        # precision), and the run is still exit 0.
-        assert run(["analyze", "--model", "hilbert", "--n", "40"]) == 0
-        row = json.loads(capsys.readouterr().out)[0]
-        assert row["error"] is None and row["note"] is not None
-        assert row["log_det"] is None and row["p_X"] > 0
+    def test_hilbert_rows_exact_past_the_cholesky(self, capsys):
+        # From n = 12 the dense Cholesky fails; the Cauchy determinant and
+        # the low-rank shifted determinant give every field.
+        assert run(["analyze", "--model", "hilbert", "--n", "10,40,256,512,1024,2048"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        for row in rows:
+            assert row["error"] is None and row["note"] is None and row["valid"] is True
+            expected = cauchy_log_det_progression(1.0, 1.0, row["n"])
+            assert row["log_det"] == pytest.approx(expected, rel=1e-12)
+            assert math.isfinite(row["log_constant_generic"])
+            assert row["log_constant_refined"] <= row["log_constant_generic"]
+        assert rows[0]["log_det"] == pytest.approx(-133.3917600639062, rel=1e-13)
 
     def test_overflowing_constant_is_inf_not_a_crash(self, capsys):
         # The generic constant exceeds the float range here; the log-space
@@ -645,6 +664,72 @@ class TestBlasThreadKey:
             assert out.with_suffix(suffix).read_bytes() == golden
 
 
+class TestHilbertRowsStayVectors:
+    """A Hilbert analyze row runs no O(n^3) factorization and forms no n x n array."""
+
+    def test_no_dense_form(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense n x n form was computed")
+
+        cholesky = np.linalg.cholesky
+
+        def small_cholesky(a):
+            if a.shape[-1] > 64:
+                raise AssertionError(f"O(n^3) Cholesky of a {a.shape} matrix")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", small_cholesky)
+        monkeypatch.setattr(covmodel_module._CauchyMatrix, "entries", property(refuse))
+        monkeypatch.setattr(covmodel_module._CauchyMatrix, "chol", property(refuse))
+        tracemalloc.start()
+        try:
+            code = run(["analyze", "--model", "hilbert", "--n", "2048"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        row = json.loads(capsys.readouterr().out)[0]
+        assert code == 0 and row["error"] is None and row["note"] is None
+        fields = ("log_det", "log_constant_generic", "log_constant_refined")
+        assert all(math.isfinite(row[field]) for field in fields)
+        # One 2048 x 2048 float array is 33.5 MB; the Cauchy pass keeps 256-row blocks.
+        assert peak < 16e6
+
+
+class TestHilbertRefusalPoint:
+    """eb and verify refuse a Hilbert section whose Cholesky fails where they read the factor."""
+
+    # The dense builder's refusal at n = 12, from the Cholesky factor.
+    N12 = (
+        "smallest Cholesky pivot 2.538e-14 at or below threshold 1.293e-13 (1e-12 * trace/n); "
+        "condition number beyond double precision (nearly equal a's degrade rank)"
+    )
+
+    def test_eb_report_unchanged(self, capsys):
+        assert run(["eb", "--model", "hilbert", "--n", "3,6,11,12,40"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.encode() == (DATA / "golden_eb_hilbert_refused.json").read_bytes()
+
+    def test_verify_refuses_n12_in_place(self, capsys):
+        assert run(["verify", "--model", "hilbert", "--n", "8,12", "--samples", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = json.loads(captured.out)
+        assert [(row["n"], row["function_suite"]) for row in rows] == [
+            (8, "khatri_sidak:lower"),
+            (8, "khatri_sidak:upper"),
+            (8, "theorem1:indicator(1)"),
+            (12, "error"),
+        ]
+        assert rows[-1]["verdict"] == f"error: {self.N12}"
+        assert all(row["verdict"] == "pass" for row in rows[:3])
+        # The n = 8 rows are sampled from the Cholesky factor; their bounds read
+        # the Cauchy log det.
+        assert rows[0]["lhs"] == 0.787293567553984 and rows[0]["rhs"] == 0.842
+        assert rows[1]["rhs"] == pytest.approx(69.43183312961217, rel=1e-12)
+        assert rows[2]["rhs"] == pytest.approx(69.43183312961204, rel=1e-12)
+
+
 class TestStationaryRowsStayVectors:
     """Stationary analyze and szego rows never form an n x n array."""
 
@@ -783,6 +868,7 @@ class TestExamplesCommand:
                 [
                     ["analyze", "--model", "ma1:a=0.5", "--n", "64"],
                     ["analyze", "--model", "hilbert", "--n", "10"],
+                    ["analyze", "--model", "hilbert", "--n", "40"],
                     ["szego", "--model", "ma1:a=0.5", "--n", "64"],
                     ["--help"],
                 ],

@@ -44,6 +44,7 @@ from gaussdecoup.covmodel import (
     clausen_cos,
 )
 from gaussdecoup.verify import sample_gaussian
+from oracles import cauchy_log_det_progression
 
 
 def tridiag_det(d0: float, d1: float, n: int) -> float:
@@ -277,9 +278,58 @@ class TestHilbert:
 
     def test_nearly_equal_entries_degenerate(self):
         a = 1.0 + 1e-14 * np.arange(6)
+        C = hilbert_covariance(HilbertSpec(a), 6)
         with pytest.raises(NotPositiveDefinite) as excinfo:
-            hilbert_covariance(HilbertSpec(a), 6)
+            C.chol
         assert "condition" in str(excinfo.value)
+
+    def test_kept_as_its_sequence(self):
+        # log det and p(X) come from a; the matrix is formed only when read.
+        a = np.arange(1.0, 41.0)
+        C = hilbert_covariance(HilbertSpec(a), 40)
+        assert C.n == 40 and decoupling_coefficient(C) > 0
+        assert "entries" not in C.__dict__ and "chol" not in C.__dict__
+        assert np.array_equal(C.entries, 1.0 / (a[:, None] + a[None, :]))
+        assert np.array_equal(C.variances, np.diag(C.entries))
+        with pytest.raises(NotPositiveDefinite, match="condition number beyond double precision"):
+            C.chol
+
+    def test_row_sums_are_the_dense_row_sums(self):
+        # p(X) is bit for bit the dense route's, on both sides of a block edge.
+        for n in (11, 300):
+            a = np.cumsum(np.random.default_rng(n).uniform(0.1, 2.0, n))
+            C = hilbert_covariance(HilbertSpec(a), n)
+            dense = np.abs(C.entries).sum(axis=1) / np.diag(C.entries)
+            assert decoupling_coefficient(C) == dense.max()
+
+    def test_overflowing_sequences_refused_as_before(self):
+        # 2 a_n overflows: a zero diagonal entry. 1/(2 a_1) overflows: the pivot floor.
+        with pytest.raises(NonPositiveDiagonal, match="min = 0.000e"):
+            hilbert_covariance(HilbertSpec([1e307, 1e308]), 2)
+        with pytest.raises(NotPositiveDefinite, match="threshold inf"):
+            hilbert_covariance(HilbertSpec([1e-310, 1.0]), 2)
+
+    # Dyadic a_1 and d keep every a_k exact, so the oracle's progression is the matrix's.
+    @settings(max_examples=30, deadline=None)
+    @given(
+        a1=st.integers(1, 1600).map(lambda k: k / 16.0),
+        d=st.integers(1, 1600).map(lambda k: k / 16.0),
+        n=st.integers(1, 2048),
+    )
+    def test_cauchy_log_det_matches_progression_closed_form(self, a1, d, n):
+        C = hilbert_covariance(HilbertSpec(a1 + d * np.arange(n)), n)
+        assert C.log_det == pytest.approx(cauchy_log_det_progression(a1, d, n), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 10, 11, 40])
+    def test_cauchy_log_det_matches_mpmath(self, n):
+        with mpmath.workdps(250):
+            H = mpmath.matrix(n, n)
+            for k in range(n):
+                for l in range(n):
+                    H[k, l] = mpmath.mpf(1) / (k + l + 2)
+            expected = float(mpmath.log(mpmath.det(H)))
+        C = parse_model("hilbert").covariance(n)
+        assert C.log_det == pytest.approx(expected, rel=1e-15)
 
 
 class TestSparseSupport:

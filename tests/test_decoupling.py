@@ -10,12 +10,15 @@ from scipy.linalg import toeplitz
 
 from gaussdecoup import (
     ConditionViolated,
+    CovarianceMatrix,
+    HilbertSpec,
     NonFiniteInput,
     build_dense,
     corollary1_bound,
     decoupling_bound,
     decoupling_coefficient,
     from_stationary,
+    hilbert_covariance,
     inverse_power_gamma_sequence,
     parse_model,
     refined_constant,
@@ -78,6 +81,11 @@ class TestStationaryBounds:
     def test_nonfinite_gamma_rejected(self, gamma):
         with pytest.raises(NonFiniteInput):
             stationary_p_bounds(gamma, 2)
+
+    def test_overflowing_sum_rejected(self):
+        # A finite gamma whose |gamma| sum overflows.
+        with pytest.raises(NonFiniteInput, match="overflows"):
+            stationary_p_bounds([1.0, 1e308, 1e308], 3)
 
     def test_white_noise(self):
         assert stationary_p_bounds([1.0, 0.0, 0.0], 3) == (0.0, 0.0)
@@ -230,6 +238,74 @@ class TestStationaryRoutes:
         C = from_stationary([1.0, 0.5], 64)
         with pytest.raises(ConditionViolated):
             refined_constant(C, 1.5)
+
+
+def _only_small_cholesky(mp: pytest.MonkeyPatch) -> None:
+    """Make np.linalg.cholesky refuse every matrix larger than 64 x 64."""
+    cholesky = np.linalg.cholesky
+
+    def small(a):
+        if a.shape[-1] > 64:
+            raise AssertionError(f"O(n^3) Cholesky of a {a.shape} matrix")
+        return cholesky(a)
+
+    mp.setattr(np.linalg, "cholesky", small)
+
+
+class TestCauchyRoute:
+    """The low-rank determinant of p*I(var) - C for a Hilbert-type C against a dense Cholesky."""
+
+    @staticmethod
+    def _check(a, mult):
+        C = hilbert_covariance(HilbertSpec(a), a.size)
+        p = mult * decoupling_coefficient(C)
+        # The same matrix and log det, held dense: refined_constant takes the Cholesky route.
+        dense = refined_constant(CovarianceMatrix(C.log_det, entries=C.entries), p)
+        with pytest.MonkeyPatch.context() as mp:
+            _only_small_cholesky(mp)
+            low_rank = refined_constant(C, p)
+        assert low_rank.log_value == pytest.approx(dense.log_value, rel=1e-12)
+        assert low_rank.log_generic == dense.log_generic
+        assert low_rank.log_value <= low_rank.log_generic + 1e-12 * abs(low_rank.log_generic)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 256),
+        a1=st.floats(0.01, 10.0),
+        mult=st.sampled_from([2.0, 3.0]),
+    )
+    def test_random_increasing_sequence(self, seed, n, a1, mult):
+        steps = np.random.default_rng(seed).uniform(0.05, 5.0, n - 1)
+        self._check(a1 + np.concatenate([[0.0], np.cumsum(steps)]), mult)
+
+    @pytest.mark.parametrize("mult", [2.0, 3.0])
+    @pytest.mark.parametrize("n", [256, 2048])
+    def test_hilbert_family(self, n, mult):
+        self._check(np.arange(1.0, n + 1.0), mult)
+
+    def test_spread_past_the_rank_cap_takes_the_dense_route(self):
+        # a_k = 1.2^k spans 20 decades: the correlation has no rank-64 form.
+        a = 1.2 ** np.arange(128)
+        C = hilbert_covariance(HilbertSpec(a), a.size)
+        p = 2.0 * decoupling_coefficient(C)
+        dense = refined_constant(CovarianceMatrix(C.log_det, entries=C.entries), p)
+        assert refined_constant(C, p).log_value == dense.log_value
+
+    @pytest.mark.parametrize(
+        "mult, message",
+        [(0.01, "not positive definite"), (1.5, "violates p >= 2\\*p\\(X\\)")],
+        ids=["not_pd", "pd"],
+    )
+    def test_below_twice_p_x_keeps_the_dense_outcomes(self, mult, message):
+        # At p = 0.01 p(X) < 1 the diagonal p var - var is negative; at 1.5 p(X)
+        # (above ||R|| <= p(X)) the matrix is positive definite and the hypothesis check refuses p.
+        C = parse_model("hilbert").covariance(40)
+        p = mult * decoupling_coefficient(C)
+        dense = CovarianceMatrix(C.log_det, entries=C.entries)
+        for matrix in (C, dense):
+            with pytest.raises(ConditionViolated, match=message):
+                refined_constant(matrix, p)
 
 
 class TestCorollary1:

@@ -374,6 +374,11 @@ class TestVerifyKls:
         with pytest.raises(NonFiniteInput):
             stationary_exponent(gamma)
 
+    def test_exponent_refuses_overflowing_sum(self):
+        # A finite gamma whose |gamma| sum overflows.
+        with pytest.raises(NonFiniteInput, match="overflows"):
+            stationary_exponent([1.0, 1e308, 1e308])
+
     def test_ma1_clipped_poly_counterexample(self):
         # The one-sided exponent 1.4 hard-failed here (z about -14).
         f = TestFunctionSpec.bounded_poly((1.0, 0.3), clip=2.0)
