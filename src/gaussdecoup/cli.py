@@ -166,6 +166,8 @@ class ScenarioConfig:
             raise ConfigError(f"eps must be a positive finite number, got {self.eps!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
 
     def resolve_p(self, p_x: float) -> float:
         return 2.0 * p_x if self.p_fixed is None else self.p_fixed
@@ -506,7 +508,8 @@ def _file_number(value, name: str, kind=int):
     """A config-file value as an int (whole numbers only) or a float (not NaN)."""
     try:
         number = kind(value)
-        if number == float(value) and not isinstance(value, bool):
+        # A JSON integer is exact; float() would round one past 2**53.
+        if not isinstance(value, bool) and (isinstance(value, int) or number == float(value)):
             return number
     except (TypeError, ValueError, OverflowError):
         pass

@@ -25,10 +25,19 @@ same dot product as in Z L^T, though for this operand order BLAS may round
 it differently in the last bit.  Each pass draws its normals on a one-worker
 executor, stream after stream, into one stream buffer, in chunks of 2^20
 values that run in order and are bit for bit the one draw; numpy releases
-the GIL while it fills them.  The calling thread waits only for the chunks a
-block reads, and makes every GEMM itself, unchunked, so the reproducibility
-key does not change; the next stream is drawn while it evaluates the last
-block of the current one.
+the GIL while it fills them.  The calling thread makes every GEMM in column
+panels of 8192 samples, the last panel taking the remainder (8192-16383
+columns, or the whole of a shorter stream), each panel waiting only for the
+chunks it reads; the next stream's chunks are queued as the last factor's
+panels free the values they overwrite.  The panels depend on the stream
+size alone, never on timing, so the reproducibility key is still the seed,
+the BLAS build and the BLAS thread count.  The width is fixed, never derived
+from n or the chunk size: on OpenBLAS 0.3.31 (Haswell kernel) at 1 and 2
+threads, with random dense factors, 8192-column panels round exactly as the
+unpanelled product at every n = 1..129 and at 150, 192, 255..257, 300, 511,
+512 and 700, while panels of 2^20 / n columns differ in tens to hundreds of
+entries from n = 18, and so does a 1-column tail at n >= 511, which numpy
+sends to GEMV.
 
 Every functional of a point is evaluated on that block: the theorem1
 product, the box indicators and, for a stationary model, the KLS product,
@@ -69,6 +78,8 @@ from .errors import InvalidSpec
 _STREAM_ROWS = 1 << 16
 # Normals per fill of the drawing thread, and its name prefix.
 _DRAW_CHUNK = 1 << 20
+# Samples per GEMM panel; the last panel of a stream takes the remainder.
+_PANEL_ROWS = 1 << 13
 _DRAW_THREAD = "gaussdecoup-normals"
 
 _GH_POINTS = 201
@@ -237,7 +248,11 @@ class TestFunctionSpec:
 
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(stream,))
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        # Masking would key two seeds to one stream of draws.
+        raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -263,10 +278,13 @@ def _stream_blocks(factors, n_samples: int, seed: int):
 
     A one-worker executor draws the normals into one stream buffer z, as
     standard_normal(out=...) fills of _DRAW_CHUNK values run in order, bit
-    for bit the one draw.  Each GEMM waits only for the chunks it reads (a
-    draw error is raised again here) and runs here, unchunked.  The next
-    stream is queued after a stream's last GEMM, so it is drawn while the
-    caller evaluates that block.
+    for bit the one draw.  Each x is multiplied here in column panels of
+    _PANEL_ROWS samples, the last one taking the remainder; a panel waits
+    only for the fills it reads (a draw error is raised again here), so the
+    GEMMs start while the stream is still drawn.  After each panel of a
+    stream's last factor, the next stream's fills whose values that factor
+    has read are queued; the rest follow its last panel.  The panels depend
+    on the stream size alone, never on timing.
     """
     width = max(L.shape[0] for L in factors)
     sizes = _stream_sizes(n_samples)
@@ -274,26 +292,38 @@ def _stream_blocks(factors, n_samples: int, seed: int):
     buf = np.empty_like(z)
     pool = ThreadPoolExecutor(1, thread_name_prefix=_DRAW_THREAD)
 
-    def draw(stream: int) -> list:
+    def fills(stream: int) -> list:
+        """The stream's standard_normal(out=...) fills as (end, submit), in order."""
         gen = _stream_rng(seed, stream)
         total = sizes[stream] * width
+        starts = range(0, total, _DRAW_CHUNK)
         return [
-            pool.submit(gen.standard_normal, out=z[a : min(a + _DRAW_CHUNK, total)])
-            for a in range(0, total, _DRAW_CHUNK)
+            (b, functools.partial(pool.submit, gen.standard_normal, out=z[a:b]))
+            for a, b in zip(starts, [*starts[1:], total])
         ]
 
     try:
-        chunks = draw(0)
+        chunks = [submit() for _, submit in fills(0)]
         for stream, size in enumerate(sizes):
+            edges = [*range(0, max(size // _PANEL_ROWS, 1) * _PANEL_ROWS, _PANEL_ROWS), size]
+            following = fills(stream + 1) if stream + 1 < len(sizes) else []
+            queued = []
             for k, L in enumerate(factors):
                 n = L.shape[0]
-                for chunk in chunks[: -(-size * n // _DRAW_CHUNK)]:
-                    chunk.result()
                 x = buf[: n * size].reshape(n, size)
-                np.matmul(L, z[: size * n].reshape(size, n).T, out=x)
-                if k == len(factors) - 1 and stream + 1 < len(sizes):
-                    chunks = draw(stream + 1)
+                zt = z[: size * n].reshape(size, n).T
+                for a, b in zip(edges, edges[1:]):
+                    for chunk in chunks[: -(-b * n // _DRAW_CHUNK)]:
+                        chunk.result()
+                    np.matmul(L, zt[:, a:b], out=x[:, a:b])
+                    if k == len(factors) - 1:
+                        # The last factor has read z[: b * n]; after its last panel, all of z.
+                        read = b * n if b < size else z.size
+                        while following and following[0][0] <= read:
+                            _, submit = following.pop(0)
+                            queued.append(submit())
                 yield k, x
+            chunks = queued
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -16,8 +16,8 @@ package against independent routes.
 - ``toeplitz_section``: the dense n x n section of a spectral symbol, next to
   the package's O(n^2) recursion that never forms it.
 - ``stream_blocks``: verify's stream blocks drawn and multiplied on one
-  thread, next to the package's generator whose normals a helper thread
-  draws while the caller evaluates.
+  thread, each in one unpanelled GEMM, next to the package's generator
+  whose normals a helper thread draws while the caller multiplies panels.
 - ``cauchy_log_det_progression``: log det {1/(a_k + a_l)} for an arithmetic
   progression a_k = a_1 + (k-1) d in O(n), next to the package's O(n^2)
   Cauchy sum.

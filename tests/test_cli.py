@@ -36,6 +36,16 @@ def load_json(path):
     return json.loads(Path(path).read_text())
 
 
+def _verify_with_seed(seed: int, source: str, tmp_path) -> list:
+    """A small verify argument vector taking ``seed`` from the flag or a config file."""
+    argv = ["verify", "--model", "identity", "--n", "2", "--samples", "1000"]
+    if source == "flag":
+        return [*argv, "--seed", str(seed)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": seed}))
+    return [*argv, "--config", str(cfg)]
+
+
 class TestConfigHandling:
     def test_bad_json_config_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -59,6 +69,22 @@ class TestConfigHandling:
 
     def test_verify_needs_samples_exit_2(self):
         assert run(["verify", "--model", "identity", "--n", "3", "--samples", "10"]) == 2
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 5])
+    def test_seed_out_of_range_exit_2(self, seed, source, tmp_path, capsys):
+        # Philox takes a 64-bit key: 2**64 + 5 would draw the samples of seed 5.
+        assert run(_verify_with_seed(seed, source, tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: seed must satisfy 0 <= seed < 2**64, got {seed}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_still_run(self, seed, source, tmp_path, capsys):
+        assert run(_verify_with_seed(seed, source, tmp_path)) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert rows and all(row["seed"] == seed for row in rows)
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -632,6 +658,21 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(results))
 """
 
+# Hashes the panelled stream blocks and the serial oracle's at the montecarlo
+# benchmark's shape (n = 16, 64, 128; 100000 samples, two streams), with the
+# dense factors of an equicorrelated model.
+_RUN_BENCHMARK_SHAPE = """
+import hashlib, json
+from gaussdecoup import from_stationary, verify
+from oracles import stream_blocks
+factors = [from_stationary([1.0] + [0.5] * (n - 1), n).chol for n in (16, 64, 128)]
+n_samples = verify._STREAM_ROWS + 34_464
+print(json.dumps([
+    [[k, hashlib.sha256(x).hexdigest()] for k, x in blocks(factors, n_samples, 7)]
+    for blocks in (verify._stream_blocks, stream_blocks)
+]))
+"""
+
 
 class TestBlasThreadKey:
     """The verify goldens hold at 1 and at 2 BLAS threads.
@@ -662,6 +703,18 @@ class TestBlasThreadKey:
         for suffix in (".json", ".csv"):
             golden = (DATA / f"golden_verify{suffix}").read_bytes()
             assert out.with_suffix(suffix).read_bytes() == golden
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_panelled_blocks_at_the_benchmark_shape(self, threads):
+        tests = str(Path(__file__).resolve().parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_BENCHMARK_SHAPE],
+            env=dict(SRC_ENV, PYTHONPATH=SRC_ENV["PYTHONPATH"] + os.pathsep + tests,
+                     OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, check=True, timeout=300,
+        )
+        panelled, serial = json.loads(proc.stdout)
+        assert len(panelled) == 6 and panelled == serial
 
 
 class TestHilbertRowsStayVectors:

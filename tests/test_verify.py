@@ -124,6 +124,15 @@ class TestSampleGaussian:
             sample_gaussian(C, 1000, seed=1), sample_gaussian(C, 1000, seed=2)
         )
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_refused(self, seed):
+        # Masking to 64 bits would give 2**64 + 5 the draws of seed 5.
+        with pytest.raises(ValueError, match="0 <= seed < 2\\*\\*64"):
+            verify_module._stream_rng(seed, 0)
+        C = build_dense(np.eye(2))
+        with pytest.raises(ValueError):
+            sample_gaussian(C, 1000, seed=seed)
+
 
 class TestMarginalPNorm:
     def test_indicator_infinite_width(self):
@@ -673,7 +682,8 @@ def _drawing_threads():
 
 
 def _factors(ns):
-    return [from_stationary([1.25, 0.5], n).chol for n in ns]
+    # Equicorrelation factors are dense: a GEMM split that rounds differently shows.
+    return [from_stationary([1.0] + [0.5] * (n - 1), n).chol for n in ns]
 
 
 class _BrokenDraw(RuntimeError):
@@ -706,6 +716,8 @@ class TestDrawingThread:
     )
     @example(ns=[40, 5], streams=3, tail=777, chunk=verify_module._DRAW_CHUNK, seed=101)
     @example(ns=[5, 40, 17], streams=2, tail=34_464, chunk=verify_module._DRAW_CHUNK, seed=11)
+    # The montecarlo benchmark's shape: eight panels per full stream at n = 128.
+    @example(ns=[16, 64, 128], streams=2, tail=34_464, chunk=verify_module._DRAW_CHUNK, seed=7)
     def test_blocks_match_the_serial_loop(self, ns, streams, tail, chunk, seed):
         n_samples = (streams - 1) * verify_module._STREAM_ROWS + tail
         factors = _factors(ns)
@@ -718,6 +730,57 @@ class TestDrawingThread:
                 count += 1
         assert count == streams * len(ns)
         assert not _drawing_threads()
+
+    def test_no_one_column_tail_panel(self):
+        # _PANEL_ROWS + 1 samples are one panel: numpy would send a 1-column
+        # tail to GEMV, which rounds differently from GEMM at n >= 511.
+        factors, n_samples = _factors([512]), verify_module._PANEL_ROWS + 1
+        threaded = verify_module._stream_blocks(factors, n_samples, 3)
+        serial = stream_blocks(factors, n_samples, 3)
+        for (k, x), (k_ref, x_ref) in zip(threaded, serial, strict=True):
+            assert (k, x.tobytes()) == (k_ref, x_ref.tobytes())
+
+    def test_next_stream_is_drawn_during_the_last_gemms(self):
+        # Every fill submitted and every GEMM panel made, in one list, on the
+        # calling thread, with the yields that mark where a stream ends.
+        events, streams = [], {}
+        real_stream_rng = verify_module._stream_rng
+
+        def stream_rng(seed, stream):
+            gen = real_stream_rng(seed, stream)
+            streams[gen] = stream
+            return gen
+
+        class RecordingExecutor(verify_module.ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                out = kwargs["out"]
+                events.append(("fill", streams[fn.__self__], out.ctypes.data, out.size))
+                return super().submit(fn, *args, **kwargs)
+
+        matmul = np.matmul
+
+        def recording_matmul(*args, **kwargs):
+            events.append(("gemm",))
+            return matmul(*args, **kwargs)
+
+        ns, n_samples = [16, 128], 2 * verify_module._STREAM_ROWS
+        with (
+            mock.patch.object(verify_module, "_stream_rng", stream_rng),
+            mock.patch.object(verify_module, "ThreadPoolExecutor", RecordingExecutor),
+            mock.patch.object(np, "matmul", recording_matmul),
+        ):
+            for k, _ in verify_module._stream_blocks(_factors(ns), n_samples, 7):
+                events.append(("yield", k))
+        end_of_stream_0 = [i for i, e in enumerate(events) if e[0] == "yield"][len(ns) - 1]
+        last_gemm_0 = max(i for i, e in enumerate(events[:end_of_stream_0]) if e[0] == "gemm")
+        first_fill_1 = events.index(next(e for e in events if e[:2] == ("fill", 1)))
+        assert first_fill_1 < last_gemm_0
+        for stream in (0, 1):
+            fills = [e[2:] for e in events if e[:2] == ("fill", stream)]
+            ends = [address + 8 * size for address, size in fills]
+            # In offset order, each fill starting where the one before ended.
+            assert [address for address, _ in fills[1:]] == ends[:-1]
+            assert sum(size for _, size in fills) == verify_module._STREAM_ROWS * max(ns)
 
     def test_concurrent_passes_under_fast_switching(self):
         # More passes than cores, each with its own drawing thread, switching
