@@ -84,7 +84,6 @@ from .verify import (
     verify_khatri_sidak,
     verify_kls,
     verify_theorem1,
-    with_rhs,
 )
 
 __version__ = "0.1.0"

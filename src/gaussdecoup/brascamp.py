@@ -20,10 +20,14 @@ identity det(B) = det(p*I(var) - C) / (p^n det(C) prod var_i) and the
 Gaussian extremal ratio) and a random SPD generator are test oracles, in
 ``tests/oracles.py``; no command or report reads them.
 
-Everything is computed and returned in log space. Every factorization is
-``scipy.linalg``'s LAPACK Cholesky (``cho_factor``/``cho_solve``), imported in
-the functions that factor, so the ``eb`` command is the only one that loads
-``scipy.linalg``.
+Everything is computed and returned in log space. Every factorization here
+is ``scipy.linalg``'s LAPACK Cholesky (``cho_factor``/``cho_solve``), imported
+in the functions that factor, so the ``eb`` command is the only one that
+loads ``scipy.linalg``.  The ``eb`` command factors each covariance twice:
+first with numpy, when ``cli._matrix_and_p`` reads ``C.chol`` to refuse a
+matrix that is not positive definite, then with scipy in ``matrix_B``.  The
+two factors differ in the last bits (about 2e-15 for inverse_power:r=2 at
+n = 192), so ``matrix_B`` cannot reuse ``C.chol`` without moving E_B.
 """
 
 from __future__ import annotations
@@ -75,8 +79,11 @@ def matrix_B(C: CovarianceMatrix, p: float) -> np.ndarray:
 
     Positive definiteness is equivalent to p*I(var) - C being positive
     definite and is guaranteed when p >= 2 p(X); failure signals a violated
-    or numerically marginal exponent hypothesis.
+    or numerically marginal exponent hypothesis.  Raises ValueError unless p
+    is finite and > 0.
     """
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"B needs a finite p > 0, got {p}")
     from scipy.linalg import cho_factor, cho_solve
 
     cf = cho_factor(C.entries, lower=True)
@@ -181,7 +188,7 @@ def eb_optimize(B: np.ndarray, p: float) -> EbProblem:
     point's value stands as a lower estimate of the sup.  ``upper_log`` reuses
     the log det of the check that B is positive definite.
     """
-    if p <= 1:
+    if not p > 1:  # NaN too
         raise ValueError(f"E_B optimization needs p > 1, got {p}")
     from scipy.linalg import cho_solve
 

@@ -122,7 +122,7 @@ def _parse_p_policy(policy) -> float | None:
         return None
     text = policy.removeprefix("fixed").strip(":()= ") if isinstance(policy, str) else policy
     try:
-        p = float(text)
+        p = math.nan if isinstance(text, bool) else float(text)  # JSON true is not 1.0
     except (TypeError, ValueError):
         p = math.nan
     if not (math.isfinite(p) and p > 0):
@@ -143,7 +143,6 @@ class ScenarioConfig:
     output: str | None = None  # report base path; None writes JSON to stdout
     eps: float = 1.0
     jobs: int = 1
-    self_test_negate: bool = False
     # Parsed from ``model`` and ``p_policy`` by ``validate``.
     spec: covmodel.ModelSpec | None = field(default=None, init=False, repr=False)
     p_fixed: float | None = field(default=None, init=False, repr=False)
@@ -283,8 +282,6 @@ def cmd_szego(cfg: ScenarioConfig) -> tuple[list, int]:
 
 
 def _report_row(cfg, n, p, suite, report) -> dict:
-    if cfg.self_test_negate:
-        report = verify.with_rhs(report, 1.0 / report.rhs if report.rhs else math.inf)
     return {
         "model": cfg.model,
         "n": n,
@@ -483,12 +480,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int)
         cmd.add_argument("--out", dest="output", type=str, help="output base path")
         cmd.add_argument("--jobs", type=int)
-        if name == "verify":
-            cmd.add_argument(
-                "--self-test-negate",
-                action="store_true",
-                help="flip every RHS to its reciprocal (harness sanity check)",
-            )
     return parser
 
 

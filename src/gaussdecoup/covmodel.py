@@ -57,9 +57,6 @@ from .errors import (
 # Dense covariance matrices (O(n^2) storage, O(n^3) factorization) and exact
 # Toeplitz determinants (Durbin's recursion, O(n^2) time) stop at this dimension.
 MATRIX_N_CAP = 2048
-# Side of the tiles in which _validate_spd compares e with its transpose: 128
-# beat 32..192 at n = 256, 1024 and 2048 (Hilbert, one BLAS thread).
-_SYMMETRY_TILE = 128
 # Rows per block of the Cauchy log-determinant pass over a Hilbert-type matrix.
 _CAUCHY_BLOCK = 256
 # Lags per block of inverse_power_gamma_sequence's one-sided sums.
@@ -169,21 +166,9 @@ def _cholesky_log_det(a: np.ndarray) -> tuple[np.ndarray, float]:
     return chol, 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
 
 
-def _max_asymmetry(entries: np.ndarray) -> float:
-    """max |e[i][j] - e[j][i]|, tile by tile over the upper triangle.
-
-    |x - y| = |y - x| exactly, so this is the max over the whole matrix, bit
-    for bit, without the two n x n temporaries of ``abs(e - e.T)``; a tile
-    pair stays in cache.
-    """
-    n = entries.shape[0]
-    asym = 0.0
-    for i in range(0, n, _SYMMETRY_TILE):
-        for j in range(i, n, _SYMMETRY_TILE):
-            upper = entries[i : i + _SYMMETRY_TILE, j : j + _SYMMETRY_TILE]
-            lower = entries[j : j + _SYMMETRY_TILE, i : i + _SYMMETRY_TILE]
-            asym = max(asym, np.abs(upper - lower.T).max())
-    return asym
+def _check_dimension(n: int) -> None:
+    if n < 1:
+        raise InvalidSpec(f"dimension n must be >= 1, got {n}")
 
 
 def _check_pivot_floor(smallest: float, floor: float) -> None:
@@ -196,10 +181,10 @@ def _check_pivot_floor(smallest: float, floor: float) -> None:
 
 
 def _validate_spd(entries: np.ndarray) -> CovarianceMatrix:
-    """Symmetry, diagonal and Cholesky checks shared by all builders."""
+    """Symmetry, diagonal and Cholesky checks shared by all builders (n >= 1)."""
     n = entries.shape[0]
-    scale = np.abs(entries).max() if n else 1.0
-    asym = _max_asymmetry(entries)
+    scale = np.abs(entries).max()
+    asym = np.abs(entries - entries.T).max()
     if asym > 1e-12 * max(scale, 1e-300):
         raise NotSymmetric(
             f"max |e[i][j]-e[j][i]| = {asym:.3e} exceeds 1e-12 * max|e| = {1e-12 * scale:.3e}"
@@ -223,11 +208,12 @@ def build_dense(entries) -> CovarianceMatrix:
 
     Raises
     ------
-    NotSymmetric, NonPositiveDiagonal, NotPositiveDefinite
+    InvalidSpec, NonFiniteInput, NotSymmetric, NonPositiveDiagonal, NotPositiveDefinite
     """
     entries = np.array(entries, dtype=float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise InvalidSpec(f"expected a square array, got shape {entries.shape}")
+    _check_dimension(entries.shape[0])
     if not np.all(np.isfinite(entries)):
         raise NonFiniteInput("covariance entries contain NaN or infinity")
     return _validate_spd(entries)
@@ -327,8 +313,9 @@ def from_stationary(gamma, n: int) -> CovarianceMatrix:
 
     Raises
     ------
-    NonFiniteInput, NonPositiveDiagonal, NotPositiveDefinite
+    InvalidSpec, NonFiniteInput, NonPositiveDiagonal, NotPositiveDefinite
     """
+    _check_dimension(n)
     gamma = np.asarray(gamma, dtype=float).ravel()
     if not np.all(np.isfinite(gamma)):
         raise NonFiniteInput("autocovariance contains NaN or infinity")
@@ -605,6 +592,7 @@ def hilbert_covariance(spec: HilbertSpec, n: int) -> CovarianceMatrix:
     ------
     InvalidSpec, NonPositiveDiagonal
     """
+    _check_dimension(n)
     if spec.a.size < n:
         raise InvalidSpec(f"spec has {spec.a.size} terms, need at least n = {n}")
     a = spec.a[:n]

@@ -33,7 +33,13 @@ import numpy as np
 
 # scipy.special is imported only in corollary1_bound (verify's): start-up stays numpy.
 
-from .covmodel import CovarianceMatrix, _CauchyMatrix, _cholesky_log_det, _levinson_durbin
+from .covmodel import (
+    CovarianceMatrix,
+    _CauchyMatrix,
+    _check_dimension,
+    _cholesky_log_det,
+    _levinson_durbin,
+)
 from .errors import ConditionViolated, NonFiniteInput, NotPositiveDefinite
 
 # Largest rank of the low-rank route for a Hilbert-type C; past it (a spread
@@ -83,8 +89,9 @@ def stationary_decoupling_coefficient(gamma, n: int) -> float:
 
     Row k sums gamma(0) plus both one-sided partial sums of |gamma|, so a
     prefix-sum scan gives the exact coefficient in O(n). Raises
-    NonFiniteInput when a row sum overflows.
+    NonFiniteInput when a row sum overflows, InvalidSpec for n < 1.
     """
+    _check_dimension(n)
     gamma = _autocovariance(gamma)
     g = np.zeros(n)
     m = min(n, gamma.size)

@@ -284,8 +284,11 @@ def _stream_blocks(factors, n_samples: int, seed: int):
     GEMMs start while the stream is still drawn.  After each panel of a
     stream's last factor, the next stream's fills whose values that factor
     has read are queued; the rest follow its last panel.  The panels depend
-    on the stream size alone, never on timing.
+    on the stream size alone, never on timing.  Raises ValueError for
+    n_samples < 1 on the first next().
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     width = max(L.shape[0] for L in factors)
     sizes = _stream_sizes(n_samples)
     z = np.empty(width * min(n_samples, _STREAM_ROWS))
@@ -334,11 +337,11 @@ def sample_gaussian(C: CovarianceMatrix, n_samples: int, seed: int) -> np.ndarra
     It is the transpose of the stacked coordinate-major stream blocks, so its
     memory is in Fortran order.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    out = np.empty((C.n, n_samples))
+    out = None
     start = 0
-    for _, x in _stream_blocks([C.chol], n_samples, seed):
+    for _, x in _stream_blocks([C.chol], n_samples, seed):  # checks n_samples before out is sized
+        if out is None:
+            out = np.empty((C.n, n_samples))
         out[:, start : start + x.shape[1]] = x
         start += x.shape[1]
     return out.T
@@ -714,14 +717,6 @@ def _unscaled_report(
         rhs=rhs,
         slack=_ldexp(report.slack, shift),
     )
-
-
-def with_rhs(report: VerificationReport, rhs: float) -> VerificationReport:
-    """Same LHS estimate against a different RHS (re-derives slack/z/verdict).
-
-    The verdict follows the 3/6 standard-error rule, also for a hit count.
-    """
-    return _make_report(report.lhs_mc, report.lhs_stderr, rhs, report.n_samples, report.seed)
 
 
 def verify_theorem1(

@@ -1,5 +1,6 @@
-"""Test oracles: the determinant lemmas behind E_B, a dense Toeplitz section
-and the serial Monte Carlo stream blocks.
+"""Test oracles: the determinant lemmas behind E_B, a dense Toeplitz section,
+the serial Monte Carlo stream blocks and a report re-judged against another
+right-hand side.
 
 No command, report or workload reads these; the tests use them to check the
 package against independent routes.
@@ -21,6 +22,8 @@ package against independent routes.
 - ``cauchy_log_det_progression``: log det {1/(a_k + a_l)} for an arithmetic
   progression a_k = a_1 + (k-1) d in O(n), next to the package's O(n^2)
   Cauchy sum.
+- ``with_rhs``: a verification report's estimate against another right-hand
+  side, under the 3/6 standard-error rule.
 
 The four lemma checks return their determinants and ratios in log space.
 """
@@ -35,7 +38,13 @@ from scipy.linalg import toeplitz
 from gaussdecoup.brascamp import _logdet_spd, matrix_B
 from gaussdecoup.covmodel import CovarianceMatrix, SpectralSymbol
 from gaussdecoup.szego import _section_row
-from gaussdecoup.verify import _STREAM_ROWS, _stream_rng, _stream_sizes
+from gaussdecoup.verify import (
+    _STREAM_ROWS,
+    VerificationReport,
+    _make_report,
+    _stream_rng,
+    _stream_sizes,
+)
 
 
 def minkowski_check(U: np.ndarray, V: np.ndarray, lam: float) -> tuple[float, float]:
@@ -153,3 +162,11 @@ def stream_blocks(factors, n_samples: int, seed: int):
             np.matmul(L, z[: size * n].reshape(size, n).T, out=x)
             yield k, x
         del z  # freed before the next stream is drawn
+
+
+def with_rhs(report: VerificationReport, rhs: float) -> VerificationReport:
+    """Same LHS estimate against a different RHS (re-derives slack/z/verdict).
+
+    The verdict follows the 3/6 standard-error rule, also for a hit count.
+    """
+    return _make_report(report.lhs_mc, report.lhs_stderr, rhs, report.n_samples, report.seed)

@@ -104,6 +104,12 @@ class TestMatrixB:
         with pytest.raises(NotPositiveDefinite):
             matrix_B(C, 1.5)
 
+    # Refused before 1/p is formed: p = 0 would divide by zero.
+    @pytest.mark.parametrize("p", [0.0, -2.0, math.inf, math.nan])
+    def test_needs_finite_positive_p(self, p):
+        with pytest.raises(ValueError, match="finite p > 0"):
+            matrix_B(build_dense(np.eye(2)), p)
+
     def test_pd_whenever_condition_holds(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
@@ -199,9 +205,11 @@ class TestEbOptimize:
             res = np.abs(1.0 / (2 * 2.5 * prob.b_opt) - 0.5 * inv_diag).max()
             assert res < 1e-9
 
-    def test_needs_p_above_one(self):
-        with pytest.raises(ValueError):
-            eb_optimize(np.eye(2), 1.0)
+    # NaN fails `p > 1` although it passes `p <= 1`.
+    @pytest.mark.parametrize("p", [1.0, 0.5, math.nan])
+    def test_needs_p_above_one(self, p):
+        with pytest.raises(ValueError, match="needs p > 1"):
+            eb_optimize(np.eye(2), p)
 
     def test_diagonal_start_is_exact(self):
         prob = eb_optimize(np.diag([0.5, 2.0, 7.0]), 2.5)

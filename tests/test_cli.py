@@ -122,7 +122,7 @@ class TestOneDeclarationPerSetting:
     FIELDS = {f.name for f in dataclasses.fields(cli_module.ScenarioConfig) if f.init}
 
     def test_every_field_is_a_config_key_with_a_reader(self):
-        assert set(cli_module._FILE_READERS) == self.FIELDS - {"self_test_negate"}
+        assert set(cli_module._FILE_READERS) == self.FIELDS
 
     def test_every_flag_dest_is_a_field(self):
         [subparsers] = [
@@ -339,51 +339,25 @@ class TestVerifyCommand:
         assert "khatri_sidak:kls_upper" in suites
         assert any(s.startswith("kls:") for s in suites)
 
-    def test_self_test_negate_hard_fails(self, tmp_path):
-        # A strongly coupled model has a large RHS whose reciprocal lands far
-        # below the LHS: the harness must detect the injected bug.
-        out = tmp_path / "neg"
-        code = run(
-            [
-                "verify",
-                "--model",
-                "equicorr:rho=0.9",
-                "--n",
-                "8",
-                "--samples",
-                "5000",
-                "--seed",
-                "3",
-                "--self-test-negate",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 3
-        rows = load_json(out.with_suffix(".json"))
-        assert any(r["verdict"] == "hard_fail" for r in rows)
-
-    def test_self_test_negate_with_zero_rhs(self, tmp_path):
-        # No sample lands in the 64-dimensional box, so the lower sandwich's
-        # RHS (the Monte Carlo center) is 0 and its reciprocal is inf.
-        out = tmp_path / "neg0"
-        code = run(
-            [
-                "verify",
-                "--model",
-                "ma1:a=0.5",
-                "--n",
-                "64",
-                "--samples",
-                "1000",
-                "--self-test-negate",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code in (0, 3)
+    def test_collapsed_theorem1_rhs_hard_fails(self, monkeypatch, tmp_path):
+        # A bug that zeroes every marginal norm makes the theorem1 RHS 0,
+        # far below the box probability of a strongly coupled model: the
+        # harness must report it as a hard_fail and exit 3.
+        monkeypatch.setattr(verify_module, "marginal_p_norm", lambda f, sigma, p: 0.0)
+        out = tmp_path / "bug"
+        argv = ["--model", "equicorr:rho=0.9", "--n", "8", "--samples", "5000", "--seed", "3"]
+        assert run(["verify", *argv, "--out", str(out)]) == 3
         rows = {r["function_suite"]: r for r in load_json(out.with_suffix(".json"))}
-        assert rows["khatri_sidak:lower"]["rhs"] == math.inf
+        [theorem1] = [r for suite, r in rows.items() if suite.startswith("theorem1:")]
+        assert theorem1["rhs"] == 0.0 and theorem1["verdict"] == "hard_fail"
+        # The box rows take no marginal norm, so they still pass.
+        assert rows["khatri_sidak:lower"]["verdict"] == "pass"
+
+    def test_self_test_negate_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--n", "4", "--samples", "1000", "--self-test-negate"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --self-test-negate" in capsys.readouterr().err
 
     def test_zero_hit_box_is_not_a_hard_fail(self, capsys):
         # No sample lands in the 64-dimensional box (P about 4e-12), so the
@@ -982,6 +956,7 @@ CONFIG_ERRORS = [
     (["analyze", "--p", "0"], None),
     (["analyze"], {"p_policy": "fixed"}),
     (["analyze"], {"p_policy": None}),
+    (["analyze"], {"p_policy": True}),
     (["analyze"], {"model": "identity", "n_list": ["a"]}),
     (["analyze"], {"model": "identity", "n_list": 5}),
     (["analyze"], {"mc_samples": "x"}),
@@ -1146,12 +1121,14 @@ class TestCallLevelReuse:
         swept = rows(n_list, jobs)
         assert swept == [row for n in n_list.split(",") for row in rows(n)]
 
-    def test_second_call_gives_a_fresh_process_bytes(self, capsys):
+    def test_second_call_gives_a_fresh_process_bytes(self, monkeypatch, capsys):
         argv = [
             "verify", "--model", "equicorr:rho=0.9", "--n", "4,8", "--samples", "5000",
             "--seed", "3",
         ]
-        assert run(argv + ["--self-test-negate"]) == 3
+        with monkeypatch.context() as patch:  # a first call that hard-fails
+            patch.setattr(verify_module, "marginal_p_norm", lambda f, sigma, p: 0.0)
+            assert run(argv) == 3
         capsys.readouterr()
         assert run(argv) == 0
         second = capsys.readouterr()

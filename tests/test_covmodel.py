@@ -32,6 +32,7 @@ from gaussdecoup import (
     inverse_power_symbol,
     ma1_symbol,
     parse_model,
+    stationary_decoupling_coefficient,
     symbol_from_grid,
 )
 from gaussdecoup.brascamp import matrix_B
@@ -39,7 +40,6 @@ from gaussdecoup.covmodel import (
     DEFAULT_GRID_SIZE,
     _Durbin,
     _levinson_durbin,
-    _max_asymmetry,
     _unit_support,
     clausen_cos,
 )
@@ -108,6 +108,24 @@ def brute_inverse_power_gamma_r1(mu: int, terms: int = 1_000_000) -> float:
         m = np.arange(1, mu, dtype=float)
         s2 = float(np.sum(1.0 / (m * (mu - m))))
     return 2.0 * s1 + s2
+
+
+class TestDimensionBelowOne:
+    # A package error, never numpy's IndexError or zero-size reduction.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: from_stationary([1.25, 0.5], 0),
+            lambda: from_stationary([1.25, 0.5], -3),
+            lambda: hilbert_covariance(HilbertSpec([1.0, 2.0]), 0),
+            lambda: stationary_decoupling_coefficient([1.25, 0.5], 0),
+            lambda: build_dense(np.zeros((0, 0))),
+        ],
+        ids=["from_stationary", "from_stationary_negative", "hilbert", "stationary_p", "dense"],
+    )
+    def test_refused_as_invalid_spec(self, build):
+        with pytest.raises(InvalidSpec, match="dimension n must be >= 1"):
+            build()
 
 
 class TestBuildDense:
@@ -950,24 +968,3 @@ def _outcome(fn, *args):
     except np.linalg.LinAlgError as exc:
         return f"LinAlgError: {exc}"
 
-
-class TestMaxAsymmetry:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(0, 300).filter(lambda n: n % 128 != 0 or n == 0),
-        seed=st.integers(0, 2**32 - 1),
-        skew=st.sampled_from([0.0, 1e-17, 1e-9, 1.0]),
-    )
-    def test_matches_full_temporaries(self, n, seed, skew):
-        rng = np.random.default_rng(seed)
-        e = rng.standard_normal((n, n))
-        e = e + e.T + skew * rng.standard_normal((n, n))
-        full = np.abs(e - e.T).max() if n else 0.0
-        assert _max_asymmetry(e) == full
-
-    def test_tile_edges(self):
-        for n in (127, 128, 129, 257):
-            e = np.eye(n)
-            e[n - 1, 0] = 1e-3
-            e[0, n - 1] = -2e-3
-            assert _max_asymmetry(e) == np.abs(e - e.T).max() == 3e-3

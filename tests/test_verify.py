@@ -31,8 +31,8 @@ from gaussdecoup import (
 )
 from gaussdecoup import verify as verify_module
 from gaussdecoup.cli import main
-from gaussdecoup.verify import _hit_bound, _product_moments, with_rhs
-from oracles import stream_blocks
+from gaussdecoup.verify import _hit_bound, _product_moments
+from oracles import stream_blocks, with_rhs
 
 IND1 = TestFunctionSpec.indicator(1.0)
 COS = TestFunctionSpec.cosine(0.7)
@@ -132,6 +132,24 @@ class TestSampleGaussian:
         C = build_dense(np.eye(2))
         with pytest.raises(ValueError):
             sample_gaussian(C, 1000, seed=seed)
+
+    # Every sampling entry point reaches the one check in _stream_blocks
+    # before numpy sees the count.
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda C, m: sample_gaussian(C, m, 3),
+            lambda C, m: verify_module.sweep_moments([(C, [([IND1] * 2, 1.0)])], m, 3),
+            lambda C, m: verify_theorem1(C, 4.0, [IND1] * 2, m, 3),
+            lambda C, m: verify_khatri_sidak(C, [1.0] * 2, 4.0, m, 3),
+            lambda C, m: verify_kls([1.25, 0.5], 2, [IND1] * 2, m, 3),
+        ],
+        ids=["sample_gaussian", "sweep_moments", "theorem1", "khatri_sidak", "kls"],
+    )
+    def test_sample_count_below_one_refused(self, call, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            call(from_stationary([1.25, 0.5], 2), n_samples)
 
 
 class TestMarginalPNorm:
