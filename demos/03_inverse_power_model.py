@@ -11,16 +11,17 @@ import math
 
 import numpy as np
 
-from gaussdecoup import inverse_power_gamma, inverse_power_gamma_sequence
+from gaussdecoup import inverse_power_gamma_sequence
 from gaussdecoup.decoupling import stationary_decoupling_coefficient
 
 print("=" * 68)
 print("inverse-power moving average: c_m = 1/|m|")
 print("=" * 68)
 
-print(f"gamma(0) = {inverse_power_gamma(0):.10f}  (= pi^2/3)")
+gamma1 = inverse_power_gamma_sequence(100, 1.0)
+print(f"gamma(0) = {gamma1[0]:.10f}  (= pi^2/3)")
 for mu in (1, 2, 5, 100):
-    g = inverse_power_gamma(mu)
+    g = gamma1[mu]
     print(f"gamma({mu:>3}) = {g:.10f}   mu*gamma = {mu * g:8.4f}  4 log mu = "
           f"{4 * math.log(mu) if mu > 1 else 0:8.4f}")
 

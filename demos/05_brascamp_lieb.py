@@ -14,7 +14,6 @@ from gaussdecoup import (
     build_dense,
     decoupling_coefficient,
     eb_optimize,
-    eb_upper_bound,
     matrix_B,
 )
 
@@ -26,7 +25,7 @@ for beta, p in ((0.5, 2.0), (2.0, 3.0)):
     print(
         f"beta={beta}, p={p}: b_opt = {np.round(prob.b_opt, 10)} "
         f"(analytic {beta / (p - 1):.6f}), eb_log = {prob.eb_log:.8f}, "
-        f"upper = {eb_upper_bound(beta * np.eye(3), p):.8f}"
+        f"upper = {prob.upper_log:.8f}"
     )
 
 print()

@@ -18,7 +18,6 @@ from .brascamp import (
     EbProblem,
     eb_objective,
     eb_optimize,
-    eb_upper_bound,
     matrix_B,
 )
 from .covmodel import (
@@ -32,7 +31,6 @@ from .covmodel import (
     from_stationary,
     grid_points,
     hilbert_covariance,
-    inverse_power_gamma,
     inverse_power_gamma_sequence,
     inverse_power_symbol,
     ma1_symbol,
@@ -47,8 +45,6 @@ from .decoupling import (
     decoupling_coefficient,
     refined_constant,
     stationary_decoupling_coefficient,
-    stationary_p_bounds,
-    theorem1_constant,
     theorem1_log_constant,
 )
 from .errors import (

@@ -99,7 +99,11 @@ def eb_objective(B: np.ndarray, p: float, b) -> float:
 
     (n/2)(1-1/p) log(2 pi) + (n/(2p)) log p
         + (1/(2p)) sum log b_i - (1/2) log det(B + diag(b)).
+
+    Raises ValueError unless p is finite and > 0.
     """
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"the E_B objective needs a finite p > 0, got {p}")
     b = np.asarray(b, dtype=float).ravel()
     if np.any(b <= 0):
         raise ValueError("all b_i must be strictly positive")
@@ -111,15 +115,6 @@ def eb_objective(B: np.ndarray, p: float, b) -> float:
         + float(np.sum(np.log(b))) / (2.0 * p)
         - 0.5 * logdet
     )
-
-
-def _upper_log(n: int, p: float, logdet_B: float) -> float:
-    return (n / 2.0) * (1.0 - 1.0 / p) * math.log(2.0 * math.pi) - 0.5 * (1.0 - 1.0 / p) * logdet_B
-
-
-def eb_upper_bound(B: np.ndarray, p: float) -> float:
-    """Log-space bound E_B <= (2 pi)^{(n/2)(1-1/p)} / det(B)^{(1/2)(1-1/p)}."""
-    return _upper_log(B.shape[0], p, _logdet_spd(B, "B"))
 
 
 @dataclass(frozen=True)
@@ -240,14 +235,16 @@ def eb_optimize(B: np.ndarray, p: float) -> EbProblem:
         b = np.exp(u)
         n_iter += 1
     eb_log = eb_objective(B, p, b)
-    prefactor = (n / 2.0) * (1.0 - 1.0 / p) * math.log(2.0 * math.pi) + (n / (2.0 * p)) * math.log(p)
+    log_2pi_power = (n / 2.0) * (1.0 - 1.0 / p) * math.log(2.0 * math.pi)
+    prefactor = log_2pi_power + (n / (2.0 * p)) * math.log(p)
     return EbProblem(
         B=B,
         p=p,
         b_opt=b,
         value_log=eb_log - prefactor,
         eb_log=eb_log,
-        upper_log=_upper_log(n, p, logdet_B),
+        # The general bound E_B <= (2 pi)^{(n/2)(1-1/p)} / det(B)^{(1/2)(1-1/p)}.
+        upper_log=log_2pi_power - 0.5 * (1.0 - 1.0 / p) * logdet_B,
         converged=residual < _TOL,
         residual=residual,
         n_iter=n_iter,

@@ -34,6 +34,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -167,6 +168,10 @@ def _cholesky_log_det(a: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _check_dimension(n: int) -> None:
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidSpec(f"dimension n must be an integer, got {n!r}") from None
     if n < 1:
         raise InvalidSpec(f"dimension n must be >= 1, got {n}")
 
@@ -371,56 +376,6 @@ class MovingAverageSpec:
         return gamma
 
 
-def _one_sided_sum(mu: int, r: float) -> float:
-    """sum_{k>=1} 1/(k^r (k+mu)^r) for r > 1, accurate to ~1e-14 relative.
-
-    Head summed directly to K >= max(1000, 4*mu); the tail is expanded as
-    (k+mu)^{-r} = sum_j binom(-r,j) mu^j k^{-r-j} and summed exactly with
-    Hurwitz zeta values.  The binomial series converges geometrically since
-    mu/(K+1) <= 1/4.
-    """
-    from scipy.special import zeta
-
-    K = max(1000, 4 * mu)
-    k = np.arange(1, K + 1, dtype=float)
-    head = float(np.sum(1.0 / (k**r * (k + mu) ** r)))
-    tail = 0.0
-    coef = 1.0  # binom(-r, j), j = 0
-    for j in range(120):
-        term = coef * float(mu) ** j * float(zeta(2 * r + j, K + 1))
-        tail += term
-        if abs(term) < 1e-14 * max(head, 1e-300):
-            break
-        coef *= (-r - j) / (j + 1)
-    return head + tail
-
-
-def inverse_power_gamma(mu: int, r: float = 1.0) -> float:
-    """Autocovariance E X_k X_{k+mu} of the c_m = |m|^{-r} moving average.
-
-    At ``r = 1`` the full series telescopes to the closed form
-    ``(2/mu) (H_mu + H_{mu-1})`` of ``inverse_power_gamma_sequence``; for
-    ``r > 1`` the series is summed with a rigorous tail so the truncation
-    error stays below 1e-10.  The variance (``mu = 0``) equals ``2 zeta(2r)``,
-    i.e. ``pi^2/3`` at ``r = 1``.  One lag at a time: the reference that
-    ``inverse_power_gamma_sequence`` is tested against.
-    """
-    mu = abs(mu)
-    if r < 1:
-        raise ValueError(f"inverse-power autocovariance needs r >= 1, got {r}")
-    if r == 1.0:
-        return float(inverse_power_gamma_sequence(mu, 1.0)[mu])
-    from scipy.special import zeta
-
-    if mu == 0:
-        return 2.0 * float(zeta(2.0 * r, 1))
-    middle = 0.0
-    if mu >= 2:
-        m = np.arange(1, mu, dtype=float)
-        middle = float(np.sum((m * (mu - m)) ** (-r)))
-    return 2.0 * _one_sided_sum(mu, r) + middle
-
-
 def _harmonic_numbers(k: int) -> np.ndarray:
     """H_0..H_k, H_j = sum_{i=1}^j 1/i."""
     return np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, k + 1))])
@@ -431,9 +386,10 @@ def _one_sided_sums(lo: int, hi: int, r: float) -> np.ndarray:
 
     One head length K = 1024 * 2^b >= 4 hi for every lag: the heads
     sum_{k<=K} are one product of a sliding-window view (no copy) with a
-    vector, and the Hurwitz-zeta tail series of ``_one_sided_sum`` is shared
-    across the lags, summed until its term at mu = hi falls below 1e-14 of
-    the j = 0 term (mu/(K+1) <= 1/4: it converges geometrically).
+    vector. The tails expand (k+mu)^-r = sum_j binom(-r,j) mu^j k^{-r-j} into
+    Hurwitz zeta values shared across the lags, summed until the term at
+    mu = hi falls below 1e-14 of the j = 0 term (mu/(K+1) <= 1/4: it
+    converges geometrically).
     """
     from scipy.special import zeta
 
@@ -458,15 +414,17 @@ def _one_sided_sums(lo: int, hi: int, r: float) -> np.ndarray:
 def inverse_power_gamma_sequence(max_lag: int, r: float = 1.0) -> np.ndarray:
     """gamma(0..max_lag) for the inverse-power family, all lags in a few passes.
 
-    At r = 1 it is the closed form. For r > 1 it is the series of
-    ``inverse_power_gamma``: the middle sums sum_{0<m<mu} (m (mu-m))^-r are
-    one convolution, and the one-sided sums come from ``_one_sided_sums``
-    in whole blocks of 256 lags. A lag's block does not depend on max_lag,
-    but numpy sums the centre term of a short convolution in another order,
-    so gamma(max_lag) can differ in the last bit from a longer sequence's
-    value at max_lag <= 10 (r = 1.5: 4, 7; r = 2: 6; r = 2.7: 4, 9, 10). About
+    At r = 1 it is the closed form (2/mu) (H_mu + H_{mu-1}) after
+    gamma(0) = pi^2/3. For r > 1 it is the series 2 sum_{k>=1} (k (k+mu))^-r
+    + sum_{0<m<mu} (m (mu-m))^-r: the middle sums are one convolution, and
+    the one-sided sums come from ``_one_sided_sums`` in whole blocks of 256
+    lags. A lag's block does not depend on max_lag, but numpy sums the
+    centre term of a short convolution in another order, so gamma(max_lag)
+    can differ in the last bit from a longer sequence's value at
+    max_lag <= 10 (r = 1.5: 4, 7; r = 2: 6; r = 2.7: 4, 9, 10). About
     3 max_lag^2 flops (a block's head length is at most 8 times its lags);
-    matches the per-lag sums of ``inverse_power_gamma`` to 1e-13 relative.
+    matches the per-lag sums of ``inverse_power_gamma`` in ``tests/oracles.py``
+    to 1e-13 relative.
     """
     if r == 1.0:
         H = _harmonic_numbers(max_lag)
@@ -669,22 +627,6 @@ class SpectralSymbol:
     def _durbin(self) -> _Durbin:
         """Durbin's recursion on d_0..d_{K-1}: section n reads its prefix."""
         return _Durbin(self.d[: self.K])
-
-    @property
-    def c_alias_bound(self) -> float:
-        """max |c_k| over K/2 <= |k| <= K.
-
-        Coefficients that have not decayed by the top half of the resolved
-        band signal an under-resolved log-symbol.
-        """
-        return float(np.abs(self.c[self.K // 2 :]).max())
-
-    def fourier_coefficient(self, k: int):
-        """d_k for any |k| < K."""
-        if abs(k) >= self.K:
-            raise ValueError(f"|k| = {abs(k)} is not below the resolution K = {self.K}")
-        val = self.d[abs(k)]
-        return np.conj(val) if k < 0 else val
 
 
 def grid_points(grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:

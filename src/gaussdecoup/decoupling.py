@@ -112,18 +112,6 @@ def _lag_sum(gamma: np.ndarray, m: int) -> float:
     return s
 
 
-def stationary_p_bounds(gamma, n: int) -> tuple[float, float]:
-    """(S, 2S) with S = sum_{1<=h<=n-1} |gamma(h)|/gamma(0).
-
-    The usable sandwich for the Toeplitz section is S <= p(X) <= 1 + 2S;
-    the first row alone already gives p(X) >= 1 + S. Raises NonFiniteInput
-    when 2S overflows.
-    """
-    gamma = _autocovariance(gamma)
-    s = _lag_sum(gamma, min(n, gamma.size))
-    return s, 2.0 * s
-
-
 def _require_condition(C: CovarianceMatrix, p: float) -> float:
     p_x = decoupling_coefficient(C)
     if p < 2.0 * p_x:
@@ -140,11 +128,6 @@ def theorem1_log_constant(C: CovarianceMatrix, p: float) -> float:
     n = C.n
     sum_log_sigma = 0.5 * float(np.sum(np.log(C.variances)))
     return (n / 2.0) * (1.0 - 1.0 / p) * math.log(2.0) + sum_log_sigma / p - C.log_det / (2.0 * p)
-
-
-def theorem1_constant(C: CovarianceMatrix, p: float) -> float:
-    """Linear-space generic constant; inf where it exceeds the float range."""
-    return _exp(theorem1_log_constant(C, p))
 
 
 @dataclass(frozen=True)

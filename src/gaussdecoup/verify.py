@@ -546,9 +546,9 @@ def marginal_p_norm(f: TestFunctionSpec, sigma: float, p: float) -> float:
     Gauss-Hermite quadrature; the kinked kinds (clipped polynomial,
     piecewise-linear grid) are integrated exactly piece by piece.
     """
-    if sigma <= 0:
+    if not sigma > 0:  # NaN too
         raise ValueError("sigma must be positive")
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     from scipy.special import erf, erfc
 

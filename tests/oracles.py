@@ -1,6 +1,6 @@
 """Test oracles: the determinant lemmas behind E_B, a dense Toeplitz section,
-the serial Monte Carlo stream blocks and a report re-judged against another
-right-hand side.
+the serial Monte Carlo stream blocks, a report re-judged against another
+right-hand side and the inverse-power autocovariance summed one lag at a time.
 
 No command, report or workload reads these; the tests use them to check the
 package against independent routes.
@@ -24,6 +24,9 @@ package against independent routes.
   Cauchy sum.
 - ``with_rhs``: a verification report's estimate against another right-hand
   side, under the 3/6 standard-error rule.
+- ``inverse_power_gamma``: one lag of the inverse-power autocovariance, its
+  series summed per lag with a Hurwitz-zeta tail (``_one_sided_sum``), next
+  to the package's blocked ``inverse_power_gamma_sequence``.
 
 The four lemma checks return their determinants and ratios in log space.
 """
@@ -36,7 +39,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from gaussdecoup.brascamp import _logdet_spd, matrix_B
-from gaussdecoup.covmodel import CovarianceMatrix, SpectralSymbol
+from gaussdecoup.covmodel import CovarianceMatrix, SpectralSymbol, inverse_power_gamma_sequence
 from gaussdecoup.szego import _section_row
 from gaussdecoup.verify import (
     _STREAM_ROWS,
@@ -170,3 +173,53 @@ def with_rhs(report: VerificationReport, rhs: float) -> VerificationReport:
     The verdict follows the 3/6 standard-error rule, also for a hit count.
     """
     return _make_report(report.lhs_mc, report.lhs_stderr, rhs, report.n_samples, report.seed)
+
+
+def _one_sided_sum(mu: int, r: float) -> float:
+    """sum_{k>=1} 1/(k^r (k+mu)^r) for r > 1, accurate to ~1e-14 relative.
+
+    Head summed directly to K >= max(1000, 4*mu); the tail is expanded as
+    (k+mu)^{-r} = sum_j binom(-r,j) mu^j k^{-r-j} and summed exactly with
+    Hurwitz zeta values.  The binomial series converges geometrically since
+    mu/(K+1) <= 1/4.
+    """
+    from scipy.special import zeta
+
+    K = max(1000, 4 * mu)
+    k = np.arange(1, K + 1, dtype=float)
+    head = float(np.sum(1.0 / (k**r * (k + mu) ** r)))
+    tail = 0.0
+    coef = 1.0  # binom(-r, j), j = 0
+    for j in range(120):
+        term = coef * float(mu) ** j * float(zeta(2 * r + j, K + 1))
+        tail += term
+        if abs(term) < 1e-14 * max(head, 1e-300):
+            break
+        coef *= (-r - j) / (j + 1)
+    return head + tail
+
+
+def inverse_power_gamma(mu: int, r: float = 1.0) -> float:
+    """Autocovariance E X_k X_{k+mu} of the c_m = |m|^{-r} moving average.
+
+    At ``r = 1`` the full series telescopes to the closed form
+    ``(2/mu) (H_mu + H_{mu-1})`` of ``inverse_power_gamma_sequence``; for
+    ``r > 1`` the series is summed with a rigorous tail so the truncation
+    error stays below 1e-10.  The variance (``mu = 0``) equals ``2 zeta(2r)``,
+    i.e. ``pi^2/3`` at ``r = 1``.  One lag at a time: the reference that
+    ``inverse_power_gamma_sequence`` is tested against.
+    """
+    mu = abs(mu)
+    if r < 1:
+        raise ValueError(f"inverse-power autocovariance needs r >= 1, got {r}")
+    if r == 1.0:
+        return float(inverse_power_gamma_sequence(mu, 1.0)[mu])
+    from scipy.special import zeta
+
+    if mu == 0:
+        return 2.0 * float(zeta(2.0 * r, 1))
+    middle = 0.0
+    if mu >= 2:
+        m = np.arange(1, mu, dtype=float)
+        middle = float(np.sum((m * (mu - m)) ** (-r)))
+    return 2.0 * _one_sided_sum(mu, r) + middle

@@ -21,11 +21,9 @@ from gaussdecoup import (
     build_dense,
     decoupling_coefficient,
     eb_optimize,
-    eb_upper_bound,
     from_stationary,
     geometric_mean,
     hilbert_covariance,
-    inverse_power_gamma,
     inverse_power_gamma_sequence,
     ma1_symbol,
     sample_gaussian,
@@ -128,13 +126,13 @@ def test_criterion_2_inverse_power_covariance():
         "to 1e-10 for mu <= 1000",
         time_limit=5.0,
     ):
-        assert abs(inverse_power_gamma(0, 1.0) - np.pi**2 / 3.0) < 1e-10
-        # midpoint-bracketed brute series, truncation error < 1e-12 at 1e6 terms
-        assert abs(inverse_power_gamma(1, 1.0) - 2.0) < 1e-12
-        assert abs(inverse_power_gamma(2, 1.0) - 2.5) < 1e-12
-        assert abs(inverse_power_gamma(1, 1.0) - brute_inverse_power_gamma_r1(1, 10**6)) < 1e-12
-        assert abs(inverse_power_gamma(2, 1.0) - brute_inverse_power_gamma_r1(2, 10**6)) < 1e-12
         closed = inverse_power_gamma_sequence(1000, 1.0)
+        assert abs(closed[0] - np.pi**2 / 3.0) < 1e-10
+        # midpoint-bracketed brute series, truncation error < 1e-12 at 1e6 terms
+        assert abs(closed[1] - 2.0) < 1e-12
+        assert abs(closed[2] - 2.5) < 1e-12
+        assert abs(closed[1] - brute_inverse_power_gamma_r1(1, 10**6)) < 1e-12
+        assert abs(closed[2] - brute_inverse_power_gamma_r1(2, 10**6)) < 1e-12
         for mu in range(1, 1001):
             brute = brute_inverse_power_gamma_r1(mu, 10**5)
             assert abs(closed[mu] - brute) < 1e-10
@@ -234,7 +232,7 @@ def test_criterion_7_brascamp_lieb_constant():
             B = random_spd(n, rng, log10_eig_range=(-1.5, 1.5))
             p = 1.0 + float(rng.uniform(0.2, 3.0))
             prob = eb_optimize(B, p)
-            assert eb_upper_bound(B, p) - prob.eb_log >= -1e-9
+            assert prob.upper_log - prob.eb_log >= -1e-9
 
         def golden_max(f, lo, hi, tol=1e-13):
             gr = (math.sqrt(5.0) - 1.0) / 2.0

@@ -31,8 +31,17 @@ ORACLES = {
         "gaussian_extremal_check",
         "random_spd",
     ),
+    "covmodel": ("inverse_power_gamma",),
     "szego": ("toeplitz_section",),
     "verify": ("with_rhs",),
+}
+
+# Deleted outright: each caller reads a route the package already had
+# (README, "Names removed").
+DELETED = {
+    "brascamp": ("eb_upper_bound",),
+    "covmodel": ("SpectralSymbol.fourier_coefficient", "SpectralSymbol.c_alias_bound"),
+    "decoupling": ("theorem1_constant", "stationary_p_bounds"),
 }
 
 
@@ -59,6 +68,22 @@ def test_oracles_left_the_package(layer):
     for name in ORACLES[layer]:
         assert not hasattr(gaussdecoup, name), name
         assert not hasattr(module, name), f"{layer}.{name}"
+
+
+def _resolves(obj, dotted: str) -> bool:
+    for attr in dotted.split("."):
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+@pytest.mark.parametrize("layer", sorted(DELETED))
+def test_deleted_names_are_gone(layer):
+    module = importlib.import_module(f"gaussdecoup.{layer}")
+    for name in DELETED[layer]:
+        assert not _resolves(gaussdecoup, name), name
+        assert not _resolves(module, name), f"{layer}.{name}"
 
 
 @pytest.mark.parametrize("layer", LAYERS)

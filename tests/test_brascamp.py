@@ -13,7 +13,6 @@ from gaussdecoup import (
     decoupling_coefficient,
     eb_objective,
     eb_optimize,
-    eb_upper_bound,
     from_stationary,
     matrix_B,
 )
@@ -149,6 +148,12 @@ class TestEbObjective:
         with pytest.raises(ValueError):
             eb_objective(np.eye(2), 2.0, [1.0, 0.0])
 
+    # Refused before 1 - 1/p is formed: p = 0 would divide by zero.
+    @pytest.mark.parametrize("p", [0.0, -2.0, math.inf, math.nan])
+    def test_needs_finite_positive_p(self, p):
+        with pytest.raises(ValueError, match="finite p > 0"):
+            eb_objective(np.eye(2), p, [1.0, 1.0])
+
 
 class TestEbOptimize:
     def test_isotropic_oracle(self):
@@ -266,16 +271,16 @@ class TestEbUpperBound:
     def test_identity(self):
         for n, p in ((1, 2.0), (4, 3.0)):
             expected = (n / 2.0) * (1.0 - 1.0 / p) * math.log(2.0 * math.pi)
-            assert eb_upper_bound(np.eye(n), p) == pytest.approx(expected, rel=1e-14)
+            assert eb_optimize(np.eye(n), p).upper_log == pytest.approx(expected, rel=1e-14)
 
     def test_scalar_exceeds_optimum(self):
         prob = eb_optimize(np.eye(1), 2.0)
-        upper = eb_upper_bound(np.eye(1), 2.0)
+        upper = prob.upper_log
         assert upper == pytest.approx(0.25 * math.log(2.0 * math.pi), rel=1e-14)
         assert prob.eb_log < upper
 
     def test_degenerate_B_blows_up(self):
-        values = [eb_upper_bound(delta * np.eye(2), 2.0) for delta in (1e-2, 1e-6, 1e-10)]
+        values = [eb_optimize(delta * np.eye(2), 2.0).upper_log for delta in (1e-2, 1e-6, 1e-10)]
         assert values[0] < values[1] < values[2]
 
 

@@ -23,8 +23,6 @@ from gaussdecoup import (
     parse_model,
     refined_constant,
     stationary_decoupling_coefficient,
-    stationary_p_bounds,
-    theorem1_constant,
     theorem1_log_constant,
 )
 from gaussdecoup.verify import marginal_p_norm  # noqa: F401  (cross-module import sanity)
@@ -77,48 +75,43 @@ class TestCoefficient:
 
 
 class TestStationaryBounds:
+    """S = sum_{1<=h<=n-1} |gamma(h)|/gamma(0) brackets the n-section: S <= p(X) <= 1 + 2S."""
+
     @pytest.mark.parametrize("gamma", [[1.0, np.inf], [1.0, np.nan], [np.nan, 1.0]])
     def test_nonfinite_gamma_rejected(self, gamma):
         with pytest.raises(NonFiniteInput):
-            stationary_p_bounds(gamma, 2)
-
-    def test_overflowing_sum_rejected(self):
-        # A finite gamma whose |gamma| sum overflows.
-        with pytest.raises(NonFiniteInput, match="overflows"):
-            stationary_p_bounds([1.0, 1e308, 1e308], 3)
+            stationary_decoupling_coefficient(gamma, 2)
 
     def test_white_noise(self):
-        assert stationary_p_bounds([1.0, 0.0, 0.0], 3) == (0.0, 0.0)
-        p = stationary_decoupling_coefficient([1.0, 0.0, 0.0], 3)
-        assert 0.0 <= p <= 1.0 + 0.0
-        assert p == 1.0
+        assert stationary_decoupling_coefficient([1.0, 0.0, 0.0], 3) == 1.0
 
     def test_two_by_two(self):
-        s, two_s = stationary_p_bounds([1.0, 0.5], 2)
-        assert (s, two_s) == (0.5, 1.0)
-        assert decoupling_coefficient(from_stationary([1.0, 0.5], 2)) == 1.5 <= 1.0 + two_s
+        gamma = np.array([1.0, 0.5])
+        s = np.abs(gamma[1:2]).sum() / gamma[0]
+        assert s == 0.5
+        assert decoupling_coefficient(from_stationary(gamma, 2)) == 1.5 <= 1.0 + 2.0 * s
 
     def test_three_by_three_brute_force(self):
-        gamma = [1.0, 0.4, 0.2]
-        s, two_s = stationary_p_bounds(gamma, 3)
-        assert (s, two_s) == pytest.approx((0.6, 1.2))
+        gamma = np.array([1.0, 0.4, 0.2])
+        s = np.abs(gamma[1:3]).sum() / gamma[0]
+        assert s == pytest.approx(0.6)
         # Brute-force row sums of the Toeplitz section: the middle row gives
         # (0.4 + 1 + 0.4)/1 = 1.8, inside [S, 1 + 2S].
         rows = np.abs(toeplitz(gamma)).sum(axis=1)
         p_true = rows.max()
         assert p_true == pytest.approx(1.8, abs=1e-15)
         assert stationary_decoupling_coefficient(gamma, 3) == pytest.approx(p_true)
-        assert s <= p_true <= 1.0 + two_s
+        assert s <= p_true <= 1.0 + 2.0 * s
 
     def test_sandwich_over_random_summable_sequences(self):
         rng = np.random.default_rng(2024)
         for _ in range(500):
             gamma = random_summable_gamma(rng)
             n = int(rng.integers(2, 26))
-            s, two_s = stationary_p_bounds(gamma, n)
+            s = np.abs(gamma[1:n]).sum() / gamma[0]
             p = stationary_decoupling_coefficient(gamma, n)
             assert s <= p + 1e-12
-            assert p <= 1.0 + two_s + 1e-12
+            assert p <= 1.0 + 2.0 * s + 1e-12
             # the first row alone forces the sharper lower bound 1 + S
             assert p >= 1.0 + s - 1e-12
 
@@ -126,17 +119,17 @@ class TestStationaryBounds:
 class TestTheorem1Constant:
     def test_identity_p2(self):
         C = build_dense(np.eye(2))
-        assert theorem1_constant(C, 2.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert math.exp(theorem1_log_constant(C, 2.0)) == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
     def test_two_by_two_p3(self):
         # Direct linear-space evaluation of the formula as the second route.
         direct = 2.0 ** ((2 / 2) * (1 - 1 / 3)) * 1.0 / 0.75 ** (1 / 6)
         assert direct == pytest.approx(1.6653663553112088, rel=1e-13)
-        assert theorem1_constant(C_half, 3.0) == pytest.approx(direct, rel=1e-12)
+        assert math.exp(theorem1_log_constant(C_half, 3.0)) == pytest.approx(direct, rel=1e-12)
 
     def test_condition_violated(self):
         with pytest.raises(ConditionViolated) as excinfo:
-            theorem1_constant(C_half, 2.5)  # p(X) = 1.5 needs p >= 3
+            theorem1_log_constant(C_half, 2.5)  # p(X) = 1.5 needs p >= 3
         assert excinfo.value.p_x == 1.5
 
     def test_continuity_in_p(self):
@@ -157,7 +150,7 @@ class TestTheorem1Constant:
         for _ in range(50):
             C = build_dense(random_spd(5, rng, log10_eig_range=(-1, 1)))
             p = 2.0 * decoupling_coefficient(C) + rng.uniform(0.0, 2.0)
-            val = theorem1_constant(C, p)
+            val = math.exp(theorem1_log_constant(C, p))
             assert math.isfinite(val) and val > 0.0
 
 
@@ -174,7 +167,7 @@ class TestRefinedConstant:
         assert direct == pytest.approx(1.4046243837639927, rel=1e-13)
         rb = refined_constant(C_half, 3.0)
         assert rb.value == pytest.approx(direct, rel=1e-12)
-        assert rb.value <= theorem1_constant(C_half, 3.0)
+        assert rb.value <= math.exp(theorem1_log_constant(C_half, 3.0))
 
     def test_refined_never_exceeds_generic_sweep(self):
         rng = np.random.default_rng(11)
@@ -330,7 +323,7 @@ class TestCorollary1:
             p = max(2.0, 2.0 * decoupling_coefficient(C)) + 0.5
             eps = rng.uniform(0.2, 3.0, size=n)
             probs = erf(eps / (C.sigmas * math.sqrt(2.0)))
-            expected = theorem1_constant(C, p) * float(np.prod(probs ** (1.0 / p)))
+            expected = math.exp(theorem1_log_constant(C, p)) * float(np.prod(probs ** (1.0 / p)))
             assert corollary1_bound(C, p, eps) == pytest.approx(expected, rel=1e-12)
 
     def test_needs_p_at_least_two(self):

@@ -16,6 +16,7 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # Functions merged away since the tracer named them; their metrics read 0.
 UNRESOLVED = {
     "covmodel.SparseSupportSpec.autocovariance",
+    "covmodel.inverse_power_gamma",  # moved to tests/oracles.py; no workload called it
     "covmodel.from_moving_average",
     "covmodel.sparse_support_covariance",
     "covmodel.symbol_from_name",

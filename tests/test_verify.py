@@ -212,10 +212,13 @@ class TestMarginalPNorm:
         assert marginal_p_norm(f, 1.0, 3.0) == pytest.approx(exact, rel=1e-10)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            marginal_p_norm(IND1, -1.0, 2.0)
-        with pytest.raises(ValueError):
-            marginal_p_norm(IND1, 1.0, 0.5)
+        # NaN fails every comparison: the checks are written to refuse it.
+        for sigma in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="sigma must be positive"):
+                marginal_p_norm(IND1, sigma, 2.0)
+        for p in (0.5, math.nan):
+            with pytest.raises(ValueError, match="p must be >= 1"):
+                marginal_p_norm(IND1, 1.0, p)
 
 
 class TestVerifyTheorem1:
