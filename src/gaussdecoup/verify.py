@@ -18,11 +18,10 @@ stream is drawn once, as the flat standard_normal(rows * n_max) for the
 largest dimension n_max.  A stream's normals at every n are prefixes of that
 Philox sequence, so point n reads the first rows * n values as its (rows, n)
 block Z, bit for bit the block standard_normal((rows, n)) draws.  Each
-point's block is coordinate-major: x = L Z^T, of shape (n, rows) and
-C-contiguous, written into one buffer reused across points and streams, so a
-functional reads coordinate i as the contiguous row x[i].  Each entry is the
-same dot product as in Z L^T, though for this operand order BLAS may round
-it differently in the last bit.  Each pass draws its normals on a one-worker
+point's block is coordinate-major: x = L Z^T, of shape (n, rows), so a
+functional reads coordinate i as a contiguous row.  Each entry is the same
+dot product as in Z L^T, though for this operand order BLAS may round it
+differently in the last bit.  Each pass draws its normals on a one-worker
 executor, stream after stream, into one stream buffer, in chunks of 2^20
 values that run in order and are bit for bit the one draw; numpy releases
 the GIL while it fills them.  The calling thread makes every GEMM in column
@@ -39,16 +38,29 @@ unpanelled product at every n = 1..129 and at 150, 192, 255..257, 300, 511,
 entries from n = 18, and so does a 1-column tail at n >= 511, which numpy
 sends to GEMV.
 
-Every functional of a point is evaluated on that block: the theorem1
+No whole block is kept: each panel is written into one panel buffer, as a
+C-contiguous (n, columns) array, and every functional of the point is
+evaluated on it before the next panel overwrites it.  A functional's
+per-sample products (and their frexp exponents, where a factor can exceed 1)
+fill a stream-length vector, whose sums are taken after the block's last
+panel.  Products, masks and frexp are elementwise and the sums run over the
+same stream-length vectors, so the moments are bit for bit those of the
+whole block.  The stream's normals and the panel buffer, allocated
+together, take 8 n_max (min(S, 65536) + min(S, 65536, 16383)) bytes for S
+samples; the product vectors add 8 min(S, 65536) bytes per functional slot,
+and as much again for the exponents of a slot with a growing factor.
+
+Every functional of a point is evaluated on each panel: the theorem1
 product, the box indicators and, for a stationary model, the KLS product,
 whose draws are the theorem1 draws scaled by 1/sqrt(gamma(0)) (chol(T/gamma0)
 = chol(T)/sqrt(gamma0)).  Where no factor can exceed 1, the indicator factors
 are applied first, as one mask of the samples they keep, and the other
-factors are evaluated on the kept samples only; the rest are 0.  That is
-exact: an indicator factor is 1.0 where it keeps a sample, and a product with
-a 0 factor is 0 whatever the others are, so only the sign of a zero can
-differ, which no report reads (|mean| for theorem1 and KLS, 0/1 values for
-the box).  The Khatri-Sidak rows count hits, so their verdicts come from an
+factors are evaluated on the kept samples only, one call per distinct
+function, and not at all once none is kept; the rest are 0.  That is exact:
+an indicator factor is 1.0 where it keeps a sample, and a product with a 0
+factor is 0 whatever the others are, so only the sign of a zero can differ,
+which no report reads (|mean| for theorem1 and KLS, 0/1 values for the
+box).  The Khatri-Sidak rows count hits, so their verdicts come from an
 exact binomial (Clopper-Pearson) bound at the one-sided levels of the 3 and
 6 standard-error bands; zero hits still bound the probability.
 
@@ -257,6 +269,9 @@ def _stream_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def _stream_sizes(n_samples: int):
+    """Samples per stream; raises ValueError for n_samples < 1."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     full, rem = divmod(n_samples, _STREAM_ROWS)
     sizes = [_STREAM_ROWS] * full
     if rem:
@@ -265,34 +280,41 @@ def _stream_sizes(n_samples: int):
 
 
 def _stream_blocks(factors, n_samples: int, seed: int):
-    """Stream by stream, the block x = L Z^T of each Cholesky factor L.
+    """Stream by stream, the block x = L Z^T of each Cholesky factor L, panel by panel.
 
-    Yields ``(k, x)`` for factor k in order within each stream.  Each stream
-    is drawn once, as standard_normal(size * width) for the largest n; the
-    first size * n values read as (size, n) are bit for bit the block
-    standard_normal((size, n)) draws, and are the Z of a factor of size n.
-    x has shape (n, size) and is C-contiguous: row i holds the stream's draws
-    of X_i, so evaluating f_i reads one contiguous row instead of a column
-    with a stride of n floats.  Every x is a view of one buffer that the next
-    block overwrites; the caller may scale it in place.
+    Yields ``(k, a, size, x)``: x holds columns a .. a + x.shape[1] of
+    factor k's block in a stream of ``size`` samples.  Within a stream the
+    factors come in order, each as its panels in column order, so a panel
+    with a + x.shape[1] == size ends its block.  Each stream is drawn once,
+    as standard_normal(size * width) for the largest n; the first size * n
+    values read as (size, n) are bit for bit the block standard_normal((size,
+    n)) draws, and are the Z of a factor of size n.  x has shape (n, cols)
+    and is C-contiguous: row i holds the panel's draws of X_i, so evaluating
+    f_i reads one contiguous row instead of a column with a stride of n
+    floats.  Every x is a view of one panel buffer of
+    min(n_samples, _STREAM_ROWS, 2 _PANEL_ROWS - 1) columns that the next
+    panel overwrites; the caller may scale it in place.
 
     A one-worker executor draws the normals into one stream buffer z, as
     standard_normal(out=...) fills of _DRAW_CHUNK values run in order, bit
-    for bit the one draw.  Each x is multiplied here in column panels of
+    for bit the one draw.  Each block is multiplied here in column panels of
     _PANEL_ROWS samples, the last one taking the remainder; a panel waits
     only for the fills it reads (a draw error is raised again here), so the
     GEMMs start while the stream is still drawn.  After each panel of a
     stream's last factor, the next stream's fills whose values that factor
     has read are queued; the rest follow its last panel.  The panels depend
-    on the stream size alone, never on timing.  Raises ValueError for
+    on the stream size alone, never on timing, and a panel rounds the same
+    whatever the leading dimension of its output.  Raises ValueError for
     n_samples < 1 on the first next().
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    width = max(L.shape[0] for L in factors)
     sizes = _stream_sizes(n_samples)
-    z = np.empty(width * min(n_samples, _STREAM_ROWS))
-    buf = np.empty_like(z)
+    width = max(L.shape[0] for L in factors)
+    # One allocation for the normals and the panel buffer: past malloc's
+    # largest mmap threshold, it goes back to the system whole after each pass
+    # instead of staying resident in the heap.
+    cols = min(sizes[0], 2 * _PANEL_ROWS - 1)
+    buf = np.empty(width * (sizes[0] + cols))
+    z, panels = buf[: width * sizes[0]], buf[width * sizes[0] :]
     pool = ThreadPoolExecutor(1, thread_name_prefix=_DRAW_THREAD)
 
     def fills(stream: int) -> list:
@@ -313,19 +335,19 @@ def _stream_blocks(factors, n_samples: int, seed: int):
             queued = []
             for k, L in enumerate(factors):
                 n = L.shape[0]
-                x = buf[: n * size].reshape(n, size)
                 zt = z[: size * n].reshape(size, n).T
                 for a, b in zip(edges, edges[1:]):
                     for chunk in chunks[: -(-b * n // _DRAW_CHUNK)]:
                         chunk.result()
-                    np.matmul(L, zt[:, a:b], out=x[:, a:b])
+                    x = panels[: n * (b - a)].reshape(n, b - a)
+                    np.matmul(L, zt[:, a:b], out=x)
                     if k == len(factors) - 1:
                         # The last factor has read z[: b * n]; after its last panel, all of z.
                         read = b * n if b < size else z.size
                         while following and following[0][0] <= read:
                             _, submit = following.pop(0)
                             queued.append(submit())
-                yield k, x
+                    yield k, a, size, x
             chunks = queued
     finally:
         pool.shutdown(cancel_futures=True)
@@ -334,16 +356,19 @@ def _stream_blocks(factors, n_samples: int, seed: int):
 def sample_gaussian(C: CovarianceMatrix, n_samples: int, seed: int) -> np.ndarray:
     """(n_samples, n) matrix of i.i.d. draws of L Z, deterministic given seed.
 
-    It is the transpose of the stacked coordinate-major stream blocks, so its
-    memory is in Fortran order.
+    It is the transpose of the coordinate-major stream blocks, stacked from
+    their panels, so its memory is in Fortran order.
     """
     out = None
     start = 0
-    for _, x in _stream_blocks([C.chol], n_samples, seed):  # checks n_samples before out is sized
+    # _stream_blocks checks n_samples on the first next(), before out is sized.
+    for _, a, size, x in _stream_blocks([C.chol], n_samples, seed):
         if out is None:
             out = np.empty((C.n, n_samples))
-        out[:, start : start + x.shape[1]] = x
-        start += x.shape[1]
+        b = a + x.shape[1]
+        out[:, start + a : start + b] = x
+        if b == size:
+            start += size
     return out.T
 
 
@@ -368,39 +393,72 @@ def _shifted_product(values, shift: int) -> float:
     return _ldexp(mantissa, exponent - shift)
 
 
-def _stream_product_sums(x: np.ndarray, fns, grows, limit: int) -> tuple[float, float, int]:
-    """Sums of g 2^-shift and its square over one (n, rows) block, and its shift.
+def _panel_products(x: np.ndarray, fns, grows, pruning, g: np.ndarray, exponent) -> None:
+    """Each sample's product over one (n, cols) panel, written into g.
 
-    When no factor can exceed 1 and some are indicators, the indicators
-    come first: each tests only the samples the ones before it kept, and the
-    other factors, in coordinate order, multiply only the samples every
-    indicator keeps; the others stay 0.
-    The kept products are those of the in-order loop (a kept indicator
-    factor is exactly 1.0), and a dropped one was +-0 there, so the sums
-    differ at most in the sign of a zero.
+    ``g`` (and ``exponent``, None unless ``grows`` marks a factor that can
+    exceed 1) are the panel's columns of stream-length vectors.  After each
+    growing factor the running product is split by frexp into g and an
+    exponent that ``exponent`` accumulates.  ``pruning`` is ``_pruning(fns)``
+    when no factor can exceed 1, and None otherwise.  Then the indicators
+    come first: each tests only the samples the ones before it kept, and
+    once none is kept nothing more is evaluated on the panel.  The other
+    factors are evaluated on the kept samples only, one call per distinct
+    function on all its coordinates, and multiplied in coordinate order, the
+    indicator factors as the 1.0 they are on a kept sample; the others stay
+    0.  The kept products are those of the in-order loop, and a dropped one
+    was +-0 there, so the sums differ at most in the sign of a zero.
     """
-    indicators = [i for i, f in enumerate(fns) if f.is_indicator]
-    if indicators and not any(grows):
+    if pruning:
+        indicators, groups = pruning
         # take/compress gather the same values as x[i, keep] and keep[mask],
         # 2-4x faster on rows of 65536.
         first, *rest = indicators
         keep = np.flatnonzero(fns[first]._hits(x[first]))
         for i in rest:
+            if not keep.size:
+                break
             keep = keep.compress(fns[i]._hits(x[i].take(keep)))
-        kept = np.ones(keep.size)
-        for i, f in enumerate(fns):
-            if not f.is_indicator:
-                kept *= f(x[i].take(keep))
-        g = np.zeros(x.shape[1])
-        g[keep] = kept
-        return np.sum(g), np.sum(g * g), 0
-    g = np.ones(x.shape[1])
-    exponent = None
+        g[:] = 0.0
+        if keep.size and groups:
+            # All n rows: one take is faster than an (others, keep) gather.
+            values = x.take(keep, axis=1)
+            for f, rows in groups:
+                values[rows] = f(values[rows])
+            values[indicators] = 1.0
+            g[keep] = np.multiply.reduce(values, axis=0)  # in row order
+        elif keep.size:
+            g[keep] = 1.0
+        return
+    g[:] = 1.0
+    if exponent is not None:
+        exponent[:] = 0
     for i, f in enumerate(fns):
         g *= f(x[i])
         if grows[i]:
-            g, step = np.frexp(g)
-            exponent = step.astype(np.int64) if exponent is None else exponent + step
+            g[:], step = np.frexp(g)
+            exponent += step
+
+
+def _pruning(fns):
+    """A functional's indicator-first plan for ``_panel_products``, made once per call.
+
+    None without indicators; else the indicator coordinates, and each
+    distinct other function with the coordinates it is evaluated at.
+    """
+    indicators = [i for i, f in enumerate(fns) if f.is_indicator]
+    if not indicators:
+        return None
+    # By identity: equal specs can still differ in the sign of a zero parameter.
+    groups = {}
+    for i, f in enumerate(fns):
+        if not f.is_indicator:
+            groups.setdefault(id(f), (f, []))[1].append(i)
+    return indicators, [(f, np.array(rows)) for f, rows in groups.values()]
+
+
+def _stream_sums(g: np.ndarray, exponent, limit: int) -> tuple[float, float, int]:
+    """Sums of g 2^-shift and its square over one stream's products, and the shift."""
     shift = 0
     if exponent is not None:
         shift = max(0, int(exponent.max()) - limit)
@@ -428,12 +486,20 @@ def sweep_moments(points, n_samples: int, seed: int) -> list:
     standard error of g 2^-shift are returned with the shift, one list per
     point.  Each stream is drawn once for all points, as the prefix of one
     Philox draw for the largest dimension, and every functional of a point
-    is evaluated on that point's block; the block is divided in place when
-    the divisor changes, so list the undivided functionals (divisor 1.0)
-    first.  Streams are accumulated chunk-by-chunk (never materializing the
-    full sample) and combined by pairwise summation in stream order, so each
-    result is bitwise identical to evaluating on sample_gaussian output, and
-    to a pass over that point alone.
+    is evaluated on each GEMM panel of that point's block as it is made; the
+    panel is divided in place when the divisor changes, so list the
+    undivided functionals (divisor 1.0) first.  A functional's per-sample
+    products fill a stream-length vector, one per functional slot, shared by
+    the points since each factor's panels all come before the next factor's;
+    after the factor's last panel the stream's sums are taken over the whole
+    vector.  Streams are accumulated stream by stream (never materializing
+    the full sample) and combined by pairwise summation in stream order, so
+    each result is bitwise identical to evaluating on sample_gaussian output,
+    and to a pass over that point alone.  The stream's normals and the
+    panel buffer take 8 n_max (min(S, 65536) + min(S, 65536, 16383)) bytes
+    for S samples and the largest dimension n_max; the product vectors add
+    8 min(S, 65536) bytes per functional slot, and as much again per slot
+    whose exponents are kept.
 
     After each factor that can exceed 1 in size (``sup_abs() > 1``) the
     running product is split by frexp into a mantissa and an integer exponent
@@ -444,21 +510,40 @@ def sweep_moments(points, n_samples: int, seed: int) -> list:
     has, so it is 0, and the moments are the plain ones, whenever the plain
     sum of g^2 cannot overflow; a power-of-two shift is exact.  A functional
     without such a factor applies its indicators first and evaluates its
-    other factors only on the samples they keep (``_stream_product_sums``).
+    other factors only on the samples they keep (``_panel_products``).
     """
     if not points:
         return []
-    functionals = [list(fs) for _, fs in points]
-    grows = [[[f.sup_abs() > 1.0 for f in fns] for fns, _ in fs] for fs in functionals]
+    rows = _stream_sizes(n_samples)[0]  # refuses n_samples < 1 before a vector is sized
     limit = (1023 - n_samples.bit_length()) // 2
-    sums = [[[] for _ in fs] for fs in functionals]
-    for k, x in _stream_blocks([C.chol for C, _ in points], n_samples, seed):
+    functionals = [list(fs) for _, fs in points]
+    slots = max(map(len, functionals))
+    products = np.empty((slots, rows))
+    exponents = {}  # by slot, made where a factor can exceed 1
+    # Per functional, once per call: its growing factors and the exponent
+    # vector they need, or else its indicator-first plan.
+    plans = []
+    for fs in functionals:
+        plans.append([])
+        for j, (fns, d) in enumerate(fs):
+            grows = [f.sup_abs() > 1.0 for f in fns]
+            if any(grows):
+                if j not in exponents:
+                    exponents[j] = np.empty(rows, dtype=np.int64)
+                plans[-1].append((fns, d, grows, None, products[j], exponents[j]))
+            else:
+                plans[-1].append((fns, d, grows, _pruning(fns), products[j], None))
+    sums = [[[] for _ in plan] for plan in plans]
+    for k, a, size, x in _stream_blocks([C.chol for C, _ in points], n_samples, seed):
+        b = a + x.shape[1]
         divisor = 1.0
-        for (fns, d), grow, per_stream in zip(functionals[k], grows[k], sums[k]):
+        for (fns, d, grows, pruning, g, e), per_stream in zip(plans[k], sums[k]):
             if d != divisor:
                 x /= d / divisor
                 divisor = d
-            per_stream.append(_stream_product_sums(x, fns, grow, limit))
+            _panel_products(x, fns, grows, pruning, g[a:b], None if e is None else e[a:b])
+            if b == size:
+                per_stream.append(_stream_sums(g[:size], None if e is None else e[:size], limit))
     return [[_combine_streams(s, n_samples) for s in point] for point in sums]
 
 

@@ -18,7 +18,8 @@ package against independent routes.
   the package's O(n^2) recursion that never forms it.
 - ``stream_blocks``: verify's stream blocks drawn and multiplied on one
   thread, each in one unpanelled GEMM, next to the package's generator
-  whose normals a helper thread draws while the caller multiplies panels.
+  whose normals a helper thread draws while the caller multiplies and
+  yields panels; ``joined_panels`` joins those panels into the blocks.
 - ``cauchy_log_det_progression``: log det {1/(a_k + a_l)} for an arithmetic
   progression a_k = a_1 + (k-1) d in O(n), next to the package's O(n^2)
   Cauchy sum.
@@ -165,6 +166,23 @@ def stream_blocks(factors, n_samples: int, seed: int):
             np.matmul(L, z[: size * n].reshape(size, n).T, out=x)
             yield k, x
         del z  # freed before the next stream is drawn
+
+
+def joined_panels(panels):
+    """The ``(k, a, size, x)`` panels of verify's generator, joined as ``(k, x)`` blocks.
+
+    Each block is the C-contiguous (n, size) copy of one factor's panels in
+    one stream; the panels must cover its columns in order, with no gap.
+    """
+    parts = []
+    for k, a, size, x in panels:
+        assert a == sum(part.shape[1] for _, part in parts)
+        parts.append((k, x.copy()))
+        if a + x.shape[1] == size:
+            assert {owner for owner, _ in parts} == {k}
+            yield k, np.hstack([part for _, part in parts])
+            parts = []
+    assert not parts
 
 
 def with_rhs(report: VerificationReport, rhs: float) -> VerificationReport:

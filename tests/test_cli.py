@@ -632,18 +632,21 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(results))
 """
 
-# Hashes the panelled stream blocks and the serial oracle's at the montecarlo
-# benchmark's shape (n = 16, 64, 128; 100000 samples, two streams), with the
-# dense factors of an equicorrelated model.
+# Hashes the stream blocks joined from the package's panels and the serial
+# oracle's at the montecarlo benchmark's shape (n = 16, 64, 128; 100000
+# samples, two streams), with the dense factors of an equicorrelated model.
 _RUN_BENCHMARK_SHAPE = """
 import hashlib, json
 from gaussdecoup import from_stationary, verify
-from oracles import stream_blocks
+from oracles import joined_panels, stream_blocks
 factors = [from_stationary([1.0] + [0.5] * (n - 1), n).chol for n in (16, 64, 128)]
 n_samples = verify._STREAM_ROWS + 34_464
 print(json.dumps([
-    [[k, hashlib.sha256(x).hexdigest()] for k, x in blocks(factors, n_samples, 7)]
-    for blocks in (verify._stream_blocks, stream_blocks)
+    [[k, hashlib.sha256(x).hexdigest()] for k, x in blocks]
+    for blocks in (
+        joined_panels(verify._stream_blocks(factors, n_samples, 7)),
+        stream_blocks(factors, n_samples, 7),
+    )
 ]))
 """
 
@@ -831,11 +834,16 @@ class TestPerNErrors:
         # verify samples all its n in one pass before the per-n bodies: an
         # error inside it is the error row of every n the pass covered, and
         # the pass leaves no drawing thread behind.  70000 samples make two
-        # streams, so the error comes while the second one is drawn.
-        def broken(*args):
-            raise ValueError("injected")
+        # streams; the first panel of n = 5, the last factor, queues the
+        # second stream's draw, so the error comes while that one is drawn.
+        panel_products = verify_module._panel_products
 
-        monkeypatch.setattr(verify_module, "_stream_product_sums", broken)
+        def broken(x, *args):
+            if x.shape[0] == 5:
+                raise ValueError("injected")
+            return panel_products(x, *args)
+
+        monkeypatch.setattr(verify_module, "_panel_products", broken)
         argv = ["verify", "--model", "ma1:a=0.5", "--n", "3,5", "--samples", "70000"]
         assert run(argv) == 2
         rows = json.loads(capsys.readouterr().out)

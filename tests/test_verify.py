@@ -1,9 +1,11 @@
 """Monte Carlo verification machinery: sampling, quadrature, reports."""
 
 import hashlib
+import itertools
 import math
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import mpmath
@@ -32,7 +34,7 @@ from gaussdecoup import (
 from gaussdecoup import verify as verify_module
 from gaussdecoup.cli import main
 from gaussdecoup.verify import _hit_bound, _product_moments
-from oracles import stream_blocks, with_rhs
+from oracles import joined_panels, stream_blocks, with_rhs
 
 IND1 = TestFunctionSpec.indicator(1.0)
 COS = TestFunctionSpec.cosine(0.7)
@@ -133,7 +135,7 @@ class TestSampleGaussian:
         with pytest.raises(ValueError):
             sample_gaussian(C, 1000, seed=seed)
 
-    # Every sampling entry point reaches the one check in _stream_blocks
+    # Every sampling entry point reaches the one check in _stream_sizes
     # before numpy sees the count.
     @pytest.mark.parametrize("n_samples", [0, -5])
     @pytest.mark.parametrize(
@@ -594,14 +596,31 @@ class TestCoordinateMajorBlocks:
     """Stream blocks are x = L Z^T, shape (n, rows); the row-major path is the oracle."""
 
     def test_blocks_are_contiguous_coordinate_rows(self):
+        # Panels of 8192 columns, the last one taking the remainder: a full
+        # stream is 8 panels, one of 3 * 8192 + 5000 samples is 3, the last
+        # 13192 wide, and one of 5 samples is 1.
         C = build_dense([[1.0, 0.3], [0.3, 1.0]])
-        rows = verify_module._STREAM_ROWS
-        blocks = [
-            (k, x.shape, x.flags.c_contiguous)
-            for k, x in verify_module._stream_blocks([C.chol, np.eye(1)], 2 * rows + 5, seed=3)
-        ]
-        per_stream = [[(0, (2, size), True), (1, (1, size), True)] for size in (rows, rows, 5)]
-        assert blocks == sum(per_stream, [])
+        rows, cols = verify_module._STREAM_ROWS, verify_module._PANEL_ROWS
+        factors = [C.chol, np.eye(1)]
+
+        def panels(n_samples):
+            return [
+                (k, a, size, x.shape, x.flags.c_contiguous)
+                for k, a, size, x in verify_module._stream_blocks(factors, n_samples, seed=3)
+            ]
+
+        def stream(size, edges):
+            return [
+                (k, a, size, (n, b - a), True)
+                for k, n in ((0, 2), (1, 1))
+                for a, b in zip(edges, edges[1:])
+            ]
+
+        tail = 3 * cols + 5000
+        assert panels(rows + tail) == (
+            stream(rows, range(0, rows + 1, cols)) + stream(tail, [0, cols, 2 * cols, tail])
+        )
+        assert panels(5) == stream(5, [0, 5])
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(
@@ -743,7 +762,7 @@ class TestDrawingThread:
         n_samples = (streams - 1) * verify_module._STREAM_ROWS + tail
         factors = _factors(ns)
         with mock.patch.object(verify_module, "_DRAW_CHUNK", chunk):
-            threaded = verify_module._stream_blocks(factors, n_samples, seed)
+            threaded = joined_panels(verify_module._stream_blocks(factors, n_samples, seed))
             serial = stream_blocks(factors, n_samples, seed)
             count = 0
             for (k, x), (k_ref, x_ref) in zip(threaded, serial, strict=True):
@@ -756,14 +775,17 @@ class TestDrawingThread:
         # _PANEL_ROWS + 1 samples are one panel: numpy would send a 1-column
         # tail to GEMV, which rounds differently from GEMM at n >= 511.
         factors, n_samples = _factors([512]), verify_module._PANEL_ROWS + 1
-        threaded = verify_module._stream_blocks(factors, n_samples, 3)
+        panels = list(verify_module._stream_blocks(factors, n_samples, 3))
+        assert [(k, a, size, x.shape) for k, a, size, x in panels] == [
+            (0, 0, n_samples, (512, n_samples))
+        ]
         serial = stream_blocks(factors, n_samples, 3)
-        for (k, x), (k_ref, x_ref) in zip(threaded, serial, strict=True):
+        for (k, x), (k_ref, x_ref) in zip(joined_panels(panels), serial, strict=True):
             assert (k, x.tobytes()) == (k_ref, x_ref.tobytes())
 
     def test_next_stream_is_drawn_during_the_last_gemms(self):
         # Every fill submitted and every GEMM panel made, in one list, on the
-        # calling thread, with the yields that mark where a stream ends.
+        # calling thread, with the yields of the panels that end a block.
         events, streams = [], {}
         real_stream_rng = verify_module._stream_rng
 
@@ -790,8 +812,9 @@ class TestDrawingThread:
             mock.patch.object(verify_module, "ThreadPoolExecutor", RecordingExecutor),
             mock.patch.object(np, "matmul", recording_matmul),
         ):
-            for k, _ in verify_module._stream_blocks(_factors(ns), n_samples, 7):
-                events.append(("yield", k))
+            for k, a, size, x in verify_module._stream_blocks(_factors(ns), n_samples, 7):
+                if a + x.shape[1] == size:
+                    events.append(("yield", k))
         end_of_stream_0 = [i for i, e in enumerate(events) if e[0] == "yield"][len(ns) - 1]
         last_gemm_0 = max(i for i, e in enumerate(events[:end_of_stream_0]) if e[0] == "gemm")
         first_fill_1 = events.index(next(e for e in events if e[:2] == ("fill", 1)))
@@ -812,7 +835,7 @@ class TestDrawingThread:
         results = {}
 
         def one_pass(i):
-            blocks = verify_module._stream_blocks(factors, n_samples, 5)
+            blocks = joined_panels(verify_module._stream_blocks(factors, n_samples, 5))
             results[i] = [(k, hashlib.sha256(x).digest()) for k, x in blocks]
 
         interval = sys.getswitchinterval()
@@ -833,9 +856,10 @@ class TestDrawingThread:
     def test_a_draw_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(verify_module, "_stream_rng", _second_stream_breaks)
         rows = verify_module._STREAM_ROWS
+        cols = verify_module._PANEL_ROWS
         blocks = verify_module._stream_blocks(_factors([3]), rows + 10, 7)
-        k, x = next(blocks)  # stream 0 draws
-        assert (k, x.shape) == (0, (3, rows))
+        first = [(k, a, size, x.shape) for k, a, size, x in itertools.islice(blocks, rows // cols)]
+        assert first == [(0, a, rows, (3, cols)) for a in range(0, rows, cols)]  # stream 0 draws
         with pytest.raises(_BrokenDraw, match="stream 1 failed"):
             next(blocks)
         assert not _drawing_threads()
@@ -872,23 +896,44 @@ class TestDrawingThread:
         assert not _drawing_threads()
 
     def test_no_thread_outlives_a_failed_evaluation(self, monkeypatch):
-        # The functional raises between blocks, while the next stream is drawn.
+        # The functional raises on the first panel, whose GEMM queued the
+        # next stream's draw.
         def broken(*args):
             raise ValueError("evaluation failed")
 
-        monkeypatch.setattr(verify_module, "_stream_product_sums", broken)
+        monkeypatch.setattr(verify_module, "_panel_products", broken)
         C = from_stationary([1.25, 0.5], 3)
         with pytest.raises(ValueError, match="evaluation failed"):
             verify_theorem1(C, 4.0, [COS] * 3, 70_000, 3)
         assert not _drawing_threads()
 
 
-def _in_order_sums(x, fns):
-    """The reference loop: every factor on every sample, in coordinate order."""
+def _in_order_sums(x, fns, limit=None):
+    """The reference loop: every factor on every sample, in coordinate order.
+
+    With a ``limit``, the running product is split by frexp after each factor
+    that can exceed 1, and the sums are those of g 2^-shift, as in
+    ``sweep_moments``.
+    """
     g = np.ones(x.shape[1])
+    exponent = None
     for i, f in enumerate(fns):
         g *= f(x[i])
-    return np.sum(g), np.sum(g * g), 0
+        if limit is not None and f.sup_abs() > 1.0:
+            g, step = np.frexp(g)
+            exponent = step.astype(np.int64) if exponent is None else exponent + step
+    shift = 0
+    if exponent is not None:
+        shift = max(0, int(exponent.max()) - limit)
+        g = np.ldexp(g, exponent - shift)
+    return np.sum(g), np.sum(g * g), shift
+
+
+def _pruned_sums(x, fns):
+    """The package's indicator-first products over the block x as one panel, and their sums."""
+    g = np.empty(x.shape[1])
+    verify_module._panel_products(x, fns, [False] * len(fns), verify_module._pruning(fns), g, None)
+    return verify_module._stream_sums(g, None, 500)
 
 
 FAR = TestFunctionSpec.shifted_indicator(9.0, 0.5)  # hits no sample of the blocks below
@@ -915,22 +960,20 @@ class TestPrunedProducts:
     def test_matches_in_order_loop(self, n, rows, kinds, scale, seed):
         fns = [kinds[i % len(kinds)] for i in range(n)]
         x = scale * np.random.default_rng(seed).standard_normal((n, rows))
-        pruned = verify_module._stream_product_sums(x, fns, [False] * n, 500)
+        pruned = _pruned_sums(x, fns)
         assert pruned == _in_order_sums(x, fns)
 
     def test_block_cases(self):
         x = np.random.default_rng(7).standard_normal((4, 3000))
         # Every sample zeroed (the in-order loop's products are -0 here).
-        assert verify_module._stream_product_sums(x, [NEGATIVE, FAR] * 2, [False] * 4, 500) == (
-            0.0, 0.0, 0
-        )
+        assert _pruned_sums(x, [NEGATIVE, FAR] * 2) == (0.0, 0.0, 0)
         # No sample zeroed, some but not all, and indicators alone.
         for fns in (
             [WIDE, NEGATIVE, COS, GRIDF],
             [IND1, NEGATIVE, COS, SHIFTED_LEFT],
             [IND1, WIDE, SHIFTED_LEFT, IND1],
         ):
-            pruned = verify_module._stream_product_sums(x, fns, [False] * 4, 500)
+            pruned = _pruned_sums(x, fns)
             assert pruned == _in_order_sums(x, fns) and pruned[0] != 0.0
 
     def test_later_indicators_see_only_survivors(self, monkeypatch):
@@ -941,14 +984,98 @@ class TestPrunedProducts:
         monkeypatch.setattr(
             TestFunctionSpec, "_hits", lambda f, v: seen.append(v.size) or real(f, v)
         )
-        pruned = verify_module._stream_product_sums(x, fns, [False] * 5, 500)
+        pruned = _pruned_sums(x, fns)
         masks = [real(fns[i], x[i]) for i in (0, 2, 3)]  # the indicators before FAR
         survivors = [int(np.count_nonzero(np.all(masks[:k], axis=0))) for k in (1, 2, 3)]
         # Each indicator after the first tests the samples all earlier ones kept.
         assert seen == [4000] + survivors
         assert 4000 > survivors[0] > survivors[1] > 0 and pruned == (0.0, 0.0, 0)
-        # FAR keeps none, so nothing is left for a later indicator either.
+        # FAR keeps none, so no later indicator is tested and no other factor
+        # evaluated: the panel's products are all 0.
         fns = [IND1, FAR, COS, IND1]
         seen.clear()
-        assert verify_module._stream_product_sums(x, fns, [False] * 4, 500) == (0.0, 0.0, 0)
-        assert seen == [4000, int(np.count_nonzero(real(IND1, x[0]))), 0]
+        evaluated = []
+        call = TestFunctionSpec.__call__
+        monkeypatch.setattr(
+            TestFunctionSpec, "__call__", lambda f, v: evaluated.append(f) or call(f, v)
+        )
+        assert _pruned_sums(x, fns) == (0.0, 0.0, 0)
+        assert seen == [4000, int(np.count_nonzero(real(IND1, x[0])))] and not evaluated
+
+
+# Bounded by 1 with indicators: each panel takes the indicator-first path.
+UNIT_MIXED = [IND1, COS, SHIFTED_LEFT, GRIDF, NEGATIVE]
+
+
+class TestPanelSplit:
+    """Products made panel by panel sum as the in-order loop over whole serial blocks."""
+
+    COUNTS = [1, 8191, 8192, 16_383, 65_536 + 1, 65_536 + 8193]
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(
+        ns=st.lists(st.integers(1, 30), min_size=1, max_size=3),
+        n_samples=st.sampled_from(COUNTS),
+        kinds=st.lists(st.sampled_from(MIXED + [GROWING, BIG, FAR, WIDE]), min_size=1, max_size=3),
+        divisor=st.floats(0.5, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # The last functional is divided in place, as verify's KLS product is; BIG
+    # on 30 of its 60 coordinates forces a shift > 0.
+    @example(ns=[60, 7], n_samples=COUNTS[0], kinds=[IND1, COS], divisor=1.7, seed=1)
+    @example(ns=[60, 7], n_samples=COUNTS[1], kinds=[GROWING, IND1], divisor=1.7, seed=2)
+    @example(ns=[7, 60], n_samples=COUNTS[2], kinds=[WIDE, GROWING], divisor=0.6, seed=3)
+    @example(ns=[60], n_samples=COUNTS[3], kinds=[POLY, FAR], divisor=2.5, seed=4)
+    @example(ns=[60, 3, 16], n_samples=COUNTS[4], kinds=[IND1, BIG], divisor=1.3, seed=5)
+    @example(ns=[16, 60], n_samples=COUNTS[5], kinds=[GROWING, GRIDF], divisor=1.7, seed=6)
+    def test_sweep_matches_whole_stream_loop(self, ns, n_samples, kinds, divisor, seed):
+        points = []
+        for n in ns:
+            fns = [kinds[i % len(kinds)] for i in range(n)]
+            unit = [UNIT_MIXED[i % len(UNIT_MIXED)] for i in range(n)]
+            big = [[BIG, COS][i % 2] for i in range(n)]
+            functionals = [(fns, 1.0), ([IND1] * n, 1.0), (unit, 1.0), (big, divisor)]
+            points.append((from_stationary([1.0] + [0.5] * (n - 1), n), functionals))
+        limit = (1023 - n_samples.bit_length()) // 2
+        sums = [[[] for _ in fs] for _, fs in points]
+        for k, x in stream_blocks([C.chol for C, _ in points], n_samples, seed):
+            scale = 1.0
+            for (fns, d), per_stream in zip(points[k][1], sums[k]):
+                if d != scale:
+                    x /= d / scale
+                    scale = d
+                per_stream.append(_in_order_sums(x, fns, limit))
+        expected = [[verify_module._combine_streams(s, n_samples) for s in fs] for fs in sums]
+        assert verify_module.sweep_moments(points, n_samples, seed) == expected
+        assert all(moments[3][2] > 0 for n, moments in zip(ns, expected) if n == 60)
+
+    def test_sample_gaussian_is_the_serial_blocks(self):
+        # Each panel is copied into its columns of the result, stream after stream.
+        C = from_stationary([1.0] + [0.5] * 39, 40)
+        n_samples = verify_module._STREAM_ROWS + 3 * verify_module._PANEL_ROWS + 5000
+        x = sample_gaussian(C, n_samples, 9)
+        blocks = [block.copy() for _, block in stream_blocks([C.chol], n_samples, 9)]
+        assert x.T.tobytes() == np.hstack(blocks).tobytes()
+
+    def test_pass_holds_one_panel(self):
+        # The montecarlo benchmark's shape: n = 16, 64, 128, 100000 samples and
+        # a suite bounded by 1, with the ma1:a=0.5 KLS divisor.  The stream's
+        # normals and one panel of 16383 columns at n = 128 are 83.9 MB; a
+        # whole-stream block buffer would add 67.1 MB more.
+        ns, n_samples, gamma = (16, 64, 128), 100_000, [1.25, 0.5]
+        suite = [IND1, COS, TestFunctionSpec.bounded_poly((1.0, 0.2, -0.1), clip=1.0), GRIDF]
+        points = []
+        for n in ns:
+            fns = [suite[i % len(suite)] for i in range(n)]
+            C = from_stationary(gamma, n)
+            C.chol  # factored before the trace starts
+            points.append((C, [(fns, 1.0), ([IND1] * n, 1.0), (fns, math.sqrt(gamma[0]))]))
+        tracemalloc.start()
+        try:
+            verify_module.sweep_moments(points, n_samples, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        normals = 8 * max(ns) * verify_module._STREAM_ROWS
+        panel = 8 * max(ns) * (2 * verify_module._PANEL_ROWS - 1)
+        assert peak < normals + panel + 8e6
