@@ -14,11 +14,11 @@ examples  canned scenario tables: the inverse-power growth of p(X^n) against
 analyze, szego, verify and eb share one per-n runner (``_run_per_n``): each
 supplies the body for one dimension n, and the runner makes the rows, turns an
 error in one n into that n's error row, sorts the rows and picks the exit code:
-0 clean, 2 if any n failed, 3 if any check hard-fails.  verify first makes
-one sampling pass for all its n, so ``--jobs`` splits only its reports; an
-error in that pass is the error row of every n it covered.  A malformed
-config (flag or file value) exits 2 with ``config error:`` before any row,
-and so does a report that cannot be written.
+0 clean, 2 if any n failed, 3 if any check hard-fails.  The n run one after
+another, in ascending order.  verify first makes one sampling pass for all
+its n; an error in that pass is the error row of every n it covered.  A
+malformed config (flag or file value) exits 2 with ``config error:`` before
+any row, and so does a report that cannot be written.
 
 szego keeps its per-symbol work on the symbol: the condition report, log
 b(f) and one Durbin recursion, whose prefix at n is the exact n-th section
@@ -43,7 +43,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -142,7 +141,7 @@ class ScenarioConfig:
     seed: int = 20260809
     output: str | None = None  # report base path; None writes JSON to stdout
     eps: float = 1.0
-    jobs: int = 1
+    jobs: int = 1  # 1 only; the key and flag stay while perfbench's call lists pass --jobs 1
     # Parsed from ``model`` and ``p_policy`` by ``validate``.
     spec: covmodel.ModelSpec | None = field(default=None, init=False, repr=False)
     p_fixed: float | None = field(default=None, init=False, repr=False)
@@ -152,8 +151,8 @@ class ScenarioConfig:
             raise ConfigError("n_list must be nonempty")
         if any(n < 1 for n in self.n_list):
             raise ConfigError("n_list entries must be positive integers")
-        if list(self.n_list) != sorted(self.n_list):
-            raise ConfigError("n_list must be ascending")
+        if list(self.n_list) != sorted(set(self.n_list)):
+            raise ConfigError("n_list must be strictly ascending: no n may repeat")
         if command == "verify" and self.mc_samples < 1000:
             raise ConfigError("mc_samples must be >= 1000 for verify runs")
         try:
@@ -163,8 +162,8 @@ class ScenarioConfig:
         self.p_fixed = _parse_p_policy(self.p_policy)
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ConfigError(f"eps must be a positive finite number, got {self.eps!r}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        if self.jobs != 1:
+            raise ConfigError(f"jobs must be 1, got {self.jobs}: a run computes its n in order")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must satisfy 0 <= seed < 2**64, got {self.seed}")
 
@@ -191,30 +190,22 @@ def _run_per_n(cfg: ScenarioConfig, fill, error_rows=_error_field) -> tuple[list
     ``fill(n, row)`` completes the ``{model, n, error}`` row in place, or
     returns the rows to report in its stead.  An error it raises is caught and
     ``error_rows(row, exc)`` gives that n's rows (by default the row as far as
-    it was filled, with ``error`` set).  Rows are sorted, so ``--jobs`` does
-    not change the report.  Exit 3 on any hard_fail row, else 2 if any n
-    failed, else 0.
+    it was filled, with ``error`` set).  verify fills theorem1, khatri_sidak
+    and kls in that order; the sort fixes the report order by suite name.
+    Exit 3 on any hard_fail row, else 2 if any n failed, else 0.
     """
-
-    def task(n: int) -> tuple[list, bool]:
+    rows, failed = [], False
+    for n in cfg.n_list:
         row = {"model": cfg.model, "n": n, "error": None}
         try:
-            return fill(n, row) or [row], False
+            rows += fill(n, row) or [row]
         except _ROW_ERRORS as exc:
-            return error_rows(row, exc), True
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(task, cfg.n_list))
-    else:
-        results = [task(n) for n in cfg.n_list]
-    rows = sorted(
-        (row for chunk, _ in results for row in chunk),
-        key=lambda r: (r["model"], r["n"], r.get("function_suite", "")),
-    )
+            rows += error_rows(row, exc)
+            failed = True
+    rows.sort(key=lambda r: (r["model"], r["n"], r.get("function_suite", "")))
     if any(r.get("verdict") == "hard_fail" for r in rows):
         return rows, EXIT_HARD_FAIL
-    return rows, (EXIT_CONFIG if any(failed for _, failed in results) else EXIT_OK)
+    return rows, (EXIT_CONFIG if failed else EXIT_OK)
 
 
 def _matrix_and_p(cfg: ScenarioConfig, n: int, cap_name: str):
@@ -479,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--eps", type=float, help="probability box half-width")
         cmd.add_argument("--seed", type=int)
         cmd.add_argument("--out", dest="output", type=str, help="output base path")
-        cmd.add_argument("--jobs", type=int)
+        cmd.add_argument("--jobs", type=int, help="1 only: the n run in order")
     return parser
 
 

@@ -240,7 +240,8 @@ class _Durbin:
     the sections of one row share one O(N^2) run instead of costing
     sum n^2. The state holds the predictor, v, the running log dets and
     pivots, and the first failure (its order and |kappa|); a lock makes it
-    safe to share between threads.
+    safe to share between threads.  The CLI runs one n at a time; the lock
+    serves library callers who share one symbol across their own threads.
 
     Raises ``numpy.linalg.LinAlgError`` when row[0] is not positive (at
     construction), or from ``prefix(n)`` when a reflection coefficient of

@@ -547,22 +547,22 @@ class TestVerifyCommand:
         assert out.with_suffix(".json").read_bytes() == (DATA / "golden_verify.json").read_bytes()
         assert out.with_suffix(".csv").read_bytes() == (DATA / "golden_verify.csv").read_bytes()
 
-    def test_jobs_flag_preserves_output(self, tmp_path):
-        args = [
-            "verify",
-            "--model",
-            "ma1:a=0.3",
-            "--n",
-            "2,4",
-            "--samples",
-            "2000",
-            "--seed",
-            "5",
-        ]
-        out1, out2 = tmp_path / "s1", tmp_path / "p2"
+    def test_jobs_flag_accepts_only_1(self, tmp_path, capsys):
+        # The n of a run are computed in order: --jobs 1 is the run without
+        # the flag, and any other value, from the flag or a file, is refused.
+        args = ["verify", "--model", "ma1:a=0.3", "--n", "2,4", "--samples", "2000", "--seed", "5"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 3}))
+        for extra in (["--jobs", "2"], ["--jobs", "0"], ["--config", str(cfg)]):
+            assert run(args + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error: jobs must be 1")
+            assert captured.out == ""
+        out1, out2 = tmp_path / "s1", tmp_path / "j1"
         assert run(args + ["--out", str(out1)]) == 0
-        assert run(args + ["--out", str(out2), "--jobs", "4"]) == 0
-        assert out1.with_suffix(".json").read_bytes() == out2.with_suffix(".json").read_bytes()
+        assert run(args + ["--out", str(out2), "--jobs", "1"]) == 0
+        for suffix in (".json", ".csv"):
+            assert out1.with_suffix(suffix).read_bytes() == out2.with_suffix(suffix).read_bytes()
 
 
 # Report bytes on stdout, frozen: small normal runs of each per-n command and
@@ -823,7 +823,7 @@ class TestPerNErrors:
 
         monkeypatch.setattr(f"gaussdecoup.{module}.{name}", fail_at_3)
         argv = [command, "--model", "ma1:a=0.5", "--n", "2,3", "--samples", "1000"]
-        assert run(argv + ["--jobs", "2"]) == 2
+        assert run(argv) == 2
         rows = json.loads(capsys.readouterr().out)
         failed = [r for r in rows if r.get("error") or str(r.get("verdict")).startswith("error")]
         assert [r["n"] for r in failed] == [3]
@@ -1002,6 +1002,32 @@ class TestMalformedInput:
         assert captured.err.startswith("config error:")
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--n", "4,4"],
+            ["verify", "--n", "4,4", "--samples", "1000"],
+            ["szego", "--n", "2,8,8"],
+            ["eb", "--n", "3,3"],
+            ["analyze", "--n", "8,4"],
+        ],
+    )
+    def test_n_not_strictly_ascending_is_a_config_error(self, argv, capsys):
+        # A repeated n used to report its rows twice (verify's interleaved by
+        # the sort); one n is one row, or one set of verify rows.
+        assert run(argv + ["--model", "ma1:a=0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: n_list must be strictly ascending")
+        assert captured.out == ""
+
+    def test_repeated_n_in_a_config_file_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "ma1:a=0.5", "n_list": [2, 4, 4]}))
+        assert run(["analyze", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: n_list must be strictly ascending")
+        assert captured.out == ""
+
     def test_malformed_n_flag_is_a_config_error(self, capsys):
         assert run(["analyze", "--model", "identity", "--n", "4,x"]) == 2
         captured = capsys.readouterr()
@@ -1101,12 +1127,42 @@ class TestMalformedInput:
         assert len(theorem1) == 1 and theorem1[0]["rhs"] == math.inf
 
 
+class TestNoWorkerThreads:
+    """The n of a run are computed on the calling thread: analyze, szego and
+    eb start no thread, and verify only its normals' draw workers."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--model", "hilbert", "--n", "256,512"],
+            ["analyze", "--model", "ma1:a=0.5", "--n", "2,5,16"],
+            ["szego", "--model", "ma1:a=0.5", "--n", "4,64"],
+            ["eb", "--model", "equicorr:rho=0.3", "--n", "4,8"],
+            ["verify", "--model", "ma1:a=0.5", "--n", "3,5", "--samples", "70000"],
+        ],
+    )
+    def test_threads_started_by_a_call(self, argv, monkeypatch, capsys):
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        assert run(argv) == 0
+        if argv[0] == "verify":
+            assert started
+            assert all(name.startswith(verify_module._DRAW_THREAD) for name in started)
+        else:
+            assert started == []
+
+
 class TestCallLevelReuse:
     """What is computed once (the parser; a symbol's report and recursion)
     leaves every row as that n run alone, and every call as a fresh
     process's."""
 
-    @pytest.mark.parametrize("jobs", ["1", "3"])
     @pytest.mark.parametrize(
         "argv, n_list",
         [
@@ -1119,14 +1175,14 @@ class TestCallLevelReuse:
             (["analyze", "--model", "equicorr:rho=-0.3"], "1,3,4,5,40"),
         ],
     )
-    def test_rows_equal_each_n_alone(self, argv, n_list, jobs, monkeypatch, capsys):
+    def test_rows_equal_each_n_alone(self, argv, n_list, monkeypatch, capsys):
         monkeypatch.chdir(DATA)
 
-        def rows(n_arg, jobs_arg="1"):
-            run(argv + ["--n", n_arg, "--jobs", jobs_arg])
+        def rows(n_arg):
+            run(argv + ["--n", n_arg])
             return [json.dumps(r, sort_keys=True) for r in json.loads(capsys.readouterr().out)]
 
-        swept = rows(n_list, jobs)
+        swept = rows(n_list)
         assert swept == [row for n in n_list.split(",") for row in rows(n)]
 
     def test_second_call_gives_a_fresh_process_bytes(self, monkeypatch, capsys):

@@ -885,10 +885,9 @@ class TestDrawingThread:
             lambda: verify_theorem1(from_stationary([1.25, 0.5], 4), 4.0, [COS] * 4, 70_000, 3),
             lambda: verify_khatri_sidak(from_stationary([1.25, 0.5], 4), [1.0] * 4, 4.0, 5000, 3),
             lambda: verify_kls([1.25, 0.5], 4, [IND1] * 4, 5000, 3),
-            lambda: main(["verify", "--model", "ma1:a=0.5", "--n", "3,5", "--samples", "70000",
-                          "--jobs", "2"]),
+            lambda: main(["verify", "--model", "ma1:a=0.5", "--n", "3,5", "--samples", "70000"]),
         ],
-        ids=["sample_gaussian", "theorem1", "khatri_sidak", "kls", "cli_jobs_2"],
+        ids=["sample_gaussian", "theorem1", "khatri_sidak", "kls", "cli"],
     )
     def test_no_thread_outlives_a_call(self, call, capsys):
         result = call()
