@@ -13,12 +13,12 @@ examples  canned scenario tables: the inverse-power growth of p(X^n) against
 
 analyze, szego, verify and eb share one per-n runner (``_run_per_n``): each
 supplies the body for one dimension n, and the runner makes the rows, turns an
-error in one n into that n's error row, sorts the rows and picks the exit code:
-0 clean, 2 if any n failed, 3 if any check hard-fails.  The n run one after
-another, in ascending order.  verify first makes one sampling pass for all
-its n; an error in that pass is the error row of every n it covered.  A
-malformed config (flag or file value) exits 2 with ``config error:`` before
-any row, and so does a report that cannot be written.
+error in one n into that n's error row and picks the exit code: 0 clean, 2
+if any n failed, 3 if any check hard-fails.  The n run one after another, in
+ascending order, and their rows follow in that order.  verify first makes one
+sampling pass for all its n; an error in that pass is the error row of every n
+it covered.  A malformed config (flag or file value) exits 2 with
+``config error:`` before any row, and so does a report that cannot be written.
 
 szego keeps its per-symbol work on the symbol: the condition report, log
 b(f) and one Durbin recursion, whose prefix at n is the exact n-th section
@@ -190,9 +190,8 @@ def _run_per_n(cfg: ScenarioConfig, fill, error_rows=_error_field) -> tuple[list
     ``fill(n, row)`` completes the ``{model, n, error}`` row in place, or
     returns the rows to report in its stead.  An error it raises is caught and
     ``error_rows(row, exc)`` gives that n's rows (by default the row as far as
-    it was filled, with ``error`` set).  verify fills theorem1, khatri_sidak
-    and kls in that order; the sort fixes the report order by suite name.
-    Exit 3 on any hard_fail row, else 2 if any n failed, else 0.
+    it was filled, with ``error`` set).  Exit 3 on any hard_fail row, else 2
+    if any n failed, else 0.
     """
     rows, failed = [], False
     for n in cfg.n_list:
@@ -202,7 +201,6 @@ def _run_per_n(cfg: ScenarioConfig, fill, error_rows=_error_field) -> tuple[list
         except _ROW_ERRORS as exc:
             rows += error_rows(row, exc)
             failed = True
-    rows.sort(key=lambda r: (r["model"], r["n"], r.get("function_suite", "")))
     if any(r.get("verdict") == "hard_fail" for r in rows):
         return rows, EXIT_HARD_FAIL
     return rows, (EXIT_CONFIG if failed else EXIT_OK)
@@ -290,10 +288,15 @@ def _report_row(cfg, n, p, suite, report) -> dict:
 
 def cmd_verify(cfg: ScenarioConfig) -> tuple[list, int]:
     kls_g = cfg.spec.summable_gamma()
+    try:
+        kls_exp = None if kls_g is None else verify.stationary_exponent(kls_g)
+    except _ROW_ERRORS as exc:
+        kls_exp = exc  # every n reports it, after its own matrix
 
     def resolve(n: int) -> tuple:
         C, p = _matrix_and_p(cfg, n, "sampling")
-        kls_exp = None if kls_g is None else verify.stationary_exponent(kls_g)
+        if isinstance(kls_exp, Exception):
+            raise kls_exp
         fns = [cfg.functions[i % len(cfg.functions)] for i in range(n)]
         decoupling.theorem1_log_constant(C, p)  # a p below 2 p(X) fails before sampling
         # The KLS section is C / gamma(0), so its draws are these divided by
@@ -301,7 +304,7 @@ def cmd_verify(cfg: ScenarioConfig) -> tuple[list, int]:
         functionals = [(fns, 1.0), ([verify.TestFunctionSpec.indicator(cfg.eps)] * n, 1.0)]
         if kls_g is not None:
             functionals.append((fns, math.sqrt(kls_g[0])))
-        return C, p, kls_exp, fns, functionals
+        return C, p, fns, functionals
 
     points = {}
     for n in cfg.n_list:
@@ -323,7 +326,7 @@ def cmd_verify(cfg: ScenarioConfig) -> tuple[list, int]:
     def fill(n: int, row: dict) -> list:
         if isinstance(points[n], Exception):
             raise points[n]
-        C, p, kls_exp, fns, _ = points[n]
+        C, p, fns, _ = points[n]
         suite = "+".join(sorted({f.label() for f in fns}))
         report = verify.verify_theorem1(C, p, fns, cfg.mc_samples, cfg.seed, moments=moments[n][0])
         rows = [_report_row(cfg, n, p, f"theorem1:{suite}", report)]
@@ -341,7 +344,7 @@ def cmd_verify(cfg: ScenarioConfig) -> tuple[list, int]:
                 kls_g, n, fns, cfg.mc_samples, cfg.seed, moments=moments[n][2]
             )
             rows.append(_report_row(cfg, n, kls_exp, f"kls:{suite}", report))
-        return rows
+        return sorted(rows, key=lambda r: r["function_suite"])
 
     def error_rows(row: dict, exc: Exception) -> list:
         return [

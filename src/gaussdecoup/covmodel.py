@@ -12,6 +12,10 @@ Builders for the covariance families used throughout the package:
   is the Cauchy determinant and p(X) reads the row sums of the same O(n^2)
   pass, so no n x n array is formed unless entries or chol are read.
 
+Only this module knows a covariance's form: the dense ``CovarianceMatrix`` and
+its stationary and Hilbert-type subclasses each give their absolute row sums
+and log det(p*I(var) - C), the two numbers the Theorem 1 constants read.
+
 Also houses the spectral-symbol representation: a 2*pi-periodic non-negative
 function sampled on a uniform grid over ``[-pi, pi)`` together with its
 Fourier coefficients ``d_k``, which generate the Toeplitz sections.
@@ -60,6 +64,9 @@ from .errors import (
 MATRIX_N_CAP = 2048
 # Rows per block of the Cauchy log-determinant pass over a Hilbert-type matrix.
 _CAUCHY_BLOCK = 256
+# Largest rank of the low-rank det(p*I(var) - C) of a Hilbert-type C; past it
+# (a spread over many decades) the dense Cholesky runs.
+_MAX_CAUCHY_RANK = 64
 # Lags per block of inverse_power_gamma_sequence's one-sided sums.
 _LAG_BLOCK = 256
 # Default number of grid points (2K) for spectral symbols.
@@ -80,17 +87,12 @@ PI_SQUARED_OVER_3 = np.pi**2 / 3.0
 
 
 class CovarianceMatrix:
-    """Validated symmetric positive-definite covariance matrix.
+    """Validated symmetric positive-definite covariance matrix, held dense (``build_dense``).
 
-    A dense covariance (``build_dense``) is validated and factored by
-    Cholesky when built. A stationary section (``from_stationary``) is kept
-    as its first row ``gamma`` and validated by Durbin's recursion in O(n^2)
-    time and O(n) memory; its ``entries`` and ``chol`` are formed only when
-    first read (sampling, E_B), and are then the same arrays, bit for bit,
-    that the dense builder gives for that Toeplitz matrix. A Hilbert-type
-    covariance (``hilbert_covariance``) is kept as its sequence a, with its
-    ``entries`` and ``chol`` formed the same way; the first read of ``chol``
-    runs the dense builder's checks and may refuse the matrix.
+    A stationary section (``from_stationary``) and a Hilbert-type covariance
+    (``hilbert_covariance``) are private subclasses, kept as ``gamma`` and as
+    the sequence a, that form ``entries`` and ``chol`` on first read. Each
+    form gives its own ``row_sums`` and ``shifted_log_det(p)``.
 
     Attributes
     ----------
@@ -100,42 +102,39 @@ class CovarianceMatrix:
         variances for a stationary one, the Cauchy determinant for a
         Hilbert-type one.
     gamma : (n,) ndarray or None
-        gamma(0..n-1), the first row of a stationary section; None if dense.
+        gamma(0..n-1), the first row of a stationary section; None otherwise.
     entries : (n, n) ndarray
         The covariance entries (variance units). Symmetric as stored.
     chol : (n, n) ndarray
         Lower-triangular Cholesky factor, ``chol @ chol.T == entries``.
     """
 
-    def __init__(self, log_det: float, *, gamma=None, entries=None, chol=None):
-        if (gamma is None) == (entries is None):
-            raise ValueError("give either gamma (stationary) or entries (dense)")
+    gamma = None
+
+    def __init__(self, log_det: float, *, entries, chol=None):
         fields = self.__dict__  # frozen: __setattr__ refuses every write
-        fields["log_det"] = log_det
-        fields["gamma"] = gamma
-        if entries is not None:
-            fields["entries"], fields["chol"] = entries, chol
+        fields.update(log_det=log_det, entries=entries, chol=chol)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"CovarianceMatrix is immutable; cannot set {name!r}")
 
-    @cached_property
-    def entries(self) -> np.ndarray:
-        return _freeze(_dense_toeplitz(self.gamma))
-
-    @cached_property
-    def chol(self) -> np.ndarray:
-        return _freeze(np.linalg.cholesky(self.entries))
-
     @property
     def n(self) -> int:
-        return self.entries.shape[0] if self.gamma is None else self.gamma.size
+        return self.entries.shape[0]
 
     @property
     def variances(self) -> np.ndarray:
-        if self.gamma is None:
-            return np.diag(self.entries)
-        return np.full(self.gamma.size, self.gamma[0])
+        return np.diag(self.entries)
+
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        """The absolute row sums sum_j |C[i][j]|, which give p(X)."""
+        with np.errstate(over="ignore"):  # decoupling refuses an overflowing row sum
+            return _freeze(np.abs(self.entries).sum(axis=1))
+
+    def shifted_log_det(self, p: float) -> float:
+        """log det(p*I(var) - C) by dense Cholesky; LinAlgError unless positive definite."""
+        return _cholesky_log_det(p * np.diag(self.variances) - self.entries)[1]
 
     @property
     def sigmas(self) -> np.ndarray:
@@ -300,13 +299,52 @@ class _Durbin:
         self._v = v
 
 
-def _levinson_durbin(row: np.ndarray) -> tuple[float, float]:
-    """(log det T, smallest pivot) of the Hermitian Toeplitz T with first row ``row``.
+def _toeplitz_row_sums(gamma: np.ndarray, n: int) -> np.ndarray:
+    """Absolute row sums of the n-section of gamma (zero-padded), by one prefix-sum scan.
 
-    The one-shot ``_Durbin``; raises ``numpy.linalg.LinAlgError`` when T is
-    not positive definite.
+    Row k sums |gamma(0)| and both one-sided partial sums of |gamma|.
     """
-    return _Durbin(row).prefix(row.size)
+    g = np.abs(_padded(gamma, n - 1))
+    k = np.arange(1, n + 1)
+    with np.errstate(over="ignore"):  # decoupling refuses an overflowing row sum
+        prefix = np.concatenate([[0.0], np.cumsum(g[1:])])  # prefix[m] = sum_{h=1}^m |gamma(h)|
+        return g[0] + prefix[k - 1] + prefix[n - k]
+
+
+class _ToeplitzMatrix(CovarianceMatrix):
+    """A stationary section, kept as its first row ``gamma``: O(n) memory until sampled.
+
+    ``entries`` and ``chol``, formed on first read (sampling, E_B), are the
+    arrays the dense builder gives for that Toeplitz matrix, bit for bit.
+    """
+
+    def __init__(self, log_det: float, gamma: np.ndarray):
+        self.__dict__.update(log_det=log_det, gamma=gamma)  # frozen, as the base
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return _freeze(_dense_toeplitz(self.gamma))
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        return _freeze(np.linalg.cholesky(self.entries))
+
+    @property
+    def n(self) -> int:
+        return self.gamma.size
+
+    @property
+    def variances(self) -> np.ndarray:
+        return np.full(self.gamma.size, self.gamma[0])
+
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        return _freeze(_toeplitz_row_sums(self.gamma, self.gamma.size))
+
+    def shifted_log_det(self, p: float) -> float:
+        """Durbin's recursion on the Toeplitz row ((p-1) gamma(0), -gamma(1), ...), O(n^2)."""
+        g = self.gamma
+        return _Durbin(np.concatenate([[p * g[0] - g[0]], -g[1:]])).prefix(g.size)[0]
 
 
 def from_stationary(gamma, n: int) -> CovarianceMatrix:
@@ -329,11 +367,11 @@ def from_stationary(gamma, n: int) -> CovarianceMatrix:
         raise NonPositiveDiagonal("gamma[0] (the variance) must be strictly positive")
     row = _freeze(_padded(gamma, n - 1))
     try:
-        log_det, smallest = _levinson_durbin(row)
+        log_det, smallest = _Durbin(row).prefix(n)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Durbin recursion failed: {exc}") from exc
     _check_pivot_floor(smallest, 1e-12 * row[0])
-    return CovarianceMatrix(log_det, gamma=row)
+    return _ToeplitzMatrix(log_det, row)
 
 
 @dataclass(frozen=True)
@@ -519,8 +557,7 @@ class _CauchyMatrix(CovarianceMatrix):
 
     def __init__(self, a: np.ndarray):
         log_det, row_sums = _cauchy_log_det(a)
-        fields = self.__dict__  # frozen: __setattr__ refuses every write
-        fields.update(log_det=log_det, gamma=None, a=a, row_sums=row_sums)
+        self.__dict__.update(log_det=log_det, a=a, row_sums=row_sums)  # frozen, as the base
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -537,6 +574,44 @@ class _CauchyMatrix(CovarianceMatrix):
     @property
     def variances(self) -> np.ndarray:
         return 1.0 / (self.a + self.a)  # diag(entries), bit for bit
+
+    def shifted_log_det(self, p: float) -> float:
+        """log det(p*I(var) - C): rank r <= _MAX_CAUCHY_RANK at p >= 2 p(X), else dense.
+
+        With D = diag(var) and the correlation matrix R = D^{-1/2} C D^{-1/2},
+        R_kl = 2 sqrt(a_k a_l) / (a_k + a_l),
+
+            log det(p*I(var) - C) = sum_k log(p var_k) + log det(I - R/p).
+
+        A greedy pivoted Cholesky gives R = F F^T + E with F of rank r and a
+        positive semidefinite residual E whose diagonal it tracks, and
+        log det(I - R/p) is taken as log det(I_r - F^T F / p). R is similar to
+        D^{-1} C, whose infinity norm is p(X), so ||R|| <= p(X) <= p/2: both
+        I - R/p and I - F F^T/p lie between I/2 and I, and the two log dets
+        differ by at most 4 tr(E)/p. The pivoting stops once 4 tr(E)/p <= 8 n eps
+        (eps the float64 unit roundoff), which sits above the rounding in
+        E's diagonal. O(n r) memory.
+        """
+        if p < 2.0 * float((self.row_sums / self.variances).max()):
+            return super().shifted_log_det(p)
+        a = self.a
+        n = a.size
+        root_a = np.sqrt(a)
+        factor = np.empty((min(n, _MAX_CAUCHY_RANK), n))  # row k: column k of F
+        residual = np.ones(n)  # the diagonal of E; R_kk = 1
+        bound = 8.0 * n * np.finfo(float).eps
+        rank = 0
+        while 4.0 * float(np.maximum(residual, 0.0).sum()) / p > bound:
+            if rank == factor.shape[0]:
+                return super().shifted_log_det(p)
+            j = int(np.argmax(residual))
+            column = (root_a / (a + a[j])) * (2.0 * root_a[j]) - factor[:rank, j] @ factor[:rank]
+            factor[rank] = column / math.sqrt(residual[j])
+            residual -= factor[rank] ** 2
+            rank += 1
+        F = factor[:rank]
+        small = np.eye(rank) - (F @ F.T) / p
+        return float(np.sum(np.log(p * self.variances))) + _cholesky_log_det(small)[1]
 
 
 def hilbert_covariance(spec: HilbertSpec, n: int) -> CovarianceMatrix:
@@ -911,7 +986,7 @@ class ModelSpec:
 
     def closed_form_p(self, n: int) -> float | None:
         """p(X^n) without materializing the matrix, where the family allows it, else None."""
-        # decoupling imports this module, so its row-sum scan is imported here.
+        # decoupling imports this module, so its checked p(X) of a section is imported here.
         from .decoupling import stationary_decoupling_coefficient
 
         if self.family == "hilbert":

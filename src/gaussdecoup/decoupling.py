@@ -18,10 +18,9 @@ where the refined form keeps the exact determinant of ``p*I(var) - C`` that
 the generic form lower-bounds via diagonal dominance.  The refined constant
 is never larger than the generic one.
 
-det(p*I(var) - C) takes one of three routes: Durbin's recursion for a
-stationary section, a rank-r pivoted Cholesky of the correlation matrix for
-a Hilbert-type (Cauchy) C at p >= 2 p(X) (O(n r^2), r about 20-25 for
-a_i = i up to n = 2048), and a dense Cholesky otherwise.
+Both read C through its row sums, variances and log dets alone: each form in
+``covmodel`` gives its own ``row_sums`` and ``shifted_log_det(p)``, the log
+det of p*I(var) - C, so nothing here branches on the form.
 """
 
 from __future__ import annotations
@@ -33,18 +32,8 @@ import numpy as np
 
 # scipy.special is imported only in corollary1_bound (verify's): start-up stays numpy.
 
-from .covmodel import (
-    CovarianceMatrix,
-    _CauchyMatrix,
-    _check_dimension,
-    _cholesky_log_det,
-    _levinson_durbin,
-)
+from .covmodel import CovarianceMatrix, _check_dimension, _toeplitz_row_sums
 from .errors import ConditionViolated, NonFiniteInput, NotPositiveDefinite
-
-# Largest rank of the low-rank route for a Hilbert-type C; past it (a spread
-# over many decades) the dense Cholesky runs.
-_MAX_CAUCHY_RANK = 64
 
 
 def _exp(log_value: float) -> float:
@@ -61,17 +50,12 @@ def _finite_p(ratios: np.ndarray) -> float:
 
 
 def decoupling_coefficient(C: CovarianceMatrix) -> float:
-    """p(X): max over rows of the absolute row sum normalized by the variance.
+    """p(X): max over rows of the absolute row sum ``C.row_sums`` over the variance.
 
-    A stationary section is read from its first row in O(n), a Hilbert-type
-    matrix from the row sums its Cauchy pass kept. Raises NonFiniteInput
-    when a row sum overflows.
+    Raises NonFiniteInput when a row sum overflows.
     """
-    if C.gamma is not None:
-        return stationary_decoupling_coefficient(C.gamma, C.n)
     with np.errstate(over="ignore"):  # an overflow is refused by _finite_p
-        rows = C.row_sums if isinstance(C, _CauchyMatrix) else np.abs(C.entries).sum(axis=1)
-        return _finite_p(rows / C.variances)
+        return _finite_p(C.row_sums / C.variances)
 
 
 def _autocovariance(gamma) -> np.ndarray:
@@ -87,29 +71,13 @@ def _autocovariance(gamma) -> np.ndarray:
 def stationary_decoupling_coefficient(gamma, n: int) -> float:
     """p(X) of the n-section Toeplitz matrix, from gamma alone (no matrix built).
 
-    Row k sums gamma(0) plus both one-sided partial sums of |gamma|, so a
-    prefix-sum scan gives the exact coefficient in O(n). Raises
+    One prefix-sum scan gives the exact coefficient in O(n). Raises
     NonFiniteInput when a row sum overflows, InvalidSpec for n < 1.
     """
     _check_dimension(n)
     gamma = _autocovariance(gamma)
-    g = np.zeros(n)
-    m = min(n, gamma.size)
-    g[:m] = np.abs(gamma[:m])
-    k = np.arange(1, n + 1)
     with np.errstate(over="ignore"):  # an overflow is refused by _finite_p
-        prefix = np.concatenate([[0.0], np.cumsum(g[1:])])  # prefix[m] = sum_{h=1}^m |gamma(h)|
-        rows = g[0] + prefix[k - 1] + prefix[n - k]
-        return _finite_p(rows.max() / g[0])
-
-
-def _lag_sum(gamma: np.ndarray, m: int) -> float:
-    """S = sum_{1<=h<m} |gamma(h)|/gamma(0), NonFiniteInput where 2S overflows."""
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        s = float(np.abs(gamma[1:m]).sum() / gamma[0])
-    if not math.isfinite(2.0 * s):
-        raise NonFiniteInput("the sum of |gamma(h)|/gamma(0) overflows")
-    return s
+        return _finite_p(_toeplitz_row_sums(gamma, n).max() / gamma[0])
 
 
 def _require_condition(C: CovarianceMatrix, p: float) -> float:
@@ -147,72 +115,19 @@ class RefinedBound:
         return _exp(self.log_value - self.log_generic)
 
 
-def _cauchy_shifted_log_det(C: CovarianceMatrix, p: float) -> float | None:
-    """log det(p*I(var) - C) of a Hilbert-type C at p >= 2 p(X), in O(n r^2).
-
-    None where this route does not apply: C is not Hilbert-type, p < 2 p(X),
-    or the rank would pass ``_MAX_CAUCHY_RANK``.
-
-    With D = diag(var) and the correlation matrix R = D^{-1/2} C D^{-1/2},
-    R_kl = 2 sqrt(a_k a_l) / (a_k + a_l),
-
-        log det(p*I(var) - C) = sum_k log(p var_k) + log det(I - R/p).
-
-    A greedy pivoted Cholesky gives R = F F^T + E with F of rank r and a
-    positive semidefinite residual E whose diagonal it tracks, and
-    log det(I - R/p) is taken as log det(I_r - F^T F / p). R is similar to
-    D^{-1} C, whose infinity norm is p(X), so ||R|| <= p(X) <= p/2: both
-    I - R/p and I - F F^T/p lie between I/2 and I, and the two log dets
-    differ by at most 4 tr(E)/p. The pivoting stops once 4 tr(E)/p <= 8 n eps
-    (eps the float64 unit roundoff), which sits above the rounding in
-    E's diagonal. O(n r) memory.
-    """
-    if not isinstance(C, _CauchyMatrix) or p < 2.0 * decoupling_coefficient(C):
-        return None
-    a = C.a
-    n = a.size
-    root_a = np.sqrt(a)
-    factor = np.empty((min(n, _MAX_CAUCHY_RANK), n))  # row k: column k of F
-    residual = np.ones(n)  # the diagonal of E; R_kk = 1
-    bound = 8.0 * n * np.finfo(float).eps
-    rank = 0
-    while 4.0 * float(np.maximum(residual, 0.0).sum()) / p > bound:
-        if rank == factor.shape[0]:
-            return None
-        j = int(np.argmax(residual))
-        column = (root_a / (a + a[j])) * (2.0 * root_a[j]) - factor[:rank, j] @ factor[:rank]
-        factor[rank] = column / math.sqrt(residual[j])
-        residual -= factor[rank] ** 2
-        rank += 1
-    F = factor[:rank]
-    small = np.eye(rank) - (F @ F.T) / p
-    return float(np.sum(np.log(p * C.variances))) + _cholesky_log_det(small)[1]
-
-
 def refined_constant(C: CovarianceMatrix, p: float) -> RefinedBound:
     """Proof-intermediate prefactor with the exact determinant of p*I(var) - C.
 
     ``p*I(var) - C`` is checked positive definite (it is strictly diagonally
-    dominant whenever p > 2 p(X)) while its log det is taken. For a
-    stationary section that is Durbin's recursion on the Toeplitz row
-    ((p-1) gamma(0), -gamma(1), -gamma(2), ...), O(n^2) with no matrix
-    formed; for a Hilbert-type C at p >= 2 p(X), the low-rank route of
-    ``_cauchy_shifted_log_det``, O(n r^2) with no n x n array; otherwise a
-    dense Cholesky. Raises NonFiniteInput where p var_i overflows, and with
-    it the diagonal p var_i - var_i.
+    dominant whenever p > 2 p(X)) while ``C.shifted_log_det(p)`` takes its
+    log det by C's own route. Raises NonFiniteInput where p var_i overflows,
+    and with it the diagonal p var_i - var_i.
     """
     n = C.n
     if not math.isfinite(p * float(C.variances.max())):
         raise NonFiniteInput(f"p*I(var) - C overflows at p={p}: p var_i is not finite")
     try:
-        if C.gamma is not None:
-            g = C.gamma
-            log_det_shifted = _levinson_durbin(np.concatenate([[p * g[0] - g[0]], -g[1:]]))[0]
-        else:
-            log_det_shifted = _cauchy_shifted_log_det(C, p)
-            if log_det_shifted is None:
-                shifted = p * np.diag(C.variances) - C.entries
-                log_det_shifted = _cholesky_log_det(shifted)[1]
+        log_det_shifted = C.shifted_log_det(p)
     except np.linalg.LinAlgError as exc:
         p_x = decoupling_coefficient(C)
         if p < 2.0 * p_x:

@@ -83,8 +83,8 @@ import numpy as np
 # scipy.special is imported only where erf or betaincinv is taken: start-up stays numpy.
 
 from .covmodel import CovarianceMatrix, from_stationary
-from .decoupling import _autocovariance, _exp, _lag_sum, corollary1_bound, theorem1_log_constant
-from .errors import InvalidSpec
+from .decoupling import _autocovariance, _exp, corollary1_bound, theorem1_log_constant
+from .errors import InvalidSpec, NonFiniteInput
 
 # Rows generated per stream; fixes the reduction layout independently of workers.
 _STREAM_ROWS = 1 << 16
@@ -629,12 +629,26 @@ def marginal_p_norm(f: TestFunctionSpec, sigma: float, p: float) -> float:
     Indicator kinds use exact error-function arithmetic (quadrature on a
     discontinuity would lose accuracy); the smooth cosine kind uses 201-point
     Gauss-Hermite quadrature; the kinked kinds (clipped polynomial,
-    piecewise-linear grid) are integrated exactly piece by piece.
+    piecewise-linear grid) are integrated exactly piece by piece. Raises
+    NonFiniteInput where the moment overflows or the norm is not finite
+    (a kinked kind with values near the float64 range).
     """
     if not sigma > 0:  # NaN too
         raise ValueError("sigma must be positive")
     if not p >= 1:
         raise ValueError("p must be >= 1")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused below
+            norm = _marginal_norm(f, sigma, p)
+    except OverflowError:  # a float power in _piecewise_moment
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise NonFiniteInput(f"the L^{p} norm of {f.label()} overflows or is not finite")
+    return norm
+
+
+def _marginal_norm(f: TestFunctionSpec, sigma: float, p: float) -> float:
+    """The body of ``marginal_p_norm``, with no finiteness check."""
     from scipy.special import erf, erfc
 
     root2 = math.sqrt(2.0)
@@ -904,7 +918,11 @@ def stationary_exponent(gamma) -> float:
     ma1:a=0.5). Raises NonFiniteInput where the sum overflows.
     """
     gamma = _autocovariance(gamma)
-    return 1.0 + 2.0 * _lag_sum(gamma, gamma.size)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        s = float(np.abs(gamma[1:]).sum() / gamma[0])
+    if not math.isfinite(2.0 * s):
+        raise NonFiniteInput("the sum of |gamma(h)|/gamma(0) overflows")
+    return 1.0 + 2.0 * s
 
 
 def verify_kls(

@@ -6,12 +6,15 @@ cannot enter (or leave) the API unnoticed.  The CLI front end is reached as
 ``gaussdecoup.cli`` and is not a layer here.
 """
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
 import gaussdecoup
+from gaussdecoup import decoupling
 
 LAYERS = ("errors", "covmodel", "decoupling", "szego", "brascamp", "verify")
 
@@ -36,6 +39,12 @@ ORACLES = {
     "verify": ("with_rhs",),
 }
 
+# covmodel's private forms and their numerics: decoupling reads a covariance
+# through its row sums and shifted log det alone, whatever its form.
+FORM_PRIVATES = {
+    "_CauchyMatrix", "_ToeplitzMatrix", "_Durbin", "_levinson_durbin", "_cholesky_log_det"
+}
+
 # Deleted outright: each caller reads a route the package already had
 # (README, "Names removed").
 DELETED = {
@@ -54,6 +63,18 @@ def _defined_public(layer: str) -> dict:
         and (inspect.isfunction(obj) or inspect.isclass(obj))
         and obj.__module__ == module.__name__
     }
+
+
+def test_decoupling_does_not_dispatch_on_the_form():
+    tree = ast.parse(Path(decoupling.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert not {alias.name for alias in node.names} & FORM_PRIVATES, ast.unparse(node)
+        elif isinstance(node, ast.Attribute):
+            assert node.attr != "gamma", f"branch on the stationary form: {ast.unparse(node)}"
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance":
+            classes = ast.unparse(node.args[1])
+            assert "Matrix" not in classes, f"branch on the form: {ast.unparse(node)}"
 
 
 def test_verify_sweep_names_are_exported():

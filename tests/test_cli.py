@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussdecoup import CovarianceMatrix, ma1_symbol, theorem2_constant
+from gaussdecoup import ma1_symbol, theorem2_constant
 from gaussdecoup import cli as cli_module
 from gaussdecoup import covmodel as covmodel_module
 from gaussdecoup import verify as verify_module
@@ -607,6 +607,39 @@ GOLDEN_REPORTS = [
 ]
 
 
+class TestNonFiniteMarginalNorm:
+    """A marginal norm that overflows is that n's error row (exit 2).
+
+    These configs used to end in an OverflowError traceback (the first two)
+    or in a hard_fail against a NaN norm read as a zero bound (the third).
+    They run in a subprocess: the third one's sampling pass prints numpy
+    overflow warnings, which this suite turns into errors in process.
+    """
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            {"kind": "grid", "values": [1e200, -1e200], "half_width": 3.0},
+            {"kind": "bounded_poly", "coeffs": [0, 1e200], "clip": 1e300},
+            {"kind": "bounded_poly", "coeffs": [1e308, 1e308], "clip": 1e308},
+        ],
+        ids=["grid_power_overflows", "poly_power_overflows", "poly_knots_at_inf"],
+    )
+    def test_error_row(self, function, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"functions": [function]}))
+        argv = ["verify", "--model", "ma1:a=0.5", "--n", "4", "--samples", "1000"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaussdecoup", *argv, "--config", str(path)],
+            capture_output=True, text=True, env=SRC_ENV, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        [row] = json.loads(proc.stdout)
+        assert row["function_suite"] == "error" and "hard_fail" not in row["verdict"]
+        assert row["verdict"].endswith("overflows or is not finite")
+
+
 class TestGoldenReports:
     @pytest.mark.parametrize(
         "name, argv, code", GOLDEN_REPORTS, ids=[name for name, _, _ in GOLDEN_REPORTS]
@@ -778,8 +811,10 @@ class TestStationaryRowsStayVectors:
             raise AssertionError("a dense n x n form was computed")
 
         monkeypatch.chdir(DATA)
-        monkeypatch.setattr(CovarianceMatrix, "entries", property(refuse))
-        monkeypatch.setattr(CovarianceMatrix, "chol", property(refuse))
+        # Patched on the stationary form itself: its own cached properties
+        # would bypass a patch on the base class.
+        monkeypatch.setattr(covmodel_module._ToeplitzMatrix, "entries", property(refuse))
+        monkeypatch.setattr(covmodel_module._ToeplitzMatrix, "chol", property(refuse))
         # szego forms no section; the package's one dense Toeplitz builder is here.
         monkeypatch.setattr("gaussdecoup.covmodel._dense_toeplitz", refuse)
         # inverse_power at r != 1 imports scipy.special on first use: its

@@ -38,13 +38,17 @@ from gaussdecoup.brascamp import matrix_B
 from gaussdecoup.covmodel import (
     DEFAULT_GRID_SIZE,
     _Durbin,
-    _levinson_durbin,
     _unit_support,
     clausen_cos,
 )
 from oracles import inverse_power_gamma
 from gaussdecoup.verify import sample_gaussian
 from oracles import cauchy_log_det_progression
+
+
+def _levinson_durbin(row):
+    """(log det, smallest pivot) of the whole Toeplitz section of ``row``: one-shot Durbin."""
+    return _Durbin(row).prefix(row.size)
 
 
 def tridiag_det(d0: float, d1: float, n: int) -> float:
@@ -820,7 +824,7 @@ class TestDurbinRecursion:
 
     def test_sparse_against_40_digit_reference(self):
         # sparse:support=1+4 at n = 512 has cond about 1e7; the error bound
-        # stated in _levinson_durbin's docstring is pinned here.
+        # stated in _Durbin's docstring is pinned here.
         gamma = parse_model("sparse:support=1+4").gamma(511)
         ref = float(mp_levinson_log_det(gamma))
         log_det, _ = _levinson_durbin(gamma)
@@ -980,7 +984,7 @@ class TestResumableDurbin:
 
     def test_one_shot_call(self):
         row = parse_model("ma1:a=0.5").gamma(99)
-        assert _levinson_durbin(row) == _durbin_loop(row)
+        assert _Durbin(row).prefix(row.size) == _durbin_loop(row)
 
 
 def _outcome(fn, *args):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
@@ -12,7 +12,9 @@ from gaussdecoup import (
     ConditionViolated,
     CovarianceMatrix,
     HilbertSpec,
+    MovingAverageSpec,
     NonFiniteInput,
+    NotPositiveDefinite,
     build_dense,
     corollary1_bound,
     decoupling_bound,
@@ -231,6 +233,35 @@ class TestStationaryRoutes:
         C = from_stationary([1.0, 0.5], 64)
         with pytest.raises(ConditionViolated):
             refined_constant(C, 1.5)
+
+
+class TestToeplitzForm:
+    """p(X) and the Durbin shifted determinant of a stationary section against its dense copy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
+        n=st.integers(1, 256),
+        mult=st.sampled_from([2.0, 3.0]),
+    )
+    @example(coeffs=[1.0, 0.6, -0.3], n=3, mult=2.0)  # every lag of the section nonzero
+    def test_random_moving_average(self, coeffs, n, mult):
+        gamma = MovingAverageSpec(np.arange(len(coeffs)), coeffs).autocovariance(n - 1)
+        if gamma[0] < 1e-3:
+            return
+        try:
+            C = from_stationary(gamma, n)
+        except NotPositiveDefinite:
+            return  # a zero of high order in the symbol: the pivot floor refuses the section
+        # The same matrix and log det, held dense: row sums and a Cholesky of p*I(var) - C.
+        dense = CovarianceMatrix(C.log_det, entries=C.entries)
+        p_x = decoupling_coefficient(C)
+        p_x_dense = decoupling_coefficient(dense)
+        assert p_x == pytest.approx(p_x_dense, rel=1e-12)
+        p = mult * max(p_x, p_x_dense)  # above 2 p(X) for both, however they round
+        toeplitz_form, dense_form = refined_constant(C, p), refined_constant(dense, p)
+        assert toeplitz_form.log_value == pytest.approx(dense_form.log_value, rel=1e-10, abs=1e-10)
+        assert toeplitz_form.log_generic == dense_form.log_generic
 
 
 def _only_small_cholesky(mp: pytest.MonkeyPatch) -> None:

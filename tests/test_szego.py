@@ -26,7 +26,7 @@ from gaussdecoup import (
     theorem1_log_constant,
     theorem2_constant,
 )
-from gaussdecoup.covmodel import _levinson_durbin
+from gaussdecoup.covmodel import _Durbin
 from gaussdecoup.szego import _section_log_det
 from oracles import toeplitz_section
 
@@ -353,5 +353,5 @@ class TestPerSymbolWork:
         sym = symbol_from_grid(f)
         for n in (512, 3, 100, 1, 511):
             fresh = symbol_from_grid(f)
-            assert _section_log_det(sym, n) == _levinson_durbin(fresh.d[:n])[0]
+            assert _section_log_det(sym, n) == _Durbin(fresh.d[:n]).prefix(n)[0]
             assert szego_asymptote(sym, n) == szego_asymptote(fresh, n)

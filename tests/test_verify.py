@@ -222,6 +222,19 @@ class TestMarginalPNorm:
             with pytest.raises(ValueError, match="p must be >= 1"):
                 marginal_p_norm(IND1, 1.0, p)
 
+    @pytest.mark.parametrize(
+        "f",
+        [
+            TestFunctionSpec.from_grid((1e200, -1e200), 3.0),  # a tail's float power overflows
+            TestFunctionSpec.bounded_poly((0.0, 1e200), clip=1e300),
+            TestFunctionSpec.bounded_poly((1e308, 1e308), clip=1e308),  # knots at +-inf: NaN
+        ],
+        ids=["grid", "poly_clip", "poly_knots_at_inf"],
+    )
+    def test_non_finite_norm_is_refused(self, f):
+        with pytest.raises(NonFiniteInput, match="not finite"):
+            marginal_p_norm(f, 1.0, 3.6)
+
 
 class TestVerifyTheorem1:
     def test_independent_indicators(self):
