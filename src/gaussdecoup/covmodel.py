@@ -24,10 +24,10 @@ Fourier coefficients ``d_k``, which generate the Toeplitz sections.
 ...) against the one table of families and returns a ``ModelSpec``, which
 yields the family's autocovariance, covariance matrix, p(X) or symbol.
 
-Everything here runs on numpy alone except the inverse-power family at
-r != 1: its Hurwitz-zeta tails and its Clausen-series symbol import
-``scipy.special`` inside the functions that evaluate them, so no other family
-loads scipy.
+Everything here runs on numpy and the math module alone. The zeta values of
+the inverse-power family at r != 1 (its Hurwitz-zeta tails and its
+Clausen-series symbol) come from ``_zeta``, an Euler-Maclaurin sum, so no
+family loads scipy.
 
 All returned objects are immutable after construction; every function here is
 pure and safe to call concurrently.
@@ -46,8 +46,6 @@ from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
-
-# scipy.special is imported only where inverse_power at r != 1 needs it: start-up stays numpy.
 
 from .errors import (
     InvalidSpec,
@@ -82,6 +80,19 @@ _CLAUSEN_TERMS = 31
 # (4 + sqrt(15))^-18 < 1e-16 (the nearest singularities are at eps = +-2), and
 # the node nearest eps = 0 (|eps| = 0.044) keeps the pole rounding near 2e-14.
 _POLE_PAIR_DEGREE = 17
+# (2j)! for the Clausen series' terms, exact until the conversion to float.
+_EVEN_FACTORIALS = np.array([float(math.factorial(2 * j)) for j in range(_CLAUSEN_TERMS)])
+
+# _zeta's Euler-Maclaurin sum at w = q + 9: the head (q + i)^-s, i = 0..9, then
+# the corrections B_2k/(2k)! (s)_(2k-1) w^(1-s-2k), k = 1..12.
+_EM_HEAD = np.arange(10.0)
+_EM_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+                 (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730))  # B_2k
+# With d = s - 1, the running product of (d + i)/w over i = 1..23 is
+# (s)_(2k-1)/w^(2k-1) at i = 2k - 1, weighted by B_2k/(2k)!; even i weigh 0.
+_EM_RISE = np.arange(1.0, 2.0 * len(_EM_BERNOULLI))
+_EM_WEIGHTS = np.zeros(_EM_RISE.size)
+_EM_WEIGHTS[::2] = [num / (den * math.factorial(2 * k)) for k, (num, den) in enumerate(_EM_BERNOULLI, 1)]
 
 PI_SQUARED_OVER_3 = np.pi**2 / 3.0
 
@@ -420,18 +431,64 @@ def _harmonic_numbers(k: int) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, k + 1))])
 
 
-def _one_sided_sums(lo: int, hi: int, r: float) -> np.ndarray:
+def _zeta(s, q: float = 1.0) -> np.ndarray:
+    """Hurwitz zeta(s, q) = sum_{i>=0} (q + i)^-s, elementwise over s, for a scalar q >= 1.
+
+    For s >= 1/2 it is the Euler-Maclaurin sum with 10 head terms and 12
+    Bernoulli corrections (``_EM_BERNOULLI``), cephes' algorithm, which
+    scipy.special.zeta(s, q) runs. Its first omitted correction is below
+    2e-21 of zeta for 1/2 <= s <= 130 at q = 1 and for q >= 1025, so what is
+    left is rounding: a few ulp. The pole term divides by s - 1 itself,
+    exact, so zeta(1 + eps) keeps its relative accuracy as eps -> 0.
+    Below 1/2 (q = 1 only; s > -170, where Gamma(1 - s) is finite) it is the
+    reflection zeta(s) = 2 (2 pi)^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s),
+    with the sine's argument reduced to [-pi/2, pi/2] first, so the relative
+    accuracy holds next to the trivial zeros too; the rounding of
+    (2 pi)^(s-1) and Gamma grows with |s|, to about 3e-15 relative at s = -60.
+    Exact at the special points: 0 at the negative even integers, -1/2 at 0
+    and inf at 1.
+    """
+    shape = np.shape(s)
+    s = np.asarray(s, dtype=float).reshape(-1, 1)
+    refl = s < 0.5
+    reflected = refl.any()
+    # x - 1 for the summed argument x = max(s, 1 - s), exact.
+    d = np.where(refl, -s, s - 1.0) if reflected else s - 1.0
+    a = q + _EM_HEAD
+    w = a[-1]
+    # Within about 1e-308 of the poles at s = 0 and 1 this overflows or gives nan;
+    # at s = 1 the inf stands, and next to 0 the value is set below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        terms = a ** (-1.0 - d)
+        b = terms[:, -1:]
+        rising = np.cumprod((d + _EM_RISE) / w, axis=1)
+        # Summed term by term in cephes' order, so a value does not depend on the other s.
+        parts = [terms, b * w / d, -0.5 * b, b * rising * _EM_WEIGHTS]
+        z = np.cumsum(np.concatenate(parts, axis=1), axis=1)[:, -1]
+        if reflected:
+            t = s[refl]
+            k = np.round(t / 2.0)  # sin(pi t/2) = (-1)^k sin(pi (t - 2k)/2), 0 at t = 2k
+            sine = np.cos(np.pi * k) * np.sin(np.pi / 2.0 * (t - 2.0 * k))
+            gamma = np.array([math.gamma(v) for v in (1.0 - t).tolist()])
+            z[refl[:, 0]] *= 2.0 * (2.0 * np.pi) ** (t - 1.0) * sine * gamma
+            z[np.abs(s[:, 0]) < 2.0**-56] = -0.5  # -1/2 - s log(2 pi)/2 + O(s^2) rounds to -1/2
+    return z.reshape(shape)
+
+
+def _one_sided_sums(lo: int, hi: int, r: float, tails: dict) -> np.ndarray:
     """sum_{k>=1} 1/(k^r (k+mu)^r) for the lags lo <= mu <= hi, all at once.
 
     One head length K = 1024 * 2^b >= 4 hi for every lag: the heads
     sum_{k<=K} are one product of a sliding-window view (no copy) with a
     vector. The tails expand (k+mu)^-r = sum_j binom(-r,j) mu^j k^{-r-j} into
-    Hurwitz zeta values shared across the lags, summed until the term at
-    mu = hi falls below 1e-14 of the j = 0 term (mu/(K+1) <= 1/4: it
-    converges geometrically).
+    the Hurwitz zeta values zeta(2r + j, K + 1), j < 120, shared across the
+    lags. They are summed until the term at mu = hi falls below 1e-14 of the
+    j = 0 term (mu/(K+1) <= 1/4: it converges geometrically, by j = 23 at
+    r = 1.5 and j = 35 at r = 8). ``_zeta`` gives them 32 at a time, as the
+    sum reaches them (far past the exit they are subnormal, below 1e-308,
+    where floating-point arithmetic is many times slower), into
+    ``tails[K]``, which the caller's blocks with the same K share.
     """
-    from scipy.special import zeta
-
     K = 1024
     while 4 * hi > K:
         K *= 2
@@ -440,11 +497,14 @@ def _one_sided_sums(lo: int, hi: int, r: float) -> np.ndarray:
     mu = np.arange(lo, hi + 1, dtype=float)
     tail = np.zeros(mu.size)
     coef = 1.0  # binom(-r, j), j = 0
-    z0 = float(zeta(2 * r, K + 1))
-    for j in range(120):
-        z = float(zeta(2 * r + j, K + 1))
+    s = 2.0 * r + np.arange(120.0)
+    zetas = tails.setdefault(K, [])
+    for j in range(s.size):
+        if j == len(zetas):
+            zetas += _zeta(s[j : j + 32], K + 1.0).tolist()
+        z = zetas[j]
         tail += coef * mu**j * z
-        if abs(coef) * float(hi) ** j * z <= 1e-14 * z0:
+        if abs(coef) * float(hi) ** j * z <= 1e-14 * zetas[0]:
             break
         coef *= (-r - j) / (j + 1)
     return head + tail
@@ -454,15 +514,15 @@ def inverse_power_gamma_sequence(max_lag: int, r: float = 1.0) -> np.ndarray:
     """gamma(0..max_lag) for the inverse-power family, all lags in a few passes.
 
     At r = 1 it is the closed form (2/mu) (H_mu + H_{mu-1}) after
-    gamma(0) = pi^2/3. For r > 1 it is the series 2 sum_{k>=1} (k (k+mu))^-r
-    + sum_{0<m<mu} (m (mu-m))^-r: the middle sums are one convolution, and
-    the one-sided sums come from ``_one_sided_sums`` in whole blocks of 256
-    lags. A lag's block does not depend on max_lag, but numpy sums the
-    centre term of a short convolution in another order, so gamma(max_lag)
-    can differ in the last bit from a longer sequence's value at
-    max_lag <= 10 (r = 1.5: 4, 7; r = 2: 6; r = 2.7: 4, 9, 10). About
-    3 max_lag^2 flops (a block's head length is at most 8 times its lags);
-    matches the per-lag sums of ``inverse_power_gamma`` in ``tests/oracles.py``
+    gamma(0) = pi^2/3. For r > 1 it is gamma(0) = 2 zeta(2r) (``_zeta``) and
+    the series 2 sum_{k>=1} (k (k+mu))^-r + sum_{0<m<mu} (m (mu-m))^-r: the
+    middle sums are one convolution, and the one-sided sums come from
+    ``_one_sided_sums`` in whole blocks of 256 lags. A lag's block does not
+    depend on max_lag, but numpy sums the centre term of a short convolution
+    in another order, so gamma(max_lag) can differ in the last bit from a
+    longer sequence's value at max_lag <= 10 (r = 1.5: 4, 7; r = 2: 6;
+    r = 2.7: 4, 9, 10). About 3 max_lag^2 flops (a block's head length is at
+    most 8 times its lags); matches the per-lag sums of ``inverse_power_gamma`` in ``tests/oracles.py``
     to 1e-13 relative.
     """
     if r == 1.0:
@@ -471,14 +531,13 @@ def inverse_power_gamma_sequence(max_lag: int, r: float = 1.0) -> np.ndarray:
         return np.concatenate([[PI_SQUARED_OVER_3], (2.0 / mu) * (H[1:] + H[:-1])])
     if r < 1:
         raise ValueError(f"inverse-power autocovariance needs r >= 1, got {r}")
-    from scipy.special import zeta
-
     v = np.zeros(max_lag + 1)
     v[1:] = np.arange(1, max_lag + 1, dtype=float) ** -r  # v[m] = m^-r, v[0] = 0
     gamma = np.convolve(v, v)[: max_lag + 1]
-    gamma[0] = 2.0 * float(zeta(2.0 * r, 1))
+    gamma[0] = 2.0 * float(_zeta(2.0 * r))
+    tails = {}
     for lo in range(1, max_lag + 1, _LAG_BLOCK):
-        sums = _one_sided_sums(lo, lo + _LAG_BLOCK - 1, r)[: max_lag + 1 - lo]
+        sums = _one_sided_sums(lo, lo + _LAG_BLOCK - 1, r, tails)[: max_lag + 1 - lo]
         gamma[lo : lo + sums.size] += 2.0 * sums
     return gamma
 
@@ -762,10 +821,8 @@ def ma1_symbol(a: float, grid_size: int = DEFAULT_GRID_SIZE) -> SpectralSymbol:
 
 
 def _power_over_factorial(theta: np.ndarray, a: float) -> np.ndarray:
-    """theta^a / Gamma(a + 1) for theta > 0, in log space so neither side overflows."""
-    from scipy.special import gammaln
-
-    return np.exp(a * np.log(theta) - gammaln(a + 1.0))
+    """theta^a / Gamma(a + 1) for theta > 0, in log space (``math.lgamma``) so neither side overflows."""
+    return np.exp(a * np.log(theta) - math.lgamma(a + 1.0))
 
 
 def _pole_pair_regular_part(n: int, eps: float) -> float:
@@ -774,12 +831,16 @@ def _pole_pair_regular_part(n: int, eps: float) -> float:
     Both terms have the pole 1/eps, so the direct difference loses about
     1e-16/|eps|. The difference is analytic for |eps| < 2 (it equals
     H_{n-1} at eps = 0), so it is interpolated on [-1/2, 1/2] through an
-    even number of Chebyshev nodes, none of them near eps = 0.
+    even number of Chebyshev nodes, none of them near eps = 0. The nodes'
+    zeta values are one ``_zeta`` call; the Gamma ratios are ``math.gamma``.
+    At eps = 0 it returns H_{n-1} itself.
     """
-    from scipy.special import poch, zeta
+    if eps == 0.0:
+        return float(_harmonic_numbers(n - 1)[-1])
 
     def direct(e):
-        return zeta(1.0 + e) - 1.0 / (e * poch(n, e) * np.sinc(e / 2.0))
+        poch = np.array([math.gamma(n + x) for x in e.tolist()]) / math.gamma(n)
+        return _zeta(1.0 + e) - 1.0 / (e * poch * np.sinc(e / 2.0))
 
     fit = np.polynomial.Chebyshev.interpolate(direct, _POLE_PAIR_DEGREE, domain=[-0.5, 0.5])
     return float(fit(eps))
@@ -793,23 +854,25 @@ def clausen_cos(r: float, theta) -> np.ndarray:
         C_r(theta) = pi theta^(r-1) / (2 Gamma(r) cos(pi r/2))
                      + sum_{j>=0} (-1)^j zeta(r - 2j) theta^(2j) / (2j)!,
 
-    summed over 31 even terms; C_r(0) = zeta(r). Write r = n + eps with n
-    the nearest integer. For even n nothing is singular, and at eps = 0 the
-    sum stops at j = n/2 (the Bernoulli polynomial of DLMF 24.8). For odd n
-    the first term and the j = (n-1)/2 term have opposite poles at eps = 0;
-    their sum is (-1)^j theta^(2j)/(2j)! [D - eps Q (theta^eps - 1)/eps]
-    with D from ``_pole_pair_regular_part``, and at eps = 0 it is the limit
+    summed over 31 even terms; C_r(0) = zeta(r). The 31 zeta values are one
+    ``_zeta`` call: exactly 0 at the negative even integers, so at even
+    integer r the sum stops at j = r/2 (the Bernoulli polynomial of DLMF
+    24.8), and inf at the pole r - 2j = 1, whose term is replaced below.
+    Write r = n + eps with n the nearest integer. For even n nothing is
+    singular. For odd n the first term and the j = (n-1)/2 term have
+    opposite poles at eps = 0; their sum is
+    (-1)^j theta^(2j)/(2j)! [D - eps Q (theta^eps - 1)/eps] with D from
+    ``_pole_pair_regular_part``, and at eps = 0 it is the limit
     (-1)^j theta^(2j)/(2j)! (H_{n-1} - log theta). Absolute error against
     mpmath.clcos is below 1e-13 zeta(r) for 1 < r <= 8.
     """
-    from scipy.special import exprel, gammaln, poch, zeta
-
     theta = np.asarray(theta, dtype=float)
     n = round(r)
     eps = r - n
     j = np.arange(_CLAUSEN_TERMS)
-    coeffs = (-1.0) ** j * zeta(r - 2.0 * j) / np.exp(gammaln(2.0 * j + 1.0))
-    out = np.full(theta.shape, float(zeta(r)))
+    zetas = _zeta(r - 2.0 * j)
+    coeffs = (-1.0) ** j * zetas / _EVEN_FACTORIALS
+    out = np.full(theta.shape, zetas[0])
     pos = theta > 0
     t = theta[pos]
     if n % 2 == 0:
@@ -819,9 +882,12 @@ def clausen_cos(r: float, theta) -> np.ndarray:
         if m < _CLAUSEN_TERMS:
             coeffs[m] = 0.0
         log_t = np.log(t)
-        eps_q = 1.0 / (poch(n, eps) * np.sinc(eps / 2.0))
-        pair = _pole_pair_regular_part(n, eps) - eps_q * log_t * exprel(eps * log_t)
+        eps_q = math.gamma(n) / (math.gamma(n + eps) * np.sinc(eps / 2.0))
+        growth = np.expm1(eps * log_t) / eps if eps else log_t  # (theta^eps - 1)/eps
+        pair = _pole_pair_regular_part(n, eps) - eps_q * growth
         head = (-1.0) ** m * _power_over_factorial(t, 2.0 * m) * pair
+    # Horner adds nothing over trailing zeros (even integer r), so they are dropped.
+    coeffs = coeffs[: np.flatnonzero(coeffs)[-1] + 1]
     out[pos] = head + np.polynomial.polynomial.polyval(t * t, coeffs)
     return out
 

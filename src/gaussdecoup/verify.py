@@ -196,8 +196,15 @@ class TestFunctionSpec:
         if self.kind == "cosine":
             return np.cos(self.omega * x)
         if self.kind == "bounded_poly":
-            y = np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
-            return np.clip(y, -self.clip, self.clip)
+            # A coefficient near the float range is scaled by 2^-5 (exact), so Horner's partial
+            # sums stay finite for |x| <= 1. An overflow then needs |x| > 1 and a true |p(x)| past
+            # the clip, whose sign Horner keeps: its +-inf clips to the right +-clip. With finite
+            # coefficients and samples Horner forms no inf - inf or 0 * inf, so no `invalid`.
+            c = np.asarray(self.coeffs)
+            scale = 2.0**-5 if np.abs(c).max() >= 2.0**1019 else 1.0
+            with np.errstate(over="ignore"):
+                y = np.polynomial.polynomial.polyval(x, c * scale)
+            return np.clip(y, -self.clip * scale, self.clip * scale) / scale
         xs = np.linspace(-self.half_width, self.half_width, len(self.values))
         return np.interp(x, xs, np.asarray(self.values))
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import gaussdecoup
-from gaussdecoup import decoupling
+from gaussdecoup import covmodel, decoupling
 
 LAYERS = ("errors", "covmodel", "decoupling", "szego", "brascamp", "verify")
 
@@ -75,6 +75,20 @@ def test_decoupling_does_not_dispatch_on_the_form():
         elif isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance":
             classes = ast.unparse(node.args[1])
             assert "Matrix" not in classes, f"branch on the form: {ast.unparse(node)}"
+
+
+def test_covmodel_imports_no_scipy():
+    # covmodel's zeta values are its own (_zeta), so analyze and szego start
+    # and run without scipy; an import inside a function counts too.
+    tree = ast.parse(Path(covmodel.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        assert not [n for n in names if n.split(".")[0] == "scipy"], ast.unparse(node)
 
 
 def test_verify_sweep_names_are_exported():

@@ -607,24 +607,34 @@ GOLDEN_REPORTS = [
 ]
 
 
+NON_FINITE_NORMS = pytest.mark.parametrize(
+    "function",
+    [
+        {"kind": "grid", "values": [1e200, -1e200], "half_width": 3.0},
+        {"kind": "bounded_poly", "coeffs": [0, 1e200], "clip": 1e300},
+        {"kind": "bounded_poly", "coeffs": [1e308, 1e308], "clip": 1e308},
+    ],
+    ids=["grid_power_overflows", "poly_power_overflows", "poly_knots_at_inf"],
+)
+
+
 class TestNonFiniteMarginalNorm:
     """A marginal norm that overflows is that n's error row (exit 2).
 
     These configs used to end in an OverflowError traceback (the first two)
     or in a hard_fail against a NaN norm read as a zero bound (the third).
-    They run in a subprocess: the third one's sampling pass prints numpy
-    overflow warnings, which this suite turns into errors in process.
+    The third one's sampling pass also printed numpy overflow warnings from
+    the polynomial's Horner steps, and raised under this suite's
+    error::RuntimeWarning filter.
     """
 
-    @pytest.mark.parametrize(
-        "function",
-        [
-            {"kind": "grid", "values": [1e200, -1e200], "half_width": 3.0},
-            {"kind": "bounded_poly", "coeffs": [0, 1e200], "clip": 1e300},
-            {"kind": "bounded_poly", "coeffs": [1e308, 1e308], "clip": 1e308},
-        ],
-        ids=["grid_power_overflows", "poly_power_overflows", "poly_knots_at_inf"],
-    )
+    @staticmethod
+    def _assert_error_row(rows):
+        [row] = rows
+        assert row["function_suite"] == "error" and "hard_fail" not in row["verdict"]
+        assert row["verdict"].endswith("overflows or is not finite")
+
+    @NON_FINITE_NORMS
     def test_error_row(self, function, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"functions": [function]}))
@@ -634,10 +644,16 @@ class TestNonFiniteMarginalNorm:
             capture_output=True, text=True, env=SRC_ENV, timeout=120,
         )
         assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        [row] = json.loads(proc.stdout)
-        assert row["function_suite"] == "error" and "hard_fail" not in row["verdict"]
-        assert row["verdict"].endswith("overflows or is not finite")
+        assert proc.stderr == ""
+        self._assert_error_row(json.loads(proc.stdout))
+
+    @NON_FINITE_NORMS
+    def test_error_row_in_process(self, function, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"functions": [function]}))
+        argv = ["verify", "--model", "ma1:a=0.5", "--n", "4", "--samples", "1000"]
+        assert run([*argv, "--config", str(path)]) == 2
+        self._assert_error_row(json.loads(capsys.readouterr().out))
 
 
 class TestGoldenReports:
@@ -817,9 +833,6 @@ class TestStationaryRowsStayVectors:
         monkeypatch.setattr(covmodel_module._ToeplitzMatrix, "chol", property(refuse))
         # szego forms no section; the package's one dense Toeplitz builder is here.
         monkeypatch.setattr("gaussdecoup.covmodel._dense_toeplitz", refuse)
-        # inverse_power at r != 1 imports scipy.special on first use: its
-        # modules would count in the peak, though they are no dense form.
-        importlib.import_module("scipy.special")
         tracemalloc.start()
         try:
             code = run(argv)
@@ -936,18 +949,24 @@ class TestExamplesCommand:
         [
             (
                 [
-                    ["analyze", "--model", "ma1:a=0.5", "--n", "64"],
-                    ["analyze", "--model", "hilbert", "--n", "10"],
-                    ["analyze", "--model", "hilbert", "--n", "40"],
-                    ["szego", "--model", "ma1:a=0.5", "--n", "64"],
-                    ["--help"],
+                    (["analyze", "--model", "ma1:a=0.5", "--n", "64"], 0),
+                    (["analyze", "--model", "hilbert", "--n", "10"], 0),
+                    (["analyze", "--model", "hilbert", "--n", "40"], 0),
+                    (["szego", "--model", "ma1:a=0.5", "--n", "64"], 0),
+                    (["analyze", "--model", "inverse_power:r=1.5", "--n", "64"], 0),
+                    # Exit 2 is the b(f) tail refusal, read off the gridded symbol.
+                    (["szego", "--model", "inverse_power:r=2", "--n", "64"], 2),
+                    # Odd r: the Clausen series' pole pair.
+                    (["szego", "--model", "inverse_power:r=3", "--n", "64"], 2),
+                    (["szego", "--model", "inverse_power:r=2.5", "--n", "64"], 2),
+                    (["--help"], 0),
                 ],
                 False,
             ),
             (
                 [
-                    ["eb", "--model", "ma1:a=0.5", "--n", "8"],
-                    ["verify", "--model", "ma1:a=0.5", "--n", "8", "--samples", "1000"],
+                    (["eb", "--model", "ma1:a=0.5", "--n", "8"], 0),
+                    (["verify", "--model", "ma1:a=0.5", "--n", "8", "--samples", "1000"], 0),
                 ],
                 True,
             ),
@@ -955,19 +974,20 @@ class TestExamplesCommand:
         ids=["numpy_only", "eb_and_verify"],
     )
     def test_startup_imports_no_scipy(self, argvs, loads_scipy):
-        # p(X), the Theorem-1 constants and the MA(1) asymptote need numpy
-        # only; scipy is imported by the first call that takes a number from it.
+        # p(X), the Theorem-1 constants, the inverse-power zeta values and the
+        # szego asymptote need numpy only; scipy is imported by the first call
+        # that takes a number from it.
         code = (
             "import contextlib, io, sys\n"
             "from gaussdecoup.cli import main\n"
             "assert not [m for m in sys.modules if m.startswith('scipy')], 'scipy at import'\n"
-            f"for argv in {argvs!r}:\n"
+            f"for argv, want in {argvs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        try:\n"
             "            code = main(argv)\n"
             "        except SystemExit as exc:\n"
             "            code = exc.code\n"
-            "    assert code == 0, (argv, code)\n"
+            "    assert code == want, (argv, code)\n"
             "print(sorted(m for m in sys.modules if m in ('scipy.special', 'scipy.linalg')))\n"
         )
         proc = subprocess.run(

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
+from scipy.special import gamma as gamma_fn
 from scipy.special import zeta
 
 from gaussdecoup import (
@@ -39,6 +40,7 @@ from gaussdecoup.covmodel import (
     DEFAULT_GRID_SIZE,
     _Durbin,
     _unit_support,
+    _zeta,
     clausen_cos,
 )
 from oracles import inverse_power_gamma
@@ -730,6 +732,93 @@ class TestClausenSeries:
         with mpmath.workdps(30):
             expected = np.array([(2.0 * float(mpmath.clcos(3.0, abs(x)))) ** 2 for x in t])
         assert np.abs(sym.grid - expected).max() <= 1e-12 * expected.max()
+
+
+def _zeta_scale(s: np.ndarray) -> np.ndarray:
+    """|zeta(s)|, and for s < 0 the reflection's envelope |zeta(s) / sin(pi s/2)|.
+
+    Next to a trivial zero scipy's sine keeps only its absolute accuracy, so
+    there the comparison is absolute, against the envelope.
+    """
+    envelope = 2.0 * (2.0 * np.pi) ** (s - 1.0) * gamma_fn(1.0 - np.minimum(s, 0.0))
+    envelope *= zeta(1.0 - np.minimum(s, 0.0))
+    return np.where(s < 0.0, np.abs(envelope), np.abs(zeta(s)))
+
+
+class TestZeta:
+    """``_zeta`` against scipy.special.zeta, the route it replaced."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(s=st.floats(-60.0, 60.0).filter(lambda s: s != 1.0))
+    def test_riemann_matches_scipy(self, s):
+        got, ref = float(_zeta(s)), float(zeta(s))
+        assert abs(got - ref) <= 2e-14 * float(_zeta_scale(np.array(s)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(r=CLAUSEN_ORDERS)
+    def test_clausen_arguments_match_scipy(self, r):
+        s = r - 2.0 * np.arange(31)
+        got = _zeta(s)
+        pole = s == 1.0
+        s, got = s[~pole], got[~pole]
+        assert np.all(np.abs(got - zeta(s)) <= 2e-14 * _zeta_scale(s))
+        assert pole.sum() == (r % 2 == 1) and np.all(_zeta(np.ones(pole.sum())) == np.inf)
+
+    # scipy divides its Euler-Maclaurin corrections down through the subnormal
+    # numbers when zeta(s, q) is below about 1e-300, and keeps them there to
+    # about 1e-317 absolute (s = 102, q = 1025: 8e-13 relative); an absolute
+    # 1e-316 on top of the relative 2e-14 allows for that.
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.floats(2.0, 130.0), q=st.integers(1025, 2**17).map(float))
+    def test_hurwitz_matches_scipy(self, s, q):
+        got, ref = float(_zeta(s, q)), float(zeta(s, q))
+        assert got == pytest.approx(ref, rel=2e-14, abs=1e-316)
+
+    @settings(max_examples=50, deadline=None)
+    @given(r=st.floats(1.001, 8.0), b=st.integers(0, 7))
+    def test_one_sided_tails_match_scipy(self, r, b):
+        # The values _one_sided_sums asks for, in the same vectorised call.
+        s, q = 2.0 * r + np.arange(32.0), 1025.0 * 2**b
+        got, ref = _zeta(s, q), zeta(s, q)
+        assert np.all(np.abs(got - ref) <= 2e-14 * ref + 1e-316)
+
+    @pytest.mark.parametrize("s, q", [(102.0, 1025.0), (60.5, 1025.0), (2.0, 131072.0), (9.0, 4097.0)])
+    def test_hurwitz_matches_a_40_digit_sum(self, s, q):
+        # The same Euler-Maclaurin sum at 40 digits, 50 head terms and 29
+        # corrections; mpmath.zeta(s, q) itself is off by 1e-10 at q ~ 1e3.
+        with mpmath.workdps(40):
+            s_mp, w = mpmath.mpf(s), mpmath.mpf(q) + 50
+            expected = sum((q + k) ** -s_mp for k in range(50))
+            expected += w ** (1 - s_mp) / (s_mp - 1) + w**-s_mp / 2
+            for k in range(1, 30):
+                rise = mpmath.rf(s_mp, 2 * k - 1) * w ** (-s_mp - 2 * k + 1)
+                expected += mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * rise
+            expected = float(expected)
+        assert float(_zeta(s, q)) == pytest.approx(expected, rel=1e-15)
+
+    def test_special_points(self):
+        for s in (0.0, 5e-324, -5e-324, 1e-17, -1e-17):
+            assert float(_zeta(s)) == -0.5
+        assert float(_zeta(1.0)) == np.inf
+        evens = -2.0 * np.arange(1, 86)
+        assert np.all(_zeta(evens) == 0.0)
+        assert float(_zeta(2.0)) == pytest.approx(np.pi**2 / 6, rel=2e-16)
+        assert float(_zeta(-1.0)) == pytest.approx(-1.0 / 12.0, rel=2e-16)
+
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    @pytest.mark.parametrize("offset", [1e-12, -1e-7, 1e-3])
+    def test_relative_accuracy_next_to_trivial_zeros(self, k, offset):
+        s = -2.0 * k + offset
+        with mpmath.workdps(40):
+            expected = float(mpmath.zeta(s))
+        assert float(_zeta(s)) == pytest.approx(expected, rel=1e-14)
+
+    def test_values_do_not_depend_on_the_other_arguments(self):
+        s = np.concatenate([3.7 - 2.0 * np.arange(31), 2.0 + np.arange(39.0)])
+        alone = np.array([float(_zeta(v)) for v in s])
+        assert np.array_equal(_zeta(s), alone)
+        assert np.array_equal(_zeta(s.reshape(7, 10)), alone.reshape(7, 10))
+        assert _zeta(3.0).shape == ()
 
 
 def cholesky_oracle(T: np.ndarray) -> tuple[float, float]:

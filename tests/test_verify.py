@@ -65,6 +65,22 @@ class TestFunctionSpecs:
         out = f(np.array([-3.0, 0.2, 3.0]))
         assert np.array_equal(out, [-0.5, 0.2, 0.5])
 
+    def test_bounded_poly_near_float_max(self):
+        # Horner overflows on these: at 0.5 in its middle step, where p itself is
+        # finite and negative. Under the suite's error::RuntimeWarning filter an
+        # overflow warning would raise here.
+        big = np.finfo(float).max
+        c = (-0.9 * big, 0.7 * big, 0.9 * big)
+        f = TestFunctionSpec.bounded_poly(c, clip=1e308)
+        exact = [float(sum(mpmath.mpf(ci) * mpmath.mpf(x) ** i for i, ci in enumerate(c)))
+                 for x in (0.5, 0.0)]
+        assert f(np.array([0.5, 0.0, 2.0, -2.0, 1e200])).tolist() == [
+            pytest.approx(exact[0], rel=1e-15), -1e308, 1e308, 1e308, 1e308
+        ]
+        g = TestFunctionSpec.bounded_poly((1e308, 1e308), clip=1e308)
+        out = g(np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 3.0]))
+        assert out.tolist() == [-1e308, -1e308, 0.0, 1e308, 1e308, 1e308]
+
     def test_grid_clamps_outside(self):
         f = TestFunctionSpec.from_grid((0.0, 1.0, 0.0), half_width=1.0)
         assert f(np.array([0.0]))[0] == 1.0
