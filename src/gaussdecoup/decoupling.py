@@ -21,6 +21,10 @@ is never larger than the generic one.
 Both read C through its row sums, variances and log dets alone: each form in
 ``covmodel`` gives its own ``row_sums`` and ``shifted_log_det(p)``, the log
 det of p*I(var) - C, so nothing here branches on the form.
+
+The module needs numpy and math alone.  The error functions of the sup-bound
+and of ``verify`` are ``_erf`` and ``_erfc``, a port of cephes ndtr.c that
+is bit for bit scipy.special's.
 """
 
 from __future__ import annotations
@@ -30,15 +34,96 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.special is imported only in corollary1_bound (verify's): start-up stays numpy.
-
 from .covmodel import CovarianceMatrix, _check_dimension, _toeplitz_row_sums
 from .errors import ConditionViolated, NonFiniteInput, NotPositiveDefinite
+
+# The rational approximations of cephes ndtr.c, which scipy.special.erf and erfc run:
+# x T(x^2)/U(x^2) is erf for |x| <= 1, exp(-x^2) P(|x|)/Q(|x|) is erfc for 1 <= |x| < 8 and
+# exp(-x^2) R(|x|)/S(|x|) from 8 on. Coefficients run from the highest power down; U, Q
+# and S are monic, their leading 1 left out.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+# cephes' MAXLOG, log(DBL_MAX): past x^2 = MAXLOG, erfc is taken as underflowed.
+_MAXLOG = 7.09782712893383996843e2
 
 
 def _exp(log_value: float) -> float:
     """exp for display, saturating to inf where math.exp would overflow."""
     return math.exp(log_value) if log_value < 700 else math.inf
+
+
+def _horner(x: np.ndarray, coeffs, monic: bool = False) -> np.ndarray:
+    """The polynomial with ``coeffs`` (highest power first; a leading 1 left out if ``monic``)
+    at x, in cephes' polevl/p1evl order of operations."""
+    y = x + coeffs[0] if monic else np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        y = y * x + c
+    return y
+
+
+def _erf_central(x: np.ndarray) -> np.ndarray:
+    """erf(x) for |x| <= 1."""
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U, monic=True)
+
+
+def _erfc_tail(x: np.ndarray) -> np.ndarray:
+    """erfc(x) for |x| >= 1 (and nan): 0, or 2 below 0, once exp(-x^2) underflows."""
+    a = np.abs(x)
+    z = -x * x
+    kept = ~(z < -_MAXLOG)
+    a, z = a[kept], z[kept]
+    # math.exp, not np.exp: numpy's vectorised exp can differ from libm's in the last bits.
+    e = np.array([math.exp(v) for v in z.tolist()])
+    mid = a < 8.0
+    y = np.zeros_like(x)
+    y[kept] = e * np.where(mid, _horner(a, _ERFC_P), _horner(a, _ERFC_R)) / np.where(
+        mid, _horner(a, _ERFC_Q, monic=True), _horner(a, _ERFC_S, monic=True)
+    )
+    return np.where(x < 0, 2.0 - y, y)
+
+
+def _erf(x) -> np.ndarray:
+    """The error function, elementwise, bit for bit scipy.special.erf (cephes ndtr.c).
+
+    For |x| > 1 it is 1 - erfc(|x|) with the sign of x, so erf(-x) = -erf(x), and
+    erf(-0.0) = -0.0.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    central = np.abs(flat) <= 1.0
+    out[central] = _erf_central(flat[central])
+    rest = flat[~central]
+    out[~central] = np.copysign(1.0 - _erfc_tail(np.abs(rest)), rest)
+    return out.reshape(x.shape)
+
+
+def _erfc(x) -> np.ndarray:
+    """The complementary error function, elementwise, bit for bit scipy.special.erfc.
+
+    For |x| < 1 it is 1 - erf(x); from 1 on, the cephes tails, which keep their relative
+    accuracy to the underflow near x = 26.55 (and reach 2 below -6).
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    central = np.abs(flat) < 1.0
+    out[central] = 1.0 - _erf_central(flat[central])
+    out[~central] = _erfc_tail(flat[~central])
+    return out.reshape(x.shape)
 
 
 def _finite_p(ratios: np.ndarray) -> float:
@@ -159,10 +244,8 @@ def corollary1_bound(C: CovarianceMatrix, p: float, eps) -> float:
     eps = np.asarray(eps, dtype=float).ravel()
     if eps.size != C.n or np.any(eps <= 0):
         raise ValueError("eps must be a length-n vector of positive reals")
-    from scipy.special import erf
-
     sigma = C.sigmas
-    probs = erf(eps / (sigma * math.sqrt(2.0)))
+    probs = _erf(eps / (sigma * math.sqrt(2.0)))
     n = C.n
     return _exp(
         (n / 2.0) * math.log(2.0)

@@ -1,6 +1,7 @@
 """Test oracles: the determinant lemmas behind E_B, a dense Toeplitz section,
 the serial Monte Carlo stream blocks, a report re-judged against another
-right-hand side and the inverse-power autocovariance summed one lag at a time.
+right-hand side, the inverse-power autocovariance summed one lag at a time
+and the Clopper-Pearson bound and tails of a hit count.
 
 No command, report or workload reads these; the tests use them to check the
 package against independent routes.
@@ -28,6 +29,11 @@ package against independent routes.
 - ``inverse_power_gamma``: one lag of the inverse-power autocovariance, its
   series summed per lag with a Hurwitz-zeta tail (``_one_sided_sum``), next
   to the package's blocked ``inverse_power_gamma_sequence``.
+- ``hit_bound``: the one-sided Clopper-Pearson bound on a hit probability,
+  by ``scipy.special.betaincinv``, next to the package's verdict, which only
+  asks whether a binomial tail reaches the level.
+- ``binomial_tail``: a binomial tail summed to 40 digits (mpmath), next to
+  the package's double-precision sum from a saddle-point first term.
 
 The four lemma checks return their determinants and ratios in log space.
 """
@@ -36,8 +42,10 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.linalg import toeplitz
+from scipy.special import betaincinv
 
 from gaussdecoup.brascamp import _logdet_spd, matrix_B
 from gaussdecoup.covmodel import CovarianceMatrix, SpectralSymbol, inverse_power_gamma_sequence
@@ -241,3 +249,49 @@ def inverse_power_gamma(mu: int, r: float = 1.0) -> float:
         m = np.arange(1, mu, dtype=float)
         middle = float(np.sum((m * (mu - m)) ** (-r)))
     return 2.0 * _one_sided_sum(mu, r) + middle
+
+
+def hit_bound(hits: int, n_samples: int, alpha: float, upper: bool) -> float:
+    """One-sided exact (Clopper-Pearson) bound at level alpha on a hit probability."""
+    if upper:
+        if hits == n_samples:
+            return 1.0
+        if hits == 0:
+            return -math.expm1(math.log(alpha) / n_samples)  # 1 - alpha^(1/N)
+        return float(betaincinv(hits + 1, n_samples - hits, 1.0 - alpha))
+    if hits == 0:
+        return 0.0
+    return float(betaincinv(hits, n_samples - hits + 1, alpha))
+
+
+def _mp_tail_from(n: int, k: int, p, step: int):
+    """sum of P(Bin(n, p) = j) for j = k, k + step, ... while the terms count at 40 digits."""
+    total = mpmath.mpf(0)
+    if not 0 <= k <= n:
+        return total
+    term = mpmath.binomial(n, k) * p**k * (1 - p) ** (n - k)
+    while term > total * mpmath.mpf(10) ** -45:
+        total += term
+        if step > 0:
+            term *= (n - k) * p / ((k + 1) * (1 - p))
+        else:
+            term *= k * (1 - p) / ((n - k + 1) * p)
+        k += step
+    return total
+
+
+def binomial_tail(n: int, k: int, p: float, at_least: bool) -> float:
+    """P(Bin(n, p) >= k) if ``at_least``, else P(Bin(n, p) <= k), to 40 digits.
+
+    The terms are summed in mpmath from k away from the mode, where they fall; a tail
+    that holds the mode is 1 minus the other.
+    """
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        mode = (n + 1) * p
+        if at_least:
+            tail = 1 - _mp_tail_from(n, k - 1, p, -1) if k <= mode else _mp_tail_from(n, k, p, 1)
+        else:
+            tail = 1 - _mp_tail_from(n, k + 1, p, 1) if k >= mode - 1 else _mp_tail_from(n, k, p, -1)
+        return float(tail)
+

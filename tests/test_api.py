@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import gaussdecoup
-from gaussdecoup import covmodel, decoupling
+from gaussdecoup import covmodel, decoupling, verify
 
 LAYERS = ("errors", "covmodel", "decoupling", "szego", "brascamp", "verify")
 
@@ -36,7 +36,7 @@ ORACLES = {
     ),
     "covmodel": ("inverse_power_gamma",),
     "szego": ("toeplitz_section",),
-    "verify": ("with_rhs",),
+    "verify": ("with_rhs", "hit_bound"),
 }
 
 # covmodel's private forms and their numerics: decoupling reads a covariance
@@ -77,10 +77,9 @@ def test_decoupling_does_not_dispatch_on_the_form():
             assert "Matrix" not in classes, f"branch on the form: {ast.unparse(node)}"
 
 
-def test_covmodel_imports_no_scipy():
-    # covmodel's zeta values are its own (_zeta), so analyze and szego start
-    # and run without scipy; an import inside a function counts too.
-    tree = ast.parse(Path(covmodel.__file__).read_text())
+def _assert_imports_no_scipy(module):
+    # An import inside a function counts too.
+    tree = ast.parse(Path(module.__file__).read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -89,6 +88,19 @@ def test_covmodel_imports_no_scipy():
         else:
             continue
         assert not [n for n in names if n.split(".")[0] == "scipy"], ast.unparse(node)
+
+
+def test_covmodel_imports_no_scipy():
+    # covmodel's zeta values are its own (_zeta), so analyze and szego start
+    # and run without scipy.
+    _assert_imports_no_scipy(covmodel)
+
+
+@pytest.mark.parametrize("module", [decoupling, verify], ids=lambda m: m.__name__)
+def test_verify_layers_import_no_scipy(module):
+    # erf and erfc are decoupling's cephes port and the hit verdicts a binomial
+    # tail, so verify starts and runs without scipy.
+    _assert_imports_no_scipy(module)
 
 
 def test_verify_sweep_names_are_exported():

@@ -945,7 +945,7 @@ class TestExamplesCommand:
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize(
-        "argvs, loads_scipy",
+        "argvs, scipy_modules",
         [
             (
                 [
@@ -961,22 +961,30 @@ class TestExamplesCommand:
                     (["szego", "--model", "inverse_power:r=2.5", "--n", "64"], 2),
                     (["--help"], 0),
                 ],
-                False,
+                [],
             ),
             (
                 [
                     (["eb", "--model", "ma1:a=0.5", "--n", "8"], 0),
                     (["verify", "--model", "ma1:a=0.5", "--n", "8", "--samples", "1000"], 0),
                 ],
-                True,
+                ["scipy.linalg"],
+            ),
+            (
+                [
+                    (["verify", "--model", "ma1:a=0.5", "--n", "8", "--samples", "1000"], 0),
+                    # Zero hits: the Khatri-Sidak rows take the binomial verdict's closed form.
+                    (["verify", "--model", "ma1:a=0.5", "--n", "64", "--samples", "1000"], 0),
+                ],
+                [],
             ),
         ],
-        ids=["numpy_only", "eb_and_verify"],
+        ids=["numpy_only", "eb_and_verify", "verify_only"],
     )
-    def test_startup_imports_no_scipy(self, argvs, loads_scipy):
-        # p(X), the Theorem-1 constants, the inverse-power zeta values and the
-        # szego asymptote need numpy only; scipy is imported by the first call
-        # that takes a number from it.
+    def test_startup_imports_no_scipy(self, argvs, scipy_modules):
+        # p(X), the Theorem-1 constants, the inverse-power zeta values, the
+        # szego asymptote and verify's error functions and binomial verdicts
+        # need numpy only; eb's Cholesky factorizations import scipy.linalg.
         code = (
             "import contextlib, io, sys\n"
             "from gaussdecoup.cli import main\n"
@@ -995,7 +1003,7 @@ class TestExamplesCommand:
         )
         assert proc.returncode == 0, proc.stderr
         loaded = proc.stdout.strip()
-        assert loaded == ("['scipy.linalg', 'scipy.special']" if loads_scipy else "[]")
+        assert loaded == repr(scipy_modules)
 
 
 # Each of these used to end in a traceback (exit 1), in a report holding NaN,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
+from scipy.special import erf, erfc
 
 from gaussdecoup import (
     ConditionViolated,
@@ -27,6 +28,7 @@ from gaussdecoup import (
     stationary_decoupling_coefficient,
     theorem1_log_constant,
 )
+from gaussdecoup.decoupling import _erf, _erfc
 from gaussdecoup.verify import marginal_p_norm  # noqa: F401  (cross-module import sanity)
 from oracles import random_spd
 
@@ -383,3 +385,57 @@ class TestDecouplingBound:
         for _ in range(100):
             C = build_dense(random_spd(int(rng.integers(1, 9)), rng))
             assert decoupling_coefficient(C) >= 1.0
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise: identical float64 bits (so the sign of a zero counts), or both nan."""
+    return (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
+
+
+def _erf_edges() -> np.ndarray:
+    tiny = np.finfo(float).tiny
+    points = [0.0, 1.0, 8.0, tiny, 5e-324, 1e-310, tiny / 3, 1e-300, 0.5, 2.0, 6.0, 27.3]
+    points += [np.nextafter(v, d) for v in (1.0, 8.0) for d in (0.0, np.inf)]
+    points += np.linspace(26.5, 27.3, 8001).tolist()  # erfc's underflow band, from 26.55
+    points = np.array(points)
+    return np.concatenate([points, -points, [np.inf, -np.inf, np.nan]])
+
+
+class TestErfPort:
+    """``_erf`` and ``_erfc`` are bit for bit scipy.special's (cephes ndtr.c)."""
+
+    RANGES = {
+        "unit": lambda rng, size: rng.uniform(-1.0, 1.0, size),
+        "to_8": lambda rng, size: rng.uniform(-8.0, 8.0, size),
+        "to_30": lambda rng, size: rng.uniform(-30.0, 30.0, size),
+        "log_uniform": lambda rng, size: rng.choice([-1.0, 1.0], size)
+        * 10.0 ** rng.uniform(-40.0, math.log10(30.0), size),
+    }
+
+    @pytest.mark.parametrize("port, reference", [(_erf, erf), (_erfc, erfc)], ids=["erf", "erfc"])
+    @pytest.mark.parametrize("draw", list(RANGES.values()), ids=list(RANGES))
+    def test_random_points(self, port, reference, draw):
+        x = draw(np.random.default_rng(26), 10**6)
+        got, want = port(x), reference(x)
+        assert _same_bits(got, want).all(), x[~_same_bits(got, want)][:5]
+
+    @pytest.mark.parametrize("port, reference", [(_erf, erf), (_erfc, erfc)], ids=["erf", "erfc"])
+    def test_edges(self, port, reference):
+        x = _erf_edges()
+        got, want = port(x), reference(x)
+        assert _same_bits(got, want).all(), x[~_same_bits(got, want)]
+
+    def test_special_values(self):
+        assert math.copysign(1.0, float(_erf(-0.0))) == -1.0
+        assert float(_erf(0.0)) == 0.0 and math.copysign(1.0, float(_erf(0.0))) == 1.0
+        assert _erf([np.inf, -np.inf]).tolist() == [1.0, -1.0]
+        assert _erfc([np.inf, -np.inf, 26.7, -26.7]).tolist() == [0.0, 2.0, 0.0, 2.0]  # 26.7^2 > MAXLOG
+        assert np.isnan(_erf(np.nan)) and np.isnan(_erfc(np.nan))
+
+    def test_shapes(self):
+        assert _erf(0.5).shape == () and _erfc(0.5).shape == ()
+        assert _erf(np.ones((2, 3))).shape == (2, 3)
+        assert _erfc(np.array([])).shape == (0,)
+        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        assert _same_bits(_erfc(x), erfc(x)).all()
+

@@ -33,8 +33,8 @@ from gaussdecoup import (
 )
 from gaussdecoup import verify as verify_module
 from gaussdecoup.cli import main
-from gaussdecoup.verify import _hit_bound, _product_moments
-from oracles import joined_panels, stream_blocks, with_rhs
+from gaussdecoup.verify import _product_moments
+from oracles import binomial_tail, hit_bound, joined_panels, stream_blocks, with_rhs
 
 IND1 = TestFunctionSpec.indicator(1.0)
 COS = TestFunctionSpec.cosine(0.7)
@@ -208,6 +208,21 @@ class TestMarginalPNorm:
             expected = float(((mpmath.erf(hi) - mpmath.erf(lo)) / 2) ** (1 / mpmath.mpf(p)))
         val = marginal_p_norm(TestFunctionSpec.shifted_indicator(shift, eps), sigma, p)
         assert val == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("k", [-3.0, -6.0, -8.0, -9.0, -10.0])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_constant_tails_far_from_the_mean(self, k, side):
+        # The lower tail was 1/2 (1 + erf(x / sigma sqrt 2)) and the upper 1 minus
+        # it: 1.3e-10 off at 6 sigma, 1.8 % at 8 and 0 from 9 on.
+        sigma = 1.3
+        x = k * sigma
+        with mpmath.workdps(40):
+            want = float(mpmath.ncdf(mpmath.mpf(x), 0, mpmath.mpf(sigma)))
+        assert verify_module._lower_tail(x, sigma) == pytest.approx(want, rel=1e-13, abs=0.0)
+        # _piecewise_moment's constant tails, with 0 between the knots.
+        left, right = (1.0, 0.0) if side == "left" else (0.0, 1.0)
+        moment = verify_module._piecewise_moment(np.zeros_like, [x, -x], sigma, 1.5, left, right)
+        assert moment == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.kind)
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
@@ -392,15 +407,100 @@ class TestVerifyKhatriSidak:
     def test_hit_bounds(self):
         alpha = 0.5 * math.erfc(3.0 / math.sqrt(2.0))
         zero_hits = 1.0 - alpha ** (1 / 1000)
-        assert _hit_bound(0, 1000, alpha, upper=True) == pytest.approx(zero_hits, rel=1e-12)
-        assert _hit_bound(0, 1000, alpha, upper=False) == 0.0
-        assert _hit_bound(1000, 1000, alpha, upper=True) == 1.0
+        assert hit_bound(0, 1000, alpha, upper=True) == pytest.approx(zero_hits, rel=1e-12)
+        assert hit_bound(0, 1000, alpha, upper=False) == 0.0
+        assert hit_bound(1000, 1000, alpha, upper=True) == 1.0
         # Clopper-Pearson bounds at k hits: P(Bin(N, hi) <= k) = alpha = P(Bin(N, lo) >= k).
-        lo = _hit_bound(7, 1000, alpha, upper=False)
-        hi = _hit_bound(7, 1000, alpha, upper=True)
+        lo = hit_bound(7, 1000, alpha, upper=False)
+        hi = hit_bound(7, 1000, alpha, upper=True)
         assert lo < 7 / 1000 < hi
         assert bdtr(7, 1000, hi) == pytest.approx(alpha, rel=1e-9)
         assert bdtrc(6, 1000, lo) == pytest.approx(alpha, rel=1e-9)
+
+
+def _oracle_verdict(lhs, rhs, n, hits, estimate_is_lhs):
+    """The hit verdict from the Clopper-Pearson bounds themselves (betaincinv)."""
+    for alpha, verdict in (
+        (verify_module._ALPHA_PASS, "pass"), (verify_module._ALPHA_HARD, "statistical_fail")
+    ):
+        if estimate_is_lhs:
+            holds = hit_bound(hits, n, alpha, upper=False) <= rhs
+        else:
+            holds = lhs <= hit_bound(hits, n, alpha, upper=True)
+        if holds:
+            return verdict
+    return "hard_fail"
+
+
+@st.composite
+def _binomial_point(draw):
+    """(n, k, p) with k within 12 standard deviations of the mean n p."""
+    n = draw(st.sampled_from([100, 1000, 10**5]))
+    p = 10.0 ** draw(st.floats(-5.0, -1e-4))
+    if draw(st.booleans()):
+        p = 1.0 - p
+    z = draw(st.floats(-12.0, 12.0))
+    k = min(n, max(0, round(n * p + z * math.sqrt(n * p * (1.0 - p)))))
+    return n, k, p
+
+
+class TestBinomialVerdict:
+    """The hit verdicts read a binomial tail, not the Clopper-Pearson bound."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(point=_binomial_point(), at_least=st.booleans())
+    @example(point=(100, 0, 0.3), at_least=False)
+    @example(point=(100, 100, 0.3), at_least=True)
+    @example(point=(10**5, 1, 2e-5), at_least=True)
+    @example(point=(10**5, 50_000, 0.5), at_least=True)
+    # A ratio of terms, or n p, below the float range.
+    @example(point=(100, 3, 5e-324), at_least=False)
+    @example(point=(100, 3, 5e-324), at_least=True)
+    @example(point=(100, 97, 1.0 - 2.0**-53), at_least=False)
+    def test_tail_matches_40_digit_sum(self, point, at_least):
+        n, k, p = point
+        got = verify_module._binomial_tail(n, k, p, at_least)
+        assert got == pytest.approx(binomial_tail(n, k, p, at_least), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(point=_binomial_point())
+    def test_tail_matches_scipy(self, point):
+        # bdtr and bdtrc normalise by lgamma(n + 1), so their own error grows
+        # like n eps: 1.5e-12 at n = 1e3 and 3e-10 at n = 1e5 against the
+        # 40-digit sum, where _binomial_tail stays within 1e-12.
+        n, k, p = point
+        rel = max(1e-12, 1e-14 * n)
+        assert verify_module._binomial_tail(n, k, p, at_least=False) == pytest.approx(
+            bdtr(k, n, p), rel=rel, abs=0.0
+        )
+        if k > 0:
+            assert verify_module._binomial_tail(n, k, p, at_least=True) == pytest.approx(
+                bdtrc(k - 1, n, p), rel=rel, abs=0.0
+            )
+
+    @settings(max_examples=600, deadline=None)
+    @given(n=st.sampled_from([100, 1000, 10**5]), data=st.data())
+    def test_verdict_is_the_oracle_bounds(self, n, data):
+        hits = data.draw(st.one_of(st.sampled_from([0, 1, n - 1, n]), st.integers(0, n)))
+        estimate_is_lhs = data.draw(st.booleans())
+        alpha = data.draw(
+            st.sampled_from([verify_module._ALPHA_PASS, verify_module._ALPHA_HARD])
+        )
+        bound = hit_bound(hits, n, alpha, upper=not estimate_is_lhs)
+        exact = data.draw(
+            st.one_of(
+                st.sampled_from([bound * (1 + 1e-6), bound * (1 - 1e-6)]),
+                # An exact tie is a rounding coin flip on either route.
+                st.floats(0.5, 1.5).filter(lambda f: abs(f - 1.0) >= 1e-6).map(lambda f: bound * f),
+                st.sampled_from([0.0, -0.25, 1.0, 1.5, math.inf, math.nan]),
+                st.floats(0.0, 1.0),
+            )
+        )
+        lhs, rhs = (hits / n, exact) if estimate_is_lhs else (exact, hits / n)
+        report = verify_module._hit_report(
+            lhs, 0.01, rhs, n, 1, hits=hits, estimate_is_lhs=estimate_is_lhs
+        )
+        assert report.verdict == _oracle_verdict(lhs, rhs, n, hits, estimate_is_lhs)
 
 
 class TestVerifyKls:
