@@ -21,6 +21,7 @@ from .brascamp import (
     matrix_B,
 )
 from .covmodel import (
+    ConditionReport,
     CovarianceMatrix,
     HilbertSpec,
     ModelSpec,
@@ -60,11 +61,9 @@ from .errors import (
     NotSymmetric,
 )
 from .szego import (
-    ConditionReport,
     SzegoEstimate,
     Theorem2Constant,
     b_constant,
-    condition_report,
     geometric_mean,
     szego_asymptote,
     theorem2_constant,
@@ -74,7 +73,6 @@ from .verify import (
     TestFunctionSpec,
     VerificationReport,
     marginal_p_norm,
-    sample_gaussian,
     stationary_exponent,
     sweep_moments,
     verify_khatri_sidak,

@@ -18,7 +18,9 @@ and log det(p*I(var) - C), the two numbers the Theorem 1 constants read.
 
 Also houses the spectral-symbol representation: a 2*pi-periodic non-negative
 function sampled on a uniform grid over ``[-pi, pi)`` together with its
-Fourier coefficients ``d_k``, which generate the Toeplitz sections.
+Fourier coefficients ``d_k``, which generate the Toeplitz sections.  The
+symbol owns what the determinant limit reads: its log-symbol ``c``, their
+``condition`` report, ``log_b`` and the exact sections (``section_log_det``).
 
 ``parse_model`` checks a model string ("ma1:a=0.5", "sparse:support=1+4",
 ...) against the one table of families and returns a ``ModelSpec``, which
@@ -703,6 +705,99 @@ def hilbert_covariance(spec: HilbertSpec, n: int) -> CovarianceMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _geometric_tail(terms: np.ndarray, noise_floor: float) -> tuple[float, float]:
+    """(tail estimate, decay ratio) by geometric extrapolation over the last decade.
+
+    terms[i] is the term at k = i + 1.  Windows whose magnitude sits at the
+    transform noise floor contribute no tail.  A non-decaying window returns
+    an infinite tail (divergence at this resolution).
+    """
+    K = terms.size
+    lo = max(1, K // 10)
+    w = terms[lo - 1 :]
+    if w.max() <= noise_floor:
+        return 0.0, 0.0
+    first = max(float(w[0]), 1e-300)
+    last = max(float(w[-1]), 1e-300)
+    if last >= first or w.size < 2:
+        return math.inf, 1.0
+    q = (last / first) ** (1.0 / (w.size - 1))
+    return last * q / (1.0 - q), q
+
+
+def _decay_exponent(terms: np.ndarray, noise_floor: float) -> float | None:
+    """Empirical power alpha with terms ~ k^{-alpha} over the last decade."""
+    K = terms.size
+    lo = max(1, K // 10)
+    k = np.arange(lo, K + 1, dtype=float)
+    w = terms[lo - 1 :]
+    mask = w > noise_floor
+    if mask.sum() < 8:
+        return None
+    slope = np.polyfit(np.log(k[mask]), np.log(w[mask]), 1)[0]
+    return float(-slope)
+
+
+@dataclass(frozen=True)
+class ConditionReport:
+    """Partial sums and tail diagnostics for the two convergence conditions.
+
+    ``c1_sum`` approximates sum_{|k|<=K} |c_k| and ``c2_sum`` approximates
+    sum_{|k|<=K} |k| |c_k|^2; the tails are geometric extrapolations from the
+    last decade of coefficients.  ``likely_divergent`` is set when |c_k|
+    empirically decays slower than 1/|k| (which sinks both conditions).
+    """
+
+    c1_sum: float
+    c1_tail: float
+    c2_sum: float
+    c2_tail: float
+    decay_exponent: float | None
+    likely_divergent: bool
+
+    @property
+    def passes(self) -> bool:
+        return (
+            not self.likely_divergent
+            and math.isfinite(self.c1_tail)
+            and math.isfinite(self.c2_tail)
+        )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "c1_sum": self.c1_sum,
+            "c1_tail": self.c1_tail,
+            "c2_sum": self.c2_sum,
+            "c2_tail": self.c2_tail,
+            "decay_exponent": self.decay_exponent,
+            "likely_divergent": self.likely_divergent,
+            "passes": self.passes,
+        }
+
+
+def _summability_report(sym: SpectralSymbol) -> ConditionReport:
+    """Diagnose the absolute and weighted-square summability of the c_k (``sym.condition``)."""
+    mod = np.abs(sym.c)
+    cmax = max(float(mod.max()), 1.0)
+    abs_terms = mod[1:]
+    sq_terms = np.arange(1, sym.K + 1, dtype=float) * mod[1:] ** 2
+    abs_floor = 1e-13 * cmax
+    sq_floor = sym.K * abs_floor**2
+    c1_tail, _ = _geometric_tail(abs_terms, abs_floor)
+    c2_tail, _ = _geometric_tail(sq_terms, sq_floor)
+    alpha = _decay_exponent(abs_terms, abs_floor)
+    # k = 0 is a single finite term with no bearing on convergence; left out
+    # so that constant symbols report (0, 0).
+    return ConditionReport(
+        c1_sum=float(2.0 * abs_terms.sum()),
+        c1_tail=2.0 * c1_tail,
+        c2_sum=float(2.0 * sq_terms.sum()),
+        c2_tail=2.0 * c2_tail,
+        decay_exponent=alpha,
+        likely_divergent=alpha is not None and alpha < 1.0,
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralSymbol:
     """A 2*pi-periodic real symbol sampled on a uniform grid over [-pi, pi).
@@ -736,11 +831,9 @@ class SpectralSymbol:
         return _freeze(_grid_coefficients(np.log(self.grid), self.even))
 
     @cached_property
-    def condition(self):
-        """``szego.condition_report`` of the symbol, computed on first read."""
-        from . import szego  # szego imports this module
-
-        return szego.condition_report(self)
+    def condition(self) -> ConditionReport:
+        """The summability report of the c_k, computed on first read."""
+        return _summability_report(self)
 
     @cached_property
     def log_b(self) -> float:
@@ -762,6 +855,23 @@ class SpectralSymbol:
     def _durbin(self) -> _Durbin:
         """Durbin's recursion on d_0..d_{K-1}: section n reads its prefix."""
         return _Durbin(self.d[: self.K])
+
+    def section_log_det(self, n: int) -> float:
+        """log det of the n-th section {d_{j-i}}, 1 <= n <= K: a prefix of one Durbin recursion."""
+        if n < 1:
+            raise ValueError("section size must be >= 1")
+        if n > self.K:
+            raise InvalidSpec(
+                f"section n={n} needs coefficients up to lag {n - 1} >= K={self.K}; "
+                "use a finer grid"
+            )
+        try:
+            return self._durbin.prefix(n)[0]
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite(
+                f"Toeplitz section n={n} of the truncated symbol (K={self.K}) is not positive "
+                f"definite; refine the grid"
+            ) from exc
 
 
 def grid_points(grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:

@@ -8,17 +8,17 @@ determinant of the n-th Toeplitz section {d_{j-i}} behaves like
     b(f) = exp(sum_{k>=1} k c_k c_{-k}),
 
 provided sum |c_k| and sum |k| |c_k|^2 both converge.  From the symbol's
-``c`` this module computes G(f), b(f), the asymptote, exact determinants for
-n <= min(K, MATRIX_N_CAP) by Durbin's recursion on the first row d_0..d_{n-1}
-(O(n^2), no matrix formed; the Hermitian form for non-even symbols), and the
-resulting bound constant for stationary sections, with the deviation of the
-asymptote from the exact determinant measured rather than assumed.
+``c`` this module computes G(f), b(f), the asymptote against the exact
+determinant for n <= min(K, MATRIX_N_CAP), and the resulting bound constant
+for stationary sections, with the deviation of the asymptote from the exact
+determinant measured rather than assumed.
 
-The per-symbol work is done once and kept on the symbol: ``c``, the
-condition report (``sym.condition``), log b(f) (``sym.log_b``) and one
-Durbin recursion whose prefixes are the exact sections, so the sizes of one
-``szego`` call cost O(n_max^2) together and each size's numbers are those
-of a call at that size alone.
+The symbol owns the numbers this module reads, each computed once and kept
+on it: ``c``, the condition report (``sym.condition``), log b(f)
+(``sym.log_b``) and the exact sections (``sym.section_log_det(n)``, the
+prefixes of one Durbin recursion), so the sizes of one ``szego`` call cost
+O(n_max^2) together and each size's numbers are those of a call at that
+size alone.
 
 All quantities that scale with n are kept in log space.
 """
@@ -37,7 +37,6 @@ from .errors import (
     InvalidSpec,
     NonConvergent,
     NonPositiveSymbol,
-    NotPositiveDefinite,
 )
 
 
@@ -46,134 +45,9 @@ def geometric_mean(sym: SpectralSymbol) -> float:
     return math.exp(float(np.real(sym.c[0])))
 
 
-def _geometric_tail(terms: np.ndarray, noise_floor: float) -> tuple[float, float]:
-    """(tail estimate, decay ratio) by geometric extrapolation over the last decade.
-
-    terms[i] is the term at k = i + 1.  Windows whose magnitude sits at the
-    transform noise floor contribute no tail.  A non-decaying window returns
-    an infinite tail (divergence at this resolution).
-    """
-    K = terms.size
-    lo = max(1, K // 10)
-    w = terms[lo - 1 :]
-    if w.max() <= noise_floor:
-        return 0.0, 0.0
-    first = max(float(w[0]), 1e-300)
-    last = max(float(w[-1]), 1e-300)
-    if last >= first or w.size < 2:
-        return math.inf, 1.0
-    q = (last / first) ** (1.0 / (w.size - 1))
-    return last * q / (1.0 - q), q
-
-
-def _decay_exponent(terms: np.ndarray, noise_floor: float) -> float | None:
-    """Empirical power alpha with terms ~ k^{-alpha} over the last decade."""
-    K = terms.size
-    lo = max(1, K // 10)
-    k = np.arange(lo, K + 1, dtype=float)
-    w = terms[lo - 1 :]
-    mask = w > noise_floor
-    if mask.sum() < 8:
-        return None
-    slope = np.polyfit(np.log(k[mask]), np.log(w[mask]), 1)[0]
-    return float(-slope)
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Partial sums and tail diagnostics for the two convergence conditions.
-
-    ``c1_sum`` approximates sum_{|k|<=K} |c_k| and ``c2_sum`` approximates
-    sum_{|k|<=K} |k| |c_k|^2; the tails are geometric extrapolations from the
-    last decade of coefficients.  ``likely_divergent`` is set when |c_k|
-    empirically decays slower than 1/|k| (which sinks both conditions).
-    """
-
-    c1_sum: float
-    c1_tail: float
-    c2_sum: float
-    c2_tail: float
-    decay_exponent: float | None
-    likely_divergent: bool
-
-    @property
-    def passes(self) -> bool:
-        return (
-            not self.likely_divergent
-            and math.isfinite(self.c1_tail)
-            and math.isfinite(self.c2_tail)
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "c1_sum": self.c1_sum,
-            "c1_tail": self.c1_tail,
-            "c2_sum": self.c2_sum,
-            "c2_tail": self.c2_tail,
-            "decay_exponent": self.decay_exponent,
-            "likely_divergent": self.likely_divergent,
-            "passes": self.passes,
-        }
-
-
-def condition_report(sym: SpectralSymbol) -> ConditionReport:
-    """Diagnose the absolute and weighted-square summability of the c_k.
-
-    Computes afresh; the symbol keeps its report as ``sym.condition``, which
-    the estimates here read.
-    """
-    mod = np.abs(sym.c)
-    cmax = max(float(mod.max()), 1.0)
-    abs_terms = mod[1:]
-    sq_terms = np.arange(1, sym.K + 1, dtype=float) * mod[1:] ** 2
-    abs_floor = 1e-13 * cmax
-    sq_floor = sym.K * abs_floor**2
-    c1_tail, _ = _geometric_tail(abs_terms, abs_floor)
-    c2_tail, _ = _geometric_tail(sq_terms, sq_floor)
-    alpha = _decay_exponent(abs_terms, abs_floor)
-    # k = 0 is a single finite term with no bearing on convergence; left out
-    # so that constant symbols report (0, 0).
-    return ConditionReport(
-        c1_sum=float(2.0 * abs_terms.sum()),
-        c1_tail=2.0 * c1_tail,
-        c2_sum=float(2.0 * sq_terms.sum()),
-        c2_tail=2.0 * c2_tail,
-        decay_exponent=alpha,
-        likely_divergent=alpha is not None and alpha < 1.0,
-    )
-
-
 def b_constant(sym: SpectralSymbol) -> float:
     """b(f) = exp(sum_{k>=1} k c_k c_{-k}); NonConvergent unless the tail has converged."""
     return math.exp(sym.log_b)
-
-
-def _section_row(sym: SpectralSymbol, n: int) -> np.ndarray:
-    """d_0..d_{n-1}, the first row of the n-th section."""
-    if n < 1:
-        raise ValueError("section size must be >= 1")
-    if n > sym.K:
-        raise InvalidSpec(
-            f"section n={n} needs coefficients up to lag {n - 1} >= K={sym.K}; "
-            "use a finer grid"
-        )
-    return sym.d[:n]
-
-
-def _section_log_det(sym: SpectralSymbol, n: int) -> float:
-    """log det of the n-th section by Durbin's recursion on its first row.
-
-    The symbol keeps one recursion for all its sections, so the sizes of a
-    sweep cost O(n_max^2) together and each reads its prefix.
-    """
-    _section_row(sym, n)  # 1 <= n <= K
-    try:
-        return sym._durbin.prefix(n)[0]
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            f"Toeplitz section n={n} of the truncated symbol (K={sym.K}) is not positive "
-            f"definite; refine the grid"
-        ) from exc
 
 
 @dataclass(frozen=True)
@@ -233,7 +107,7 @@ def szego_asymptote(sym: SpectralSymbol, n: int) -> SzegoEstimate:
     asymptote = n * c0 + log_b
     exact = ratio = None
     if n <= min(sym.K, MATRIX_N_CAP):
-        exact = _section_log_det(sym, n)
+        exact = sym.section_log_det(n)
         ratio = math.exp(exact - asymptote)
     return SzegoEstimate(
         n=n,

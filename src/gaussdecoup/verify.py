@@ -367,25 +367,6 @@ def _stream_blocks(factors, n_samples: int, seed: int):
         pool.shutdown(cancel_futures=True)
 
 
-def sample_gaussian(C: CovarianceMatrix, n_samples: int, seed: int) -> np.ndarray:
-    """(n_samples, n) matrix of i.i.d. draws of L Z, deterministic given seed.
-
-    It is the transpose of the coordinate-major stream blocks, stacked from
-    their panels, so its memory is in Fortran order.
-    """
-    out = None
-    start = 0
-    # _stream_blocks checks n_samples on the first next(), before out is sized.
-    for _, a, size, x in _stream_blocks([C.chol], n_samples, seed):
-        if out is None:
-            out = np.empty((C.n, n_samples))
-        b = a + x.shape[1]
-        out[:, start + a : start + b] = x
-        if b == size:
-            start += size
-    return out.T
-
-
 def _ldexp(x: float, exp: int) -> float:
     """x * 2^exp, saturating to +-inf where math.ldexp would overflow."""
     try:
@@ -508,8 +489,8 @@ def sweep_moments(points, n_samples: int, seed: int) -> list:
     after the factor's last panel the stream's sums are taken over the whole
     vector.  Streams are accumulated stream by stream (never materializing
     the full sample) and combined by pairwise summation in stream order, so
-    each result is bitwise identical to evaluating on sample_gaussian output,
-    and to a pass over that point alone.  The stream's normals and the
+    each result is bitwise identical to evaluating on the stacked stream
+    blocks, and to a pass over that point alone.  The stream's normals and the
     panel buffer take 8 n_max (min(S, 65536) + min(S, 65536, 16383)) bytes
     for S samples and the largest dimension n_max; the product vectors add
     8 min(S, 65536) bytes per functional slot, and as much again per slot
@@ -525,6 +506,9 @@ def sweep_moments(points, n_samples: int, seed: int) -> list:
     sum of g^2 cannot overflow; a power-of-two shift is exact.  A functional
     without such a factor applies its indicators first and evaluates its
     other factors only on the samples they keep (``_panel_products``).
+
+    Raises InvalidSpec, before any stream is drawn, unless each functional
+    has one function per coordinate of its point and a finite divisor > 0.
     """
     if not points:
         return []
@@ -537,9 +521,13 @@ def sweep_moments(points, n_samples: int, seed: int) -> list:
     # Per functional, once per call: its growing factors and the exponent
     # vector they need, or else its indicator-first plan.
     plans = []
-    for fs in functionals:
+    for (C, _), fs in zip(points, functionals):
         plans.append([])
         for j, (fns, d) in enumerate(fs):
+            if len(fns) != C.n:
+                raise InvalidSpec(f"need one test function per coordinate: {len(fns)} != {C.n}")
+            if not (math.isfinite(d) and d > 0):
+                raise InvalidSpec(f"divisor must be finite and > 0, got {d}")
             grows = [f.sup_abs() > 1.0 for f in fns]
             if any(grows):
                 if j not in exponents:
@@ -559,14 +547,6 @@ def sweep_moments(points, n_samples: int, seed: int) -> list:
             if b == size:
                 per_stream.append(_stream_sums(g[:size], None if e is None else e[:size], limit))
     return [[_combine_streams(s, n_samples) for s in point] for point in sums]
-
-
-def _product_moments(
-    C: CovarianceMatrix, functionals, n_samples: int, seed: int
-) -> list[tuple[float, float, int]]:
-    """Mean, standard error and shift of each functional at one point (``sweep_moments``)."""
-    [moments] = sweep_moments([(C, functionals)], n_samples, seed)
-    return moments
 
 
 def _gl_segment_moment(f, a: float, b: float, sigma: float, p: float) -> float:
@@ -938,7 +918,7 @@ def verify_theorem1(
         # A zero norm makes the bound exactly 0 (log -inf, _exp gives 0.0).
         log_rhs += math.log(norms[f, sigma]) if norms[f, sigma] > 0 else -math.inf
     if moments is None:
-        [moments] = _product_moments(C, [(fns, 1.0)], n_samples, seed)
+        [[moments]] = sweep_moments([(C, [(fns, 1.0)])], n_samples, seed)
     mean, stderr, shift = moments
     rhs = _exp(log_rhs)
     if math.isfinite(rhs):
@@ -984,7 +964,7 @@ def verify_khatri_sidak(
         raise InvalidSpec("eps must be a length-n vector of positive reals")
     if moments is None:
         fns = [TestFunctionSpec.indicator(float(e)) for e in eps]
-        [moments] = _product_moments(C, [(fns, 1.0)], n_samples, seed)
+        [[moments]] = sweep_moments([(C, [(fns, 1.0)])], n_samples, seed)
     center, stderr, _ = moments
     hits = round(center * n_samples)
     probs = _erf(eps / (C.sigmas * math.sqrt(2.0)))
@@ -1042,7 +1022,7 @@ def verify_kls(
         raise InvalidSpec(f"need one test function per coordinate: {len(fns)} != {n}")
     if moments is None:
         C = from_stationary(gamma, n)
-        [moments] = _product_moments(C, [(fns, math.sqrt(gamma[0]))], n_samples, seed)
+        [[moments]] = sweep_moments([(C, [(fns, math.sqrt(gamma[0]))])], n_samples, seed)
     mean, stderr, shift = moments
     distinct = {f: marginal_p_norm(f, 1.0, p_kls) for f in dict.fromkeys(fns)}
     norms = [distinct[f] for f in fns]

@@ -1,7 +1,8 @@
 """Test oracles: the determinant lemmas behind E_B, a dense Toeplitz section,
-the serial Monte Carlo stream blocks, a report re-judged against another
-right-hand side, the inverse-power autocovariance summed one lag at a time
-and the Clopper-Pearson bound and tails of a hit count.
+the serial Monte Carlo stream blocks, the whole Monte Carlo sample, a report
+re-judged against another right-hand side, the inverse-power autocovariance
+summed one lag at a time and the Clopper-Pearson bound and tails of a hit
+count.
 
 No command, report or workload reads these; the tests use them to check the
 package against independent routes.
@@ -21,6 +22,8 @@ package against independent routes.
   thread, each in one unpanelled GEMM, next to the package's generator
   whose normals a helper thread draws while the caller multiplies and
   yields panels; ``joined_panels`` joins those panels into the blocks.
+- ``sample_gaussian``: the whole (n_samples, n) sample, the package's
+  panels copied into place, for checks on the draws themselves.
 - ``cauchy_log_det_progression``: log det {1/(a_k + a_l)} for an arithmetic
   progression a_k = a_1 + (k-1) d in O(n), next to the package's O(n^2)
   Cauchy sum.
@@ -49,11 +52,12 @@ from scipy.special import betaincinv
 
 from gaussdecoup.brascamp import _logdet_spd, matrix_B
 from gaussdecoup.covmodel import CovarianceMatrix, SpectralSymbol, inverse_power_gamma_sequence
-from gaussdecoup.szego import _section_row
+from gaussdecoup.errors import InvalidSpec
 from gaussdecoup.verify import (
     _STREAM_ROWS,
     VerificationReport,
     _make_report,
+    _stream_blocks,
     _stream_rng,
     _stream_sizes,
 )
@@ -149,8 +153,12 @@ def random_spd(n: int, rng: np.random.Generator, log10_eig_range=(-2.0, 2.0)) ->
 
 
 def toeplitz_section(sym: SpectralSymbol, n: int) -> np.ndarray:
-    """The n x n Toeplitz matrix {d_{j-i}} generated by the symbol."""
-    d = _section_row(sym, n)
+    """The n x n Toeplitz matrix {d_{j-i}} generated by the symbol, for 1 <= n <= K."""
+    if n < 1:
+        raise ValueError("section size must be >= 1")
+    if n > sym.K:
+        raise InvalidSpec(f"section n={n} would read the aliased bin K={sym.K}")
+    d = sym.d[:n]
     if sym.even:
         return toeplitz(d)
     return toeplitz(np.conj(d), d)
@@ -174,6 +182,25 @@ def stream_blocks(factors, n_samples: int, seed: int):
             np.matmul(L, z[: size * n].reshape(size, n).T, out=x)
             yield k, x
         del z  # freed before the next stream is drawn
+
+
+def sample_gaussian(C: CovarianceMatrix, n_samples: int, seed: int) -> np.ndarray:
+    """(n_samples, n) matrix of i.i.d. draws of L Z, deterministic given seed.
+
+    It is the transpose of the coordinate-major stream blocks, stacked from
+    their panels, so its memory is in Fortran order.
+    """
+    out = None
+    start = 0
+    # _stream_blocks checks n_samples on the first next(), before out is sized.
+    for _, a, size, x in _stream_blocks([C.chol], n_samples, seed):
+        if out is None:
+            out = np.empty((C.n, n_samples))
+        b = a + x.shape[1]
+        out[:, start + a : start + b] = x
+        if b == size:
+            start += size
+    return out.T
 
 
 def joined_panels(panels):

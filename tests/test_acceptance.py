@@ -26,7 +26,6 @@ from gaussdecoup import (
     hilbert_covariance,
     inverse_power_gamma_sequence,
     ma1_symbol,
-    sample_gaussian,
     stationary_decoupling_coefficient,
     szego_asymptote,
     verify_khatri_sidak,
@@ -40,6 +39,7 @@ from oracles import (
     minkowski_check,
     ostrowski_bound,
     random_spd,
+    sample_gaussian,
 )
 
 ACCEPTANCE_SEED = 20260809

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import gaussdecoup
-from gaussdecoup import covmodel, decoupling, verify
+from gaussdecoup import covmodel, decoupling, szego, verify
 
 LAYERS = ("errors", "covmodel", "decoupling", "szego", "brascamp", "verify")
 
@@ -36,7 +36,7 @@ ORACLES = {
     ),
     "covmodel": ("inverse_power_gamma",),
     "szego": ("toeplitz_section",),
-    "verify": ("with_rhs", "hit_bound"),
+    "verify": ("with_rhs", "hit_bound", "sample_gaussian"),
 }
 
 # covmodel's private forms and their numerics: decoupling reads a covariance
@@ -51,6 +51,8 @@ DELETED = {
     "brascamp": ("eb_upper_bound",),
     "covmodel": ("SpectralSymbol.fourier_coefficient", "SpectralSymbol.c_alias_bound"),
     "decoupling": ("theorem1_constant", "stationary_p_bounds"),
+    "szego": ("condition_report",),
+    "verify": ("_product_moments",),
 }
 
 
@@ -75,6 +77,25 @@ def test_decoupling_does_not_dispatch_on_the_form():
         elif isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance":
             classes = ast.unparse(node.args[1])
             assert "Matrix" not in classes, f"branch on the form: {ast.unparse(node)}"
+
+
+def test_the_symbol_owns_its_numbers():
+    # covmodel never imports szego, not even inside a function ...
+    for node in ast.walk(ast.parse(Path(covmodel.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(alias.name for alias in node.names)]
+        else:
+            continue
+        assert "szego" not in {part for n in names for part in n.split(".")}, ast.unparse(node)
+    # ... and szego reads a symbol through its public members alone.
+    for node in ast.walk(ast.parse(Path(szego.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("covmodel"):
+            private = [alias.name for alias in node.names if alias.name.startswith("_")]
+            assert not private, ast.unparse(node)
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            assert node.attr.startswith("__") and node.attr.endswith("__"), ast.unparse(node)
 
 
 def _assert_imports_no_scipy(module):

@@ -43,9 +43,7 @@ from gaussdecoup.covmodel import (
     _zeta,
     clausen_cos,
 )
-from oracles import inverse_power_gamma
-from gaussdecoup.verify import sample_gaussian
-from oracles import cauchy_log_det_progression
+from oracles import cauchy_log_det_progression, inverse_power_gamma, sample_gaussian
 
 
 def _levinson_durbin(row):

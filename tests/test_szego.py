@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussdecoup import (
     ConditionViolated,
@@ -14,7 +16,6 @@ from gaussdecoup import (
     NonPositiveSymbol,
     NotPositiveDefinite,
     b_constant,
-    condition_report,
     constant_symbol,
     from_stationary,
     geometric_mean,
@@ -27,7 +28,6 @@ from gaussdecoup import (
     theorem2_constant,
 )
 from gaussdecoup.covmodel import _Durbin
-from gaussdecoup.szego import _section_log_det
 from oracles import toeplitz_section
 
 DATA = Path(__file__).parent / "data"
@@ -162,7 +162,7 @@ class TestSzegoAsymptote:
         # f = 1 + 2 cos t dips below 0: the n = 3 section is indefinite.
         sym = symbol_from_grid(1.0 + 2.0 * np.cos(grid_points(64)))
         with pytest.raises(NotPositiveDefinite, match="refine the grid"):
-            _section_log_det(sym, 3)
+            sym.section_log_det(3)
 
     @pytest.mark.parametrize("a", [0.3, -0.5, 0.8, 0.9])
     def test_cross_module_determinant(self, a):
@@ -195,13 +195,13 @@ class TestSzegoAsymptote:
 
 class TestConditionReport:
     def test_constant(self):
-        rep = condition_report(constant_symbol(5.0, 64))
+        rep = constant_symbol(5.0, 64).condition
         assert rep.c1_sum == pytest.approx(0.0, abs=1e-12)
         assert rep.c2_sum == pytest.approx(0.0, abs=1e-12)
         assert rep.passes and not rep.likely_divergent
 
     def test_ma1_sums(self):
-        rep = condition_report(ma1_symbol(0.5))
+        rep = ma1_symbol(0.5).condition
         assert rep.c1_sum == pytest.approx(2.0 * math.log(2.0), rel=1e-10)
         assert rep.c2_sum == pytest.approx(-2.0 * math.log(1.0 - 0.25), rel=1e-10)
         assert rep.passes
@@ -209,7 +209,7 @@ class TestConditionReport:
 
     def test_synthetic_slow_symbol_passes_conditions(self):
         # c_k = 1/(k log^2 k): both series converge; decay exponent ~ 1.3.
-        rep = condition_report(synthetic_slow_symbol())
+        rep = synthetic_slow_symbol().condition
         assert rep.passes and not rep.likely_divergent
         assert rep.decay_exponent is not None and rep.decay_exponent > 1.0
 
@@ -295,13 +295,65 @@ class TestSectionResolution:
         with pytest.raises(InvalidSpec):
             toeplitz_section(sym, 9)
         with pytest.raises(InvalidSpec):
-            _section_log_det(sym, 9)
+            sym.section_log_det(9)
 
     def test_theorem2_stops_at_k(self):
         sym = ma1_symbol(0.5, 128)
         assert not theorem2_constant(sym, 64, 4.0).asymptotic_only
         with pytest.raises(InvalidSpec):
             theorem2_constant(sym, 65, 4.0)
+
+
+class TestSectionLogDet:
+    """``sym.section_log_det(n)`` is the log det of the dense section, for 1 <= n <= K."""
+
+    @pytest.mark.parametrize("even", [True, False])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        grid_size=st.integers(32, 128).map(lambda half: 2 * half),
+        cos_coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+        sin_coeffs=st.lists(st.floats(0.1, 1.0), min_size=1, max_size=6),
+        margin=st.floats(0.25, 2.0),
+        data=st.data(),
+    )
+    def test_matches_the_dense_cholesky(
+        self, even, grid_size, cos_coeffs, sin_coeffs, margin, data
+    ):
+        # A trigonometric polynomial of degree < K, bounded below by margin.
+        t = grid_points(grid_size)
+        f = np.full(grid_size, margin + sum(map(abs, cos_coeffs)))
+        for k, a in enumerate(cos_coeffs, 1):
+            f += a * np.cos(k * t)
+        if not even:
+            f += sum(sin_coeffs)
+            for k, b in enumerate(sin_coeffs, 1):
+                f += b * np.sin(k * t)
+        sym = symbol_from_grid(f)
+        assert sym.even == even
+        n = data.draw(st.integers(1, sym.K), label="n")
+        chol = np.linalg.cholesky(toeplitz_section(sym, n))
+        oracle = 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
+        assert sym.section_log_det(n) == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+
+    def test_refusals(self):
+        sym = symbol_from_grid(3.0 + np.cos(grid_points(16)))  # K = 8
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="section size must be >= 1"):
+                sym.section_log_det(n)
+            with pytest.raises(ValueError, match="section size must be >= 1"):
+                toeplitz_section(sym, n)
+        with pytest.raises(InvalidSpec, match="lag 8 >= K=8; use a finer grid"):
+            sym.section_log_det(9)
+        with pytest.raises(InvalidSpec, match="aliased bin K=8"):
+            toeplitz_section(sym, 9)
+        # f = 1 + 2 cos t dips below 0: the n = 3 section is indefinite.
+        indefinite = symbol_from_grid(1.0 + 2.0 * np.cos(grid_points(64)))
+        with pytest.raises(
+            NotPositiveDefinite,
+            match=r"section n=3 of the truncated symbol \(K=32\) is not positive definite; "
+            "refine the grid",
+        ):
+            indefinite.section_log_det(3)
 
 
 def test_theorem2_values_frozen(monkeypatch):
@@ -322,12 +374,12 @@ class TestPerSymbolWork:
     """A symbol's report, log b(f) and section recursion are computed once."""
 
     def test_report_computed_once(self, monkeypatch):
-        import gaussdecoup.szego as szego_module
+        import gaussdecoup.covmodel as covmodel_module
 
         calls = []
-        real = szego_module.condition_report
+        real = covmodel_module._summability_report
         monkeypatch.setattr(
-            szego_module, "condition_report", lambda sym: calls.append(sym) or real(sym)
+            covmodel_module, "_summability_report", lambda sym: calls.append(sym) or real(sym)
         )
         sym = ma1_symbol(0.5)
         estimates = [szego_asymptote(sym, n) for n in (4, 16, 64)]
@@ -353,5 +405,5 @@ class TestPerSymbolWork:
         sym = symbol_from_grid(f)
         for n in (512, 3, 100, 1, 511):
             fresh = symbol_from_grid(f)
-            assert _section_log_det(sym, n) == _Durbin(fresh.d[:n]).prefix(n)[0]
+            assert sym.section_log_det(n) == _Durbin(fresh.d[:n]).prefix(n)[0]
             assert szego_asymptote(sym, n) == szego_asymptote(fresh, n)

@@ -25,7 +25,6 @@ from gaussdecoup import (
     from_stationary,
     inverse_power_gamma_sequence,
     marginal_p_norm,
-    sample_gaussian,
     stationary_exponent,
     verify_khatri_sidak,
     verify_kls,
@@ -33,8 +32,14 @@ from gaussdecoup import (
 )
 from gaussdecoup import verify as verify_module
 from gaussdecoup.cli import main
-from gaussdecoup.verify import _product_moments
-from oracles import binomial_tail, hit_bound, joined_panels, stream_blocks, with_rhs
+from oracles import (
+    binomial_tail,
+    hit_bound,
+    joined_panels,
+    sample_gaussian,
+    stream_blocks,
+    with_rhs,
+)
 
 IND1 = TestFunctionSpec.indicator(1.0)
 COS = TestFunctionSpec.cosine(0.7)
@@ -47,6 +52,12 @@ ALL_KINDS = [
     POLY,
     GRIDF,
 ]
+
+
+def _product_moments(C, functionals, n_samples, seed):
+    """Mean, standard error and shift of each functional at one point, from one pass."""
+    [moments] = verify_module.sweep_moments([(C, functionals)], n_samples, seed)
+    return moments
 
 
 class TestFunctionSpecs:
@@ -844,6 +855,29 @@ class TestOnePassPerCall:
             points.append((from_stationary(gamma, n), [(fns, 1.0), ([IND1] * n, 1.0), (fns, 1.3)]))
         swept = verify_module.sweep_moments(points, n_samples, seed)
         assert swept == [_product_moments(C, fs, n_samples, seed) for C, fs in points]
+
+
+def _no_draws(seed, stream):
+    raise AssertionError(f"stream {stream} drawn")
+
+
+class TestSweepMomentsRefusals:
+    """A functional is checked against its point before any stream is drawn."""
+
+    @pytest.mark.parametrize("k", [0, 2, 6])
+    def test_one_function_per_coordinate(self, k, monkeypatch):
+        monkeypatch.setattr(verify_module, "_stream_rng", _no_draws)
+        C = from_stationary([1.25, 0.5], 4)
+        good = ([COS] * 4, 1.0)
+        with pytest.raises(InvalidSpec, match=f"need one test function per coordinate: {k} != 4"):
+            verify_module.sweep_moments([(C, [good]), (C, [good, ([COS] * k, 1.0)])], 2000, 1)
+
+    @pytest.mark.parametrize("divisor", [0.0, -1.0, math.inf, math.nan])
+    def test_divisor_finite_and_positive(self, divisor, monkeypatch):
+        monkeypatch.setattr(verify_module, "_stream_rng", _no_draws)
+        C = from_stationary([1.25, 0.5], 4)
+        with pytest.raises(InvalidSpec, match="divisor must be finite and > 0"):
+            verify_module.sweep_moments([(C, [([COS] * 4, divisor)])], 2000, 1)
 
 
 def _drawing_threads():
