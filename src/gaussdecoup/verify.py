@@ -22,33 +22,44 @@ point's block is coordinate-major: x = L Z^T, of shape (n, rows), so a
 functional reads coordinate i as a contiguous row.  Each entry is the same
 dot product as in Z L^T, though for this operand order BLAS may round it
 differently in the last bit.  Each pass draws its normals on a one-worker
-executor, stream after stream, into one stream buffer, in chunks of 2^20
-values that run in order and are bit for bit the one draw; numpy releases
-the GIL while it fills them.  The calling thread makes every GEMM in column
-panels of 8192 samples, the last panel taking the remainder (8192-16383
-columns, or the whole of a shorter stream), each panel waiting only for the
-chunks it reads; the next stream's chunks are queued as the last factor's
-panels free the values they overwrite.  The panels depend on the stream
-size alone, never on timing, so the reproducibility key is still the seed,
-the BLAS build and the BLAS thread count.  The width is fixed, never derived
-from n or the chunk size: on OpenBLAS 0.3.31 (Haswell kernel) at 1 and 2
-threads, with random dense factors, 8192-column panels round exactly as the
-unpanelled product at every n = 1..129 and at 150, 192, 255..257, 300, 511,
-512 and 700, while panels of 2^20 / n columns differ in tens to hundreds of
-entries from n = 18, and so does a 1-column tail at n >= 511, which numpy
-sends to GEMV.
+executor, stream after stream, in chunks of 2^20 values that run in order
+and are bit for bit the one draw; numpy releases the GIL while it fills
+them.  The calling thread makes every GEMM in column panels of 8192
+samples, the last panel taking the remainder (8192-16383 columns, or the
+whole of a shorter stream), each panel waiting only for the chunks it reads.
+The panels depend on the stream size alone, never on timing, so the
+reproducibility key is still the seed, the BLAS build and the BLAS thread
+count.  The width is fixed, never derived from n or the chunk size: on
+OpenBLAS 0.3.31 (Haswell kernel) at 1 and 2 threads, with random dense
+factors, 8192-column panels round exactly as the unpanelled product at
+every n = 1..129 and at 150, 192, 255..257, 300, 511, 512 and 700, while
+panels of 2^20 / n columns differ in tens to hundreds of entries from
+n = 18, and so does a 1-column tail at n >= 511, which numpy sends to GEMV.
 
-No whole block is kept: each panel is written into one panel buffer, as a
-C-contiguous (n, columns) array, and every functional of the point is
-evaluated on it before the next panel overwrites it.  A functional's
-per-sample products (and their frexp exponents, where a factor can exceed 1)
-fill a stream-length vector, whose sums are taken after the block's last
-panel.  Products, masks and frexp are elementwise and the sums run over the
-same stream-length vectors, so the moments are bit for bit those of the
-whole block.  The stream's normals and the panel buffer, allocated
-together, take 8 n_max (min(S, 65536) + min(S, 65536, 16383)) bytes for S
-samples; the product vectors add 8 min(S, 65536) bytes per functional slot,
-and as much again for the exponents of a slot with a growing factor.
+The panels are made in draw order: the panel of columns a..b of point n
+reads the stream's values a n .. b n, and the panels run by that last value
+b n, ties by point, so the points' panels interleave and the stream is read
+front to back.  The normals therefore live in a ring of one widest panel
+span, n_max w for the widest panel w, plus a lead of max(2 chunks, one
+span), and a chunk is drawn as soon as no panel still to come reads the
+values it overwrites, across stream boundaries too.  A panel whose values
+wrap past the ring's end is copied into a staging area first; a copy in the
+same layout rounds the same.  No whole block is kept either: each panel is
+written into one panel buffer, as a C-contiguous (n, columns) array, and
+every functional of the point is evaluated on it before the next panel
+overwrites it.  A functional's per-sample products (and their frexp
+exponents, where a factor can exceed 1) fill a stream-length vector of its
+own point, whose sums are taken after the block's last panel.  Products,
+masks and frexp are elementwise and the sums run over the same
+stream-length vectors, so the moments are bit for bit those of the whole
+block.  The ring, the panel buffer and the staging area are one allocation
+of 8 (R + 2 n_max w) bytes, where R = min(n_max S, n_max w + max(2^21,
+n_max w)) for S samples, and the staging area is dropped when R holds all
+n_max S normals (47.2 MB at n_max = 128 and S = 1e5, where w = 9888,
+against 83.9 MB for a whole stream and a panel; 134.2 MB at n_max = 512
+and S = 70000, against 335.5 MB).  The product vectors add 8 min(S, 65536)
+bytes per functional of each point, and as much again for the exponents of
+a functional with a growing factor.
 
 Every functional of a point is evaluated on each panel: the theorem1
 product, the box indicators and, for a stationary model, the KLS product,
@@ -74,7 +85,9 @@ marginals are built on their first use.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -293,76 +306,120 @@ def _stream_sizes(n_samples: int):
     return sizes
 
 
+def _panel_edges(size: int) -> list:
+    """Column edges of a stream's GEMM panels: _PANEL_ROWS apart, the last panel taking the rest."""
+    return [*range(0, max(size // _PANEL_ROWS, 1) * _PANEL_ROWS, _PANEL_ROWS), size]
+
+
 def _stream_blocks(factors, n_samples: int, seed: int):
     """Stream by stream, the block x = L Z^T of each Cholesky factor L, panel by panel.
 
     Yields ``(k, a, size, x)``: x holds columns a .. a + x.shape[1] of
-    factor k's block in a stream of ``size`` samples.  Within a stream the
-    factors come in order, each as its panels in column order, so a panel
-    with a + x.shape[1] == size ends its block.  Each stream is drawn once,
-    as standard_normal(size * width) for the largest n; the first size * n
-    values read as (size, n) are bit for bit the block standard_normal((size,
-    n)) draws, and are the Z of a factor of size n.  x has shape (n, cols)
+    factor k's block in a stream of ``size`` samples.  Each stream is drawn
+    once, as standard_normal(size * width) for the largest n; the first
+    size * n values read as (size, n) are bit for bit the block
+    standard_normal((size, n)) draws, and are the Z of a factor of size n.
+    Its blocks are multiplied in column panels of _PANEL_ROWS samples, the
+    last one taking the remainder, so the panel of columns a .. b of a
+    factor of size n reads the stream's values a n .. b n.  The panels come
+    in draw order: by that last value b n, ties by factor index, so the
+    factors interleave, each factor's panels come in column order, and a
+    panel with a + x.shape[1] == size ends its block.  x has shape (n, cols)
     and is C-contiguous: row i holds the panel's draws of X_i, so evaluating
     f_i reads one contiguous row instead of a column with a stride of n
-    floats.  Every x is a view of one panel buffer of
-    min(n_samples, _STREAM_ROWS, 2 _PANEL_ROWS - 1) columns that the next
-    panel overwrites; the caller may scale it in place.
+    floats.  Every x is a view of one panel buffer that the next panel
+    overwrites; the caller may scale it in place.
 
-    A one-worker executor draws the normals into one stream buffer z, as
-    standard_normal(out=...) fills of _DRAW_CHUNK values run in order, bit
-    for bit the one draw.  Each block is multiplied here in column panels of
-    _PANEL_ROWS samples, the last one taking the remainder; a panel waits
-    only for the fills it reads (a draw error is raised again here), so the
-    GEMMs start while the stream is still drawn.  After each panel of a
-    stream's last factor, the next stream's fills whose values that factor
-    has read are queued; the rest follow its last panel.  The panels depend
-    on the stream size alone, never on timing, and a panel rounds the same
-    whatever the leading dimension of its output.  Raises ValueError for
-    n_samples < 1 on the first next().
+    A one-worker executor draws the normals, as standard_normal(out=...)
+    fills of _DRAW_CHUNK values run in order (split where the ring ends),
+    bit for bit the one draw, into a ring that holds the streams one after
+    another: one widest panel span, width * (the widest panel), plus a lead
+    of max(2 _DRAW_CHUNK, that span) values, or all of the pass's normals if
+    fewer.  A fill is queued as soon as no pending panel reads the values it
+    overwrites, across stream boundaries too, so the drawer runs ahead by the
+    lead while the panels are multiplied.  A panel waits only for the fills
+    it reads (a draw error is raised again here); one whose values wrap past
+    the ring's end is first copied whole into a staging area.  The panels
+    depend on the stream size alone, never on timing, and a panel rounds the
+    same whatever the leading dimension of its output.  Raises ValueError
+    for n_samples < 1 on the first next().
     """
     sizes = _stream_sizes(n_samples)
     width = max(L.shape[0] for L in factors)
-    # One allocation for the normals and the panel buffer: past malloc's
-    # largest mmap threshold, it goes back to the system whole after each pass
-    # instead of staying resident in the heap.
-    cols = min(sizes[0], 2 * _PANEL_ROWS - 1)
-    buf = np.empty(width * (sizes[0] + cols))
-    z, panels = buf[: width * sizes[0]], buf[width * sizes[0] :]
+    span = width * max(b - a for s in set(sizes) for a, b in itertools.pairwise(_panel_edges(s)))
+    total = width * n_samples
+    ring_size = min(total, span + max(2 * _DRAW_CHUNK, span))
+    staged = span if ring_size < total else 0
+    # One allocation for the ring, the panel buffer and the staging area: past
+    # malloc's largest mmap threshold, it goes back to the system whole after
+    # each pass instead of staying resident in the heap.
+    buf = np.empty(ring_size + span + staged)
+    ring, panels, stage = np.split(buf, [ring_size, ring_size + span])
     pool = ThreadPoolExecutor(1, thread_name_prefix=_DRAW_THREAD)
 
-    def fills(stream: int) -> list:
-        """The stream's standard_normal(out=...) fills as (end, submit), in order."""
-        gen = _stream_rng(seed, stream)
-        total = sizes[stream] * width
-        starts = range(0, total, _DRAW_CHUNK)
-        return [
-            (b, functools.partial(pool.submit, gen.standard_normal, out=z[a:b]))
-            for a, b in zip(starts, [*starts[1:], total])
-        ]
+    def fills():
+        """Every fill as (start, end, submit), its values' offsets in the pass, in order."""
+        base = 0
+        for stream, size in enumerate(sizes):
+            gen = _stream_rng(seed, stream)
+            end = base + size * width
+            for start in range(base, end, _DRAW_CHUNK):
+                stop = min(start + _DRAW_CHUNK, end)
+                while start < stop:
+                    lo = start % ring_size
+                    cut = min(stop, start + ring_size - lo)
+                    out = ring[lo : lo + cut - start]
+                    yield start, cut, functools.partial(pool.submit, gen.standard_normal, out=out)
+                    start = cut
+            base = end
 
     try:
-        chunks = [submit() for _, submit in fills(0)]
-        for stream, size in enumerate(sizes):
-            edges = [*range(0, max(size // _PANEL_ROWS, 1) * _PANEL_ROWS, _PANEL_ROWS), size]
-            following = fills(stream + 1) if stream + 1 < len(sizes) else []
-            queued = []
-            for k, L in enumerate(factors):
-                n = L.shape[0]
-                zt = z[: size * n].reshape(size, n).T
-                for a, b in zip(edges, edges[1:]):
-                    for chunk in chunks[: -(-b * n // _DRAW_CHUNK)]:
-                        chunk.result()
-                    x = panels[: n * (b - a)].reshape(n, b - a)
-                    np.matmul(L, zt[:, a:b], out=x)
-                    if k == len(factors) - 1:
-                        # The last factor has read z[: b * n]; after its last panel, all of z.
-                        read = b * n if b < size else z.size
-                        while following and following[0][0] <= read:
-                            _, submit = following.pop(0)
-                            queued.append(submit())
-                    yield k, a, size, x
-            chunks = queued
+        unsubmitted = fills()
+        next_fill = next(unsubmitted, None)
+        drawn = collections.deque()  # (start, future) of the fills not yet waited for
+
+        def release(first_read: int) -> None:
+            """Submit each fill that overwrites only values before offset ``first_read``."""
+            nonlocal next_fill
+            while next_fill is not None and next_fill[1] - ring_size <= first_read:
+                start, _, submit = next_fill
+                drawn.append((start, submit()))
+                next_fill = next(unsubmitted, None)
+
+        release(0)
+        base = 0
+        for size in sizes:
+            end = base + size * width
+            order = sorted(
+                (b * L.shape[0], k, a, b)
+                for k, L in enumerate(factors)
+                for a, b in itertools.pairwise(_panel_edges(size))
+            )
+            # From each panel on, the first offset that a panel still to come reads.
+            first_reads = [
+                *itertools.accumulate(
+                    (base + a * factors[k].shape[0] for _, k, a, _ in reversed(order)),
+                    min,
+                    initial=end,
+                )
+            ][::-1]
+            for (last, k, a, b), first_read in zip(order, first_reads[1:]):
+                while drawn and drawn[0][0] < base + last:
+                    drawn.popleft()[1].result()
+                L = factors[k]
+                n, cols = L.shape[0], b - a
+                lo = (base + a * n) % ring_size
+                if lo + cols * n <= ring_size:
+                    z = ring[lo : lo + cols * n]
+                else:
+                    z = stage[: cols * n]
+                    z[: ring_size - lo] = ring[lo:]
+                    z[ring_size - lo :] = ring[: lo + cols * n - ring_size]
+                x = panels[: n * cols].reshape(n, cols)
+                np.matmul(L, z.reshape(cols, n).T, out=x)
+                release(first_read)
+                yield k, a, size, x
+            base = end
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -484,17 +541,18 @@ def sweep_moments(points, n_samples: int, seed: int) -> list:
     is evaluated on each GEMM panel of that point's block as it is made; the
     panel is divided in place when the divisor changes, so list the
     undivided functionals (divisor 1.0) first.  A functional's per-sample
-    products fill a stream-length vector, one per functional slot, shared by
-    the points since each factor's panels all come before the next factor's;
-    after the factor's last panel the stream's sums are taken over the whole
-    vector.  Streams are accumulated stream by stream (never materializing
-    the full sample) and combined by pairwise summation in stream order, so
-    each result is bitwise identical to evaluating on the stacked stream
-    blocks, and to a pass over that point alone.  The stream's normals and the
-    panel buffer take 8 n_max (min(S, 65536) + min(S, 65536, 16383)) bytes
-    for S samples and the largest dimension n_max; the product vectors add
-    8 min(S, 65536) bytes per functional slot, and as much again per slot
-    whose exponents are kept.
+    products fill a stream-length vector of its own, since the points'
+    panels interleave in draw order; after its point's last panel in a
+    stream the stream's sums are taken over the whole vector.  Streams are
+    accumulated stream by stream (never materializing the full sample) and
+    combined by pairwise summation in stream order, so each result is
+    bitwise identical to evaluating on the stacked stream blocks, and to a
+    pass over that point alone.  The ring of normals, the panel buffer and
+    the staging area take 8 (R + 2 n_max w) bytes, for the largest dimension
+    n_max, the widest panel w and the ring R = min(n_max S, n_max w +
+    max(2^21, n_max w)) for S samples (n_max w fewer when R holds all n_max S
+    normals); the product vectors add 8 min(S, 65536) bytes per functional
+    of each point, and as much again per functional whose exponents are kept.
 
     After each factor that can exceed 1 in size (``sup_abs() > 1``) the
     running product is split by frexp into a mantissa and an integer exponent
@@ -515,26 +573,25 @@ def sweep_moments(points, n_samples: int, seed: int) -> list:
     rows = _stream_sizes(n_samples)[0]  # refuses n_samples < 1 before a vector is sized
     limit = (1023 - n_samples.bit_length()) // 2
     functionals = [list(fs) for _, fs in points]
-    slots = max(map(len, functionals))
-    products = np.empty((slots, rows))
-    exponents = {}  # by slot, made where a factor can exceed 1
+    # The points' panels interleave, so every functional of every point keeps
+    # its own product vector, all in one allocation.
+    products = iter(np.empty((sum(map(len, functionals)), rows)))
     # Per functional, once per call: its growing factors and the exponent
     # vector they need, or else its indicator-first plan.
     plans = []
     for (C, _), fs in zip(points, functionals):
         plans.append([])
-        for j, (fns, d) in enumerate(fs):
+        for fns, d in fs:
             if len(fns) != C.n:
                 raise InvalidSpec(f"need one test function per coordinate: {len(fns)} != {C.n}")
             if not (math.isfinite(d) and d > 0):
                 raise InvalidSpec(f"divisor must be finite and > 0, got {d}")
             grows = [f.sup_abs() > 1.0 for f in fns]
             if any(grows):
-                if j not in exponents:
-                    exponents[j] = np.empty(rows, dtype=np.int64)
-                plans[-1].append((fns, d, grows, None, products[j], exponents[j]))
+                exponent = np.empty(rows, dtype=np.int64)
+                plans[-1].append((fns, d, grows, None, next(products), exponent))
             else:
-                plans[-1].append((fns, d, grows, _pruning(fns), products[j], None))
+                plans[-1].append((fns, d, grows, _pruning(fns), next(products), None))
     sums = [[[] for _ in plan] for plan in plans]
     for k, a, size, x in _stream_blocks([C.chol for C, _ in points], n_samples, seed):
         b = a + x.shape[1]

@@ -207,17 +207,24 @@ def joined_panels(panels):
     """The ``(k, a, size, x)`` panels of verify's generator, joined as ``(k, x)`` blocks.
 
     Each block is the C-contiguous (n, size) copy of one factor's panels in
-    one stream; the panels must cover its columns in order, with no gap.
+    one stream; each factor's panels must cover its columns in order, with no
+    gap, but the factors may interleave.  A stream's blocks come in factor
+    order once every factor begun in it has ended its block, at the first
+    panel of a factor whose block already ended (the next stream) or at the
+    end.
     """
-    parts = []
+    parts, done = {}, {}
     for k, a, size, x in panels:
-        assert a == sum(part.shape[1] for _, part in parts)
-        parts.append((k, x.copy()))
+        if k in done:  # the next stream begins
+            assert not parts
+            yield from sorted(done.items())
+            done = {}
+        assert a == sum(part.shape[1] for part in parts.get(k, []))
+        parts.setdefault(k, []).append(x.copy())
         if a + x.shape[1] == size:
-            assert {owner for owner, _ in parts} == {k}
-            yield k, np.hstack([part for _, part in parts])
-            parts = []
+            done[k] = np.hstack(parts.pop(k))
     assert not parts
+    yield from sorted(done.items())
 
 
 def with_rhs(report: VerificationReport, rhs: float) -> VerificationReport:

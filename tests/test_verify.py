@@ -738,7 +738,10 @@ class TestCoordinateMajorBlocks:
     def test_blocks_are_contiguous_coordinate_rows(self):
         # Panels of 8192 columns, the last one taking the remainder: a full
         # stream is 8 panels, one of 3 * 8192 + 5000 samples is 3, the last
-        # 13192 wide, and one of 5 samples is 1.
+        # 13192 wide, and one of 5 samples is 1.  They come in draw order: the
+        # panel of columns a .. b of factor 0 (n = 2) reads the stream's
+        # normals up to 2 b, that of factor 1 (n = 1) up to b; ties go to
+        # factor 0.
         C = build_dense([[1.0, 0.3], [0.3, 1.0]])
         rows, cols = verify_module._STREAM_ROWS, verify_module._PANEL_ROWS
         factors = [C.chol, np.eye(1)]
@@ -749,18 +752,21 @@ class TestCoordinateMajorBlocks:
                 for k, a, size, x in verify_module._stream_blocks(factors, n_samples, seed=3)
             ]
 
-        def stream(size, edges):
-            return [
-                (k, a, size, (n, b - a), True)
-                for k, n in ((0, 2), (1, 1))
-                for a, b in zip(edges, edges[1:])
-            ]
+        def stream(size, edges, order):
+            """The panels (factor, index of its first column edge) of one stream, in order."""
+            return [(k, edges[i], size, (2 - k, edges[i + 1] - edges[i]), True) for k, i in order]
 
+        full = [
+            (1, 0), (0, 0), (1, 1), (1, 2), (0, 1), (1, 3), (1, 4), (0, 2),
+            (1, 5), (1, 6), (0, 3), (1, 7), (0, 4), (0, 5), (0, 6), (0, 7),
+        ]
+        short = [(1, 0), (0, 0), (1, 1), (1, 2), (0, 1), (0, 2)]
         tail = 3 * cols + 5000
         assert panels(rows + tail) == (
-            stream(rows, range(0, rows + 1, cols)) + stream(tail, [0, cols, 2 * cols, tail])
+            stream(rows, range(0, rows + 1, cols), full)
+            + stream(tail, [0, cols, 2 * cols, tail], short)
         )
-        assert panels(5) == stream(5, [0, 5])
+        assert panels(5) == stream(5, [0, 5], [(1, 0), (0, 0)])
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(
@@ -921,6 +927,9 @@ class TestDrawingThread:
     @example(ns=[5, 40, 17], streams=2, tail=34_464, chunk=verify_module._DRAW_CHUNK, seed=11)
     # The montecarlo benchmark's shape: eight panels per full stream at n = 128.
     @example(ns=[16, 64, 128], streams=2, tail=34_464, chunk=verify_module._DRAW_CHUNK, seed=7)
+    # Widths that are no power of two: panels straddle the ring's end, which
+    # the pass wraps five times.
+    @example(ns=[5, 40, 100, 257], streams=2, tail=34_464, chunk=verify_module._DRAW_CHUNK, seed=3)
     def test_blocks_match_the_serial_loop(self, ns, streams, tail, chunk, seed):
         n_samples = (streams - 1) * verify_module._STREAM_ROWS + tail
         factors = _factors(ns)
@@ -948,7 +957,7 @@ class TestDrawingThread:
 
     def test_next_stream_is_drawn_during_the_last_gemms(self):
         # Every fill submitted and every GEMM panel made, in one list, on the
-        # calling thread, with the yields of the panels that end a block.
+        # calling thread, with each panel's yield.
         events, streams = [], {}
         real_stream_rng = verify_module._stream_rng
 
@@ -969,25 +978,47 @@ class TestDrawingThread:
             events.append(("gemm",))
             return matmul(*args, **kwargs)
 
-        ns, n_samples = [16, 128], 2 * verify_module._STREAM_ROWS
+        ns, rows = [16, 128], verify_module._STREAM_ROWS
+        width = max(ns)
         with (
             mock.patch.object(verify_module, "_stream_rng", stream_rng),
             mock.patch.object(verify_module, "ThreadPoolExecutor", RecordingExecutor),
             mock.patch.object(np, "matmul", recording_matmul),
         ):
-            for k, a, size, x in verify_module._stream_blocks(_factors(ns), n_samples, 7):
-                if a + x.shape[1] == size:
-                    events.append(("yield", k))
-        end_of_stream_0 = [i for i, e in enumerate(events) if e[0] == "yield"][len(ns) - 1]
-        last_gemm_0 = max(i for i, e in enumerate(events[:end_of_stream_0]) if e[0] == "gemm")
-        first_fill_1 = events.index(next(e for e in events if e[:2] == ("fill", 1)))
-        assert first_fill_1 < last_gemm_0
-        for stream in (0, 1):
-            fills = [e[2:] for e in events if e[:2] == ("fill", stream)]
-            ends = [address + 8 * size for address, size in fills]
-            # In offset order, each fill starting where the one before ended.
-            assert [address for address, _ in fills[1:]] == ends[:-1]
-            assert sum(size for _, size in fills) == verify_module._STREAM_ROWS * max(ns)
+            for k, a, size, x in verify_module._stream_blocks(_factors(ns), 2 * rows, 7):
+                events.append(("panel", k, a, x.shape[1]))
+        # The ring: one panel span plus a lead of two chunks, in normals.
+        span = width * verify_module._PANEL_ROWS
+        ring = span + max(2 * verify_module._DRAW_CHUNK, span)
+        assert 2 * rows * width > 2 * ring  # the pass wraps the ring twice
+        # The fills come in offset order, each where the one before ended,
+        # modulo the ring: offset t of the pass is at ring position t % ring.
+        fills = [(i, e[1:]) for i, e in enumerate(events) if e[0] == "fill"]
+        offset, base = 0, fills[0][1][1]
+        for _, (stream, address, size) in fills:
+            assert stream == offset // (rows * width)
+            assert address == base + 8 * (offset % ring) and offset % ring + size <= ring
+            offset += size
+        assert offset == 2 * rows * width
+        # Each panel reads offsets stream * rows * width + a n .. (a + cols) n.
+        gemms = [i for i, e in enumerate(events) if e[0] == "gemm"]
+        panels = [e[1:] for e in events if e[0] == "panel"]
+        assert len(gemms) == len(panels) == 2 * 2 * rows // verify_module._PANEL_ROWS
+        reads, stream_of = [], {}
+        for gemm, (k, a, cols) in zip(gemms, panels):
+            stream = stream_of[k] = stream_of.get(k, -1) + (a == 0)
+            start = stream * rows * width + a * ns[k]
+            reads.append((gemm, stream, start, start + cols * ns[k]))
+        # No fill is submitted while a panel still to come reads the values
+        # it overwrites, those one ring before its own.
+        offset = 0
+        for i, (_, _, size) in fills:
+            for _, _, start, end in (r for r in reads if r[0] > i):
+                assert end <= offset - ring or offset + size - ring <= start
+            offset += size
+        # Stream 1's first fill precedes stream 0's last GEMM.
+        first_fill_1 = next(i for i, (stream, _, _) in fills if stream == 1)
+        assert first_fill_1 < max(gemm for gemm, stream, _, _ in reads if stream == 0)
 
     def test_concurrent_passes_under_fast_switching(self):
         # More passes than cores, each with its own drawing thread, switching
@@ -1034,7 +1065,7 @@ class TestDrawingThread:
     def test_closing_after_the_first_block_joins_the_thread(self):
         blocks = verify_module._stream_blocks(_factors([3, 2]), 2 * verify_module._STREAM_ROWS, 7)
         next(blocks)
-        # Stream 0 is not released before its last factor's block: the thread waits.
+        # The drawing thread stays up, idle or drawing, until the pass is closed.
         [thread] = _drawing_threads()
         assert thread.is_alive()
         blocks.close()
@@ -1058,8 +1089,8 @@ class TestDrawingThread:
         assert not _drawing_threads()
 
     def test_no_thread_outlives_a_failed_evaluation(self, monkeypatch):
-        # The functional raises on the first panel, whose GEMM queued the
-        # next stream's draw.
+        # The functional raises on the first panel, with the next stream's
+        # draw already queued.
         def broken(*args):
             raise ValueError("evaluation failed")
 
@@ -1190,6 +1221,8 @@ class TestPanelSplit:
     @example(ns=[60], n_samples=COUNTS[3], kinds=[POLY, FAR], divisor=2.5, seed=4)
     @example(ns=[60, 3, 16], n_samples=COUNTS[4], kinds=[IND1, BIG], divisor=1.3, seed=5)
     @example(ns=[16, 60], n_samples=COUNTS[5], kinds=[GROWING, GRIDF], divisor=1.7, seed=6)
+    # Panels that straddle the ring's end, at widths that are no power of two.
+    @example(ns=[5, 40, 100, 257], n_samples=COUNTS[5], kinds=[POLY, IND1], divisor=1.3, seed=7)
     def test_sweep_matches_whole_stream_loop(self, ns, n_samples, kinds, divisor, seed):
         points = []
         for n in ns:
@@ -1219,12 +1252,17 @@ class TestPanelSplit:
         blocks = [block.copy() for _, block in stream_blocks([C.chol], n_samples, 9)]
         assert x.T.tobytes() == np.hstack(blocks).tobytes()
 
-    def test_pass_holds_one_panel(self):
-        # The montecarlo benchmark's shape: n = 16, 64, 128, 100000 samples and
-        # a suite bounded by 1, with the ma1:a=0.5 KLS divisor.  The stream's
-        # normals and one panel of 16383 columns at n = 128 are 83.9 MB; a
-        # whole-stream block buffer would add 67.1 MB more.
-        ns, n_samples, gamma = (16, 64, 128), 100_000, [1.25, 0.5]
+    @staticmethod
+    def _peak_and_bound(ns, n_samples, widest):
+        """The traced peak of one pass, and its bound: the ring, panel and staging buffers,
+        one product vector per functional, and 4 MB for the temporaries.
+
+        A suite bounded by 1, with the ma1:a=0.5 KLS divisor.  The ring holds
+        one widest panel span plus a lead of max(2 chunks, one span); the
+        panel buffer and the staging area for a panel that wraps past the
+        ring's end are one span each.
+        """
+        gamma = [1.25, 0.5]
         suite = [IND1, COS, TestFunctionSpec.bounded_poly((1.0, 0.2, -0.1), clip=1.0), GRIDF]
         points = []
         for n in ns:
@@ -1238,6 +1276,20 @@ class TestPanelSplit:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        normals = 8 * max(ns) * verify_module._STREAM_ROWS
-        panel = 8 * max(ns) * (2 * verify_module._PANEL_ROWS - 1)
-        assert peak < normals + panel + 8e6
+        span = 8 * max(ns) * widest
+        ring = span + max(16 * verify_module._DRAW_CHUNK, span)
+        products = 8 * verify_module._STREAM_ROWS * 3 * len(ns)
+        return peak, ring + 2 * span + products + 4e6
+
+    def test_pass_holds_one_panel(self):
+        # The montecarlo benchmark's shape: its second stream of 34464 samples
+        # ends in a panel of 9888 columns.  The buffers are 47.2 MB at n = 128,
+        # where the stream's normals alone would be 67.1 MB.
+        peak, bound = self._peak_and_bound((16, 64, 128), 100_000, verify_module._PANEL_ROWS + 1696)
+        assert peak < bound < 56e6
+
+    def test_pass_at_n_512_holds_one_panel_span(self):
+        # One panel span, 4 Mi values, outgrows the 2-chunk lead.  The buffers
+        # are 134.2 MB, where the stream's normals alone would be 268.4 MB.
+        peak, bound = self._peak_and_bound((512,), 70_000, verify_module._PANEL_ROWS)
+        assert peak < bound < 140e6
