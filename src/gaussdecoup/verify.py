@@ -22,19 +22,21 @@ point's block is coordinate-major: x = L Z^T, of shape (n, rows), so a
 functional reads coordinate i as a contiguous row.  Each entry is the same
 dot product as in Z L^T, though for this operand order BLAS may round it
 differently in the last bit.  Each pass draws its normals on a one-worker
-executor, stream after stream, in chunks of 2^20 values that run in order
+executor, stream after stream, in chunks of 2^18 values that run in order
 and are bit for bit the one draw; numpy releases the GIL while it fills
-them.  The calling thread makes every GEMM in column panels of 8192
-samples, the last panel taking the remainder (8192-16383 columns, or the
+them.  The calling thread makes every GEMM in column panels of 4096
+samples, the last panel taking the remainder (4096-8191 columns, or the
 whole of a shorter stream), each panel waiting only for the chunks it reads.
 The panels depend on the stream size alone, never on timing, so the
 reproducibility key is still the seed, the BLAS build and the BLAS thread
 count.  The width is fixed, never derived from n or the chunk size: on
 OpenBLAS 0.3.31 (Haswell kernel) at 1 and 2 threads, with random dense
-factors, 8192-column panels round exactly as the unpanelled product at
-every n = 1..129 and at 150, 192, 255..257, 300, 511, 512 and 700, while
-panels of 2^20 / n columns differ in tens to hundreds of entries from
-n = 18, and so does a 1-column tail at n >= 511, which numpy sends to GEMV.
+factors, 4096- and 8192-column panels round exactly as the unpanelled
+product at every n = 1..129 and at 150, 192, 255..257, 300, 511, 512 and
+700, with odd remainders too, while 2048-column panels differ at 2 threads
+for n = 12..15 with an odd remainder, panels of 2^20 / n columns differ in
+tens to hundreds of entries from n = 18, and so does a 1-column tail at
+n >= 511, which numpy sends to GEMV.
 
 The panels are made in draw order: the panel of columns a..b of point n
 reads the stream's values a n .. b n, and the panels run by that last value
@@ -52,14 +54,16 @@ exponents, where a factor can exceed 1) fill a stream-length vector of its
 own point, whose sums are taken after the block's last panel.  Products,
 masks and frexp are elementwise and the sums run over the same
 stream-length vectors, so the moments are bit for bit those of the whole
-block.  The ring, the panel buffer and the staging area are one allocation
-of 8 (R + 2 n_max w) bytes, where R = min(n_max S, n_max w + max(2^21,
-n_max w)) for S samples, and the staging area is dropped when R holds all
-n_max S normals (47.2 MB at n_max = 128 and S = 1e5, where w = 9888,
-against 83.9 MB for a whole stream and a panel; 134.2 MB at n_max = 512
-and S = 70000, against 335.5 MB).  The product vectors add 8 min(S, 65536)
-bytes per functional of each point, and as much again for the exponents of
-a functional with a growing factor.
+block.  The ring, the panel buffer and the staging area are one anonymous
+memory mapping of 8 (R + 2 n_max w) bytes, where R = min(n_max S, n_max w
++ max(2^19, n_max w)) for S samples, and the staging area is dropped when
+R holds all n_max S normals (23.7 MB at n_max = 128 and S = 1e5, where
+w = 5792, against 67.1 MB for a whole stream; 73.1 MB at n_max = 512 and
+S = 70000, where w = 4464, against 268.4 MB).  The mapping goes back to
+the system once the pass has released it, where a heap buffer below
+glibc's largest mmap threshold could stay resident.  The product vectors
+add 8 min(S, 65536) bytes per functional of each point, and as much again
+for the exponents of a functional with a growing factor.
 
 Every functional of a point is evaluated on each panel: the theorem1
 product, the box indicators and, for a stationary model, the KLS product,
@@ -89,7 +93,9 @@ import collections
 import functools
 import itertools
 import math
+import mmap
 import numbers
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -109,9 +115,9 @@ from .errors import InvalidSpec, NonFiniteInput
 # Rows generated per stream; fixes the reduction layout independently of workers.
 _STREAM_ROWS = 1 << 16
 # Normals per fill of the drawing thread, and its name prefix.
-_DRAW_CHUNK = 1 << 20
+_DRAW_CHUNK = 1 << 18
 # Samples per GEMM panel; the last panel of a stream takes the remainder.
-_PANEL_ROWS = 1 << 13
+_PANEL_ROWS = 1 << 12
 _DRAW_THREAD = "gaussdecoup-normals"
 
 _GH_POINTS = 201
@@ -286,8 +292,17 @@ class TestFunctionSpec:
             raise InvalidSpec(f"bad test-function parameters for kind {kind!r}: {exc}") from exc
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: a Python or numpy integer; a bool or another number is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
-    seed = int(seed)
     if not 0 <= seed < 2**64:
         # Masking would key two seeds to one stream of draws.
         raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
@@ -335,9 +350,11 @@ def _stream_blocks(factors, n_samples: int, seed: int):
     bit for bit the one draw, into a ring that holds the streams one after
     another: one widest panel span, width * (the widest panel), plus a lead
     of max(2 _DRAW_CHUNK, that span) values, or all of the pass's normals if
-    fewer.  A fill is queued as soon as no pending panel reads the values it
-    overwrites, across stream boundaries too, so the drawer runs ahead by the
-    lead while the panels are multiplied.  A panel waits only for the fills
+    fewer.  The ring, the panel buffer and the staging area below are one
+    anonymous mapping, unmapped when its last view is released.  A fill is
+    queued as soon as no pending panel reads the values it overwrites,
+    across stream boundaries too, so the drawer runs ahead by the lead while
+    the panels are multiplied.  A panel waits only for the fills
     it reads (a draw error is raised again here); one whose values wrap past
     the ring's end is first copied whole into a staging area.  The panels
     depend on the stream size alone, never on timing, and a panel rounds the
@@ -350,10 +367,13 @@ def _stream_blocks(factors, n_samples: int, seed: int):
     total = width * n_samples
     ring_size = min(total, span + max(2 * _DRAW_CHUNK, span))
     staged = span if ring_size < total else 0
-    # One allocation for the ring, the panel buffer and the staging area: past
-    # malloc's largest mmap threshold, it goes back to the system whole after
-    # each pass instead of staying resident in the heap.
-    buf = np.empty(ring_size + span + staged)
+    # One anonymous mapping for the ring, the panel buffer and the staging
+    # area, which goes back to the system when its last view is released.
+    # From np.empty, a buffer below glibc's largest mmap threshold (32 MB)
+    # lands in the heap once an earlier pass's buffer is freed, and stays
+    # resident.  It is never closed: a fill may still be writing into it
+    # until pool.shutdown has waited.
+    buf = np.frombuffer(mmap.mmap(-1, 8 * (ring_size + span + staged)))
     ring, panels, stage = np.split(buf, [ring_size, ring_size + span])
     pool = ThreadPoolExecutor(1, thread_name_prefix=_DRAW_THREAD)
 
@@ -548,10 +568,11 @@ def sweep_moments(points, n_samples: int, seed: int) -> list:
     combined by pairwise summation in stream order, so each result is
     bitwise identical to evaluating on the stacked stream blocks, and to a
     pass over that point alone.  The ring of normals, the panel buffer and
-    the staging area take 8 (R + 2 n_max w) bytes, for the largest dimension
-    n_max, the widest panel w and the ring R = min(n_max S, n_max w +
-    max(2^21, n_max w)) for S samples (n_max w fewer when R holds all n_max S
-    normals); the product vectors add 8 min(S, 65536) bytes per functional
+    the staging area are one anonymous mapping of 8 (R + 2 n_max w) bytes,
+    for the largest dimension n_max, the widest panel w and the ring R =
+    min(n_max S, n_max w + max(2^19, n_max w)) for S samples (n_max w fewer
+    when R holds all n_max S normals), which goes back to the system after
+    the pass; the product vectors add 8 min(S, 65536) bytes per functional
     of each point, and as much again per functional whose exponents are kept.
 
     After each factor that can exceed 1 in size (``sup_abs() > 1``) the
@@ -565,9 +586,12 @@ def sweep_moments(points, n_samples: int, seed: int) -> list:
     without such a factor applies its indicators first and evaluates its
     other factors only on the samples they keep (``_panel_products``).
 
-    Raises InvalidSpec, before any stream is drawn, unless each functional
-    has one function per coordinate of its point and a finite divisor > 0.
+    Raises TypeError, before any stream is drawn, unless n_samples and seed
+    are integers (numpy's too, but no bool), and InvalidSpec unless each
+    functional has one function per coordinate of its point and a finite
+    divisor > 0.
     """
+    n_samples, seed = _integer(n_samples, "n_samples"), _integer(seed, "seed")
     if not points:
         return []
     rows = _stream_sizes(n_samples)[0]  # refuses n_samples < 1 before a vector is sized
@@ -961,8 +985,9 @@ def verify_theorem1(
 
     ``moments`` is this product's (mean, stderr, shift) from a sampling pass
     already made with the same C, n_samples and seed; without it the check
-    makes its own pass.
+    makes its own pass.  n_samples and seed are integers, as in ``sweep_moments``.
     """
+    n_samples, seed = _integer(n_samples, "n_samples"), _integer(seed, "seed")
     fns = list(fns)
     if len(fns) != C.n:
         raise InvalidSpec(f"need one test function per coordinate: {len(fns)} != {C.n}")
@@ -1014,8 +1039,10 @@ def verify_khatri_sidak(
 
     ``moments`` is the box product's (mean, stderr, shift) from a sampling
     pass already made with the same C, n_samples and seed; without it the
-    check makes its own pass.
+    check makes its own pass.  n_samples and seed are integers, as in
+    ``sweep_moments``.
     """
+    n_samples, seed = _integer(n_samples, "n_samples"), _integer(seed, "seed")
     eps = np.asarray(eps, dtype=float).ravel()
     if eps.size != C.n or np.any(eps <= 0):
         raise InvalidSpec("eps must be a length-n vector of positive reals")
@@ -1070,8 +1097,10 @@ def verify_kls(
     marginal norms of f_j(X_0): the draws are those of the Toeplitz section
     of ``gamma``, divided by sqrt(gamma[0]).  ``moments`` is this product's
     (mean, stderr, shift) from such a pass already made with the same
-    n_samples and seed; without it the check makes its own pass.
+    n_samples and seed; without it the check makes its own pass.  n_samples
+    and seed are integers, as in ``sweep_moments``.
     """
+    n_samples, seed = _integer(n_samples, "n_samples"), _integer(seed, "seed")
     gamma = np.asarray(gamma, dtype=float).ravel()
     p_kls = stationary_exponent(gamma)
     fns = list(fns)

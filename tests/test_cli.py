@@ -604,6 +604,13 @@ GOLDEN_REPORTS = [
         ],
         0,
     ),
+    # Many panels per stream: a stream ends in an odd remainder, panels wrap
+    # past the end of the ring of normals, and n = 129 is past 128.
+    (
+        "verify_ma1_multipanel",
+        ["verify", "--model", "ma1:a=0.5", "--n", "13,64,129", "--samples", "70001"],
+        0,
+    ),
 ]
 
 
@@ -700,6 +707,31 @@ print(json.dumps([
 """
 
 
+# Hashes the stream blocks joined from the package's panels and the serial
+# oracle's, for n = 1..20, 64, 129 and 257 at sample counts around the panel
+# width w: one panel of w + 1 columns, three panels with an odd remainder, and
+# a full stream followed by either one panel of w + 1 or one of 2 w - 1.
+_RUN_PANEL_GRID = """
+import hashlib, json
+from gaussdecoup import from_stationary, verify
+from oracles import joined_panels, stream_blocks
+w = verify._PANEL_ROWS
+factors = [
+    from_stationary([1.0] + [0.5] * (n - 1), n).chol for n in [*range(1, 21), 64, 129, 257]
+]
+print(json.dumps([
+    [
+        [[k, hashlib.sha256(x).hexdigest()] for k, x in blocks]
+        for blocks in (
+            joined_panels(verify._stream_blocks(factors, count, 7)),
+            stream_blocks(factors, count, 7),
+        )
+    ]
+    for count in (w + 1, 3 * w + 5, 65_536 + w + 1, 65_536 + 2 * w - 1)
+]))
+"""
+
+
 class TestBlasThreadKey:
     """The verify goldens hold at 1 and at 2 BLAS threads.
 
@@ -741,6 +773,22 @@ class TestBlasThreadKey:
         )
         panelled, serial = json.loads(proc.stdout)
         assert len(panelled) == 6 and panelled == serial
+
+    def test_panelled_blocks_on_a_grid_at_two_threads(self):
+        # A panel width that rounds differently from the unpanelled product at
+        # 2 threads (2048 columns does, at n = 12..15 with an odd remainder)
+        # fails here.
+        tests = str(Path(__file__).resolve().parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_PANEL_GRID],
+            env=dict(SRC_ENV, PYTHONPATH=SRC_ENV["PYTHONPATH"] + os.pathsep + tests,
+                     OPENBLAS_NUM_THREADS="2"),
+            capture_output=True, text=True, check=True, timeout=300,
+        )
+        grid = json.loads(proc.stdout)
+        assert [len(panelled) for panelled, _ in grid] == [23, 23, 46, 46]
+        for panelled, serial in grid:
+            assert panelled == serial
 
 
 class TestHilbertRowsStayVectors:

@@ -2,10 +2,14 @@
 
 import hashlib
 import itertools
+import json
 import math
+import os
+import re
+import subprocess
 import sys
 import threading
-import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -40,6 +44,8 @@ from oracles import (
     stream_blocks,
     with_rhs,
 )
+
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 IND1 = TestFunctionSpec.indicator(1.0)
 COS = TestFunctionSpec.cosine(0.7)
@@ -736,10 +742,10 @@ class TestCoordinateMajorBlocks:
     """Stream blocks are x = L Z^T, shape (n, rows); the row-major path is the oracle."""
 
     def test_blocks_are_contiguous_coordinate_rows(self):
-        # Panels of 8192 columns, the last one taking the remainder: a full
-        # stream is 8 panels, one of 3 * 8192 + 5000 samples is 3, the last
-        # 13192 wide, and one of 5 samples is 1.  They come in draw order: the
-        # panel of columns a .. b of factor 0 (n = 2) reads the stream's
+        # Panels of w = _PANEL_ROWS columns, the last one taking the
+        # remainder: a stream of 3 w + 1000 samples is 3 panels, the last one
+        # w + 1000 wide, and one of 5 samples is 1.  They come in draw order:
+        # the panel of columns a .. b of factor 0 (n = 2) reads the stream's
         # normals up to 2 b, that of factor 1 (n = 1) up to b; ties go to
         # factor 0.
         C = build_dense([[1.0, 0.3], [0.3, 1.0]])
@@ -752,21 +758,24 @@ class TestCoordinateMajorBlocks:
                 for k, a, size, x in verify_module._stream_blocks(factors, n_samples, seed=3)
             ]
 
-        def stream(size, edges, order):
-            """The panels (factor, index of its first column edge) of one stream, in order."""
-            return [(k, edges[i], size, (2 - k, edges[i + 1] - edges[i]), True) for k, i in order]
+        def stream(size, edges):
+            """The panels of one stream with these column edges, in draw order."""
+            spans = list(itertools.pairwise(edges))
+            order = sorted((b * (2 - k), k, a, b) for k in (0, 1) for a, b in spans)
+            return [(k, a, size, (2 - k, b - a), True) for _, k, a, b in order]
 
-        full = [
-            (1, 0), (0, 0), (1, 1), (1, 2), (0, 1), (1, 3), (1, 4), (0, 2),
-            (1, 5), (1, 6), (0, 3), (1, 7), (0, 4), (0, 5), (0, 6), (0, 7),
-        ]
-        short = [(1, 0), (0, 0), (1, 1), (1, 2), (0, 1), (0, 2)]
-        tail = 3 * cols + 5000
-        assert panels(rows + tail) == (
-            stream(rows, range(0, rows + 1, cols), full)
-            + stream(tail, [0, cols, 2 * cols, tail], short)
-        )
-        assert panels(5) == stream(5, [0, 5], [(1, 0), (0, 0)])
+        tail = 3 * cols + 1000
+        full_edges = verify_module._panel_edges(rows)
+        assert full_edges == list(range(0, rows + 1, cols))
+        assert verify_module._panel_edges(tail) == [0, cols, 2 * cols, tail]
+        full = stream(rows, full_edges)
+        # Factor 1 starts, and ends its block right after factor 0's panel
+        # that ends at column rows / 2, which reads as far.
+        last_1 = full.index((1, rows - cols, rows, (1, cols), True))
+        assert full[0][:2] == (1, 0) and full[last_1 - 1][:2] == (0, rows // 2 - cols)
+        assert full[-1][:2] == (0, rows - cols)
+        assert panels(rows + tail) == full + stream(tail, [0, cols, 2 * cols, tail])
+        assert panels(5) == stream(5, [0, 5]) == [(1, 0, 5, (1, 5), True), (0, 0, 5, (2, 5), True)]
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(
@@ -886,6 +895,61 @@ class TestSweepMomentsRefusals:
             verify_module.sweep_moments([(C, [([COS] * 4, divisor)])], 2000, 1)
 
 
+C4 = from_stationary([1.25, 0.5], 4)
+# Each library entry point that takes a sample count and a seed.
+SAMPLING_CALLS = {
+    "sweep_moments": lambda n_samples, seed: verify_module.sweep_moments(
+        [(C4, [([COS] * 4, 1.0)])], n_samples, seed
+    ),
+    "theorem1": lambda n_samples, seed: verify_theorem1(C4, 4.0, [COS] * 4, n_samples, seed),
+    "theorem1_moments": lambda n_samples, seed: verify_theorem1(
+        C4, 4.0, [COS] * 4, n_samples, seed, moments=(0.5, 0.01, 0)
+    ),
+    "khatri_sidak": lambda n_samples, seed: verify_khatri_sidak(
+        C4, [1.0] * 4, 4.0, n_samples, seed
+    ),
+    "kls": lambda n_samples, seed: verify_kls([1.25, 0.5], 4, [COS] * 4, n_samples, seed),
+}
+
+
+class TestSampleCountAndSeed:
+    """The library takes a sample count and a seed as integers, numpy's too."""
+
+    @pytest.mark.parametrize("call", SAMPLING_CALLS)
+    def test_numpy_integers(self, call):
+        result = SAMPLING_CALLS[call](np.int64(1000), np.uint64(3))
+        assert result == SAMPLING_CALLS[call](1000, 3)
+        if isinstance(result, verify_module.KhatriSidakReports):
+            reports = [result.lower, result.upper]
+        else:
+            reports = [result] if isinstance(result, verify_module.VerificationReport) else []
+        for report in reports:
+            assert (type(report.n_samples), type(report.seed)) == (int, int)
+            assert report.to_json_dict()["n_samples"] == 1000
+
+    @pytest.mark.parametrize("call", SAMPLING_CALLS)
+    @pytest.mark.parametrize(
+        "n_samples, seed, name",
+        [
+            (1000.0, 3, "n_samples"),
+            (True, 3, "n_samples"),
+            (np.float64(1000.0), 3, "n_samples"),
+            (1000, 3.0, "seed"),
+            (1000, 3.7, "seed"),
+            (1000, False, "seed"),
+            (1000, "3", "seed"),
+        ],
+    )
+    def test_refused_before_any_draw(self, call, n_samples, seed, name, monkeypatch):
+        # These used to raise AttributeError or a TypeError from list
+        # multiplication, run one sample for True, or echo or truncate a
+        # float seed.
+        monkeypatch.setattr(verify_module, "_stream_rng", _no_draws)
+        value = n_samples if name == "n_samples" else seed
+        with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            SAMPLING_CALLS[call](n_samples, seed)
+
+
 def _drawing_threads():
     return [t for t in threading.enumerate() if t.name.startswith(verify_module._DRAW_THREAD)]
 
@@ -925,10 +989,10 @@ class TestDrawingThread:
     )
     @example(ns=[40, 5], streams=3, tail=777, chunk=verify_module._DRAW_CHUNK, seed=101)
     @example(ns=[5, 40, 17], streams=2, tail=34_464, chunk=verify_module._DRAW_CHUNK, seed=11)
-    # The montecarlo benchmark's shape: eight panels per full stream at n = 128.
+    # The montecarlo benchmark's shape: sixteen panels per full stream at n = 128.
     @example(ns=[16, 64, 128], streams=2, tail=34_464, chunk=verify_module._DRAW_CHUNK, seed=7)
     # Widths that are no power of two: panels straddle the ring's end, which
-    # the pass wraps five times.
+    # the pass wraps eight times.
     @example(ns=[5, 40, 100, 257], streams=2, tail=34_464, chunk=verify_module._DRAW_CHUNK, seed=3)
     def test_blocks_match_the_serial_loop(self, ns, streams, tail, chunk, seed):
         n_samples = (streams - 1) * verify_module._STREAM_ROWS + tail
@@ -1203,7 +1267,8 @@ UNIT_MIXED = [IND1, COS, SHIFTED_LEFT, GRIDF, NEGATIVE]
 class TestPanelSplit:
     """Products made panel by panel sum as the in-order loop over whole serial blocks."""
 
-    COUNTS = [1, 8191, 8192, 16_383, 65_536 + 1, 65_536 + 8193]
+    W = verify_module._PANEL_ROWS
+    COUNTS = [1, W - 1, W, 2 * W - 1, 65_536 + 1, 65_536 + W + 1]
 
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(
@@ -1253,43 +1318,91 @@ class TestPanelSplit:
         assert x.T.tobytes() == np.hstack(blocks).tobytes()
 
     @staticmethod
-    def _peak_and_bound(ns, n_samples, widest):
-        """The traced peak of one pass, and its bound: the ring, panel and staging buffers,
-        one product vector per functional, and 4 MB for the temporaries.
+    def _passes(ns, n_samples, passes=1):
+        """Identical passes in a fresh process: the resident set before them and
+        (peak, resident) after each, in bytes, and the bytes one pass may add.
 
-        A suite bounded by 1, with the ma1:a=0.5 KLS divisor.  The ring holds
-        one widest panel span plus a lead of max(2 chunks, one span); the
-        panel buffer and the staging area for a panel that wraps past the
-        ring's end are one span each.
+        That bound is the ring, panel and staging buffers, one product vector
+        per functional, and 4 MB for the temporaries.  The ring holds one
+        widest panel span plus a lead of max(2 chunks, one span); the panel
+        buffer and the staging area for a panel that wraps past the ring's end
+        are one span each.  The buffers are an anonymous mapping, which
+        tracemalloc does not see, so the resident set is read instead.
         """
-        gamma = [1.25, 0.5]
-        suite = [IND1, COS, TestFunctionSpec.bounded_poly((1.0, 0.2, -0.1), clip=1.0), GRIDF]
-        points = []
-        for n in ns:
-            fns = [suite[i % len(suite)] for i in range(n)]
-            C = from_stationary(gamma, n)
-            C.chol  # factored before the trace starts
-            points.append((C, [(fns, 1.0), ([IND1] * n, 1.0), (fns, math.sqrt(gamma[0]))]))
-        tracemalloc.start()
-        try:
-            verify_module.sweep_moments(points, n_samples, 7)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        proc = subprocess.run(
+            [sys.executable, "-c", _PASS_PEAKS, json.dumps([list(ns), n_samples, passes])],
+            env=SRC_ENV, capture_output=True, text=True, check=True, timeout=300,
+        )
+        before, *after = json.loads(proc.stdout)
+        widest = max(
+            b - a
+            for size in verify_module._stream_sizes(n_samples)
+            for a, b in itertools.pairwise(verify_module._panel_edges(size))
+        )
         span = 8 * max(ns) * widest
         ring = span + max(16 * verify_module._DRAW_CHUNK, span)
-        products = 8 * verify_module._STREAM_ROWS * 3 * len(ns)
-        return peak, ring + 2 * span + products + 4e6
+        return before, after, ring + 2 * span + _product_bytes(ns) + 4e6
 
     def test_pass_holds_one_panel(self):
         # The montecarlo benchmark's shape: its second stream of 34464 samples
-        # ends in a panel of 9888 columns.  The buffers are 47.2 MB at n = 128,
-        # where the stream's normals alone would be 67.1 MB.
-        peak, bound = self._peak_and_bound((16, 64, 128), 100_000, verify_module._PANEL_ROWS + 1696)
-        assert peak < bound < 56e6
+        # ends in its widest panel, of 5792 columns.  The buffers are 23.7 MB
+        # at n = 128, where the stream's normals alone would be 67.1 MB.
+        before, [(peak, _)], bound = self._passes((16, 64, 128), 100_000)
+        assert peak - before < bound < 33e6
 
     def test_pass_at_n_512_holds_one_panel_span(self):
-        # One panel span, 4 Mi values, outgrows the 2-chunk lead.  The buffers
-        # are 134.2 MB, where the stream's normals alone would be 268.4 MB.
-        peak, bound = self._peak_and_bound((512,), 70_000, verify_module._PANEL_ROWS)
-        assert peak < bound < 140e6
+        # One panel span, 2.3 Mi values, outgrows the 2-chunk lead.  The
+        # buffers are 73.1 MB, where the stream's normals alone would be
+        # 268.4 MB.
+        before, [(peak, _)], bound = self._passes((512,), 70_000)
+        assert peak - before < bound < 80e6
+
+    def test_buffers_go_back_to_the_system(self):
+        # From the heap, a freed 23.7 MB buffer raises glibc's mmap threshold,
+        # so the next pass's buffer stays resident in the heap after the pass.
+        # Only the product vectors may stay, and no later pass peaks higher.
+        ns = (16, 64, 128)
+        before, after, _ = self._passes(ns, 100_000, passes=3)
+        first_peak = after[0][0]
+        for peak, resident in after:
+            assert peak - first_peak <= 2e6
+            assert resident - before <= _product_bytes(ns) + 2e6
+
+
+def _product_bytes(ns):
+    """The product vectors of ``_PASS_PEAKS``' three functionals per point, bounded by 1."""
+    return 8 * verify_module._STREAM_ROWS * 3 * len(ns)
+
+
+# Runs identical sweep_moments passes in a fresh process and prints the
+# resident set before them, then the peak and the resident set after each, in
+# bytes.  A suite bounded by 1, with the ma1:a=0.5 KLS divisor; a small pass
+# first loads the code and the quadrature rules.
+_PASS_PEAKS = """
+import json, math, sys
+from gaussdecoup import TestFunctionSpec, from_stationary, verify
+
+def status(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) * 1024 for line in f if line.startswith(key + ":"))
+
+ns, n_samples, passes = json.loads(sys.argv[1])
+gamma = [1.25, 0.5]
+suite = [
+    TestFunctionSpec.indicator(1.0),
+    TestFunctionSpec.cosine(0.7),
+    TestFunctionSpec.bounded_poly((1.0, 0.2, -0.1), clip=1.0),
+    TestFunctionSpec.from_grid((0.1, 0.9, 0.4, 0.9, 0.1), half_width=2.5),
+]
+points = []
+for n in ns:
+    fns = [suite[i % len(suite)] for i in range(n)]
+    functionals = [(fns, 1.0), ([suite[0]] * n, 1.0), (fns, math.sqrt(gamma[0]))]
+    points.append((from_stationary(gamma, n), functionals))
+verify.sweep_moments(points, 1000, 7)
+readings = [status("VmRSS")]
+for _ in range(passes):
+    verify.sweep_moments(points, n_samples, 7)
+    readings.append([status("VmHWM"), status("VmRSS")])
+print(json.dumps(readings))
+"""
