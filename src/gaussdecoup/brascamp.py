@@ -234,9 +234,10 @@ def eb_optimize(B: np.ndarray, p: float) -> EbProblem:
         value = phi(u, logdet)
         b = np.exp(u)
         n_iter += 1
-    eb_log = eb_objective(B, p, b)
     log_2pi_power = (n / 2.0) * (1.0 - 1.0 / p) * math.log(2.0 * math.pi)
     prefactor = log_2pi_power + (n / (2.0 * p)) * math.log(p)
+    # eb_objective(B, p, b), term for term, from the factor of B + diag(b) already held.
+    eb_log = prefactor + float(np.sum(np.log(b))) / (2.0 * p) - 0.5 * logdet
     return EbProblem(
         B=B,
         p=p,

@@ -477,9 +477,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; ConfigError where a key repeats (json keeps the last)."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"config key {key!r} is given twice")
+        data[key] = value
+    return data
+
+
 def _load_config_file(path: str) -> dict:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

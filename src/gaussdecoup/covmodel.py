@@ -1190,20 +1190,23 @@ class ModelSpec:
 def parse_model(text) -> ModelSpec:
     """Parse "family" or "family:key=value,..." against MODEL_FAMILIES.
 
-    An unknown family, a malformed, unknown or missing argument, or a value
-    of the wrong kind raises InvalidSpec; a non-finite real, NonFiniteInput.
+    An unknown family, a malformed, unknown, repeated or missing argument or a
+    value of the wrong kind raises InvalidSpec; a non-finite real, NonFiniteInput.
     """
     if not isinstance(text, str):
         raise InvalidSpec(f"model must be a string, got {text!r}")
     family, _, argstr = (part.strip() for part in text.partition(":"))
     if family not in MODEL_FAMILIES:
         raise InvalidSpec(f"unknown model family {family!r}; one of {', '.join(MODEL_FAMILIES)}")
-    args = dict(MODEL_FAMILIES[family])
+    args, given = dict(MODEL_FAMILIES[family]), set()
     for item in argstr.split(",") if argstr else ():
         key, _, value = (part.strip() for part in item.partition("="))
         if not value or key not in args:
             takes = ", ".join(f"{name}=" for name in args) or "no arguments"
             raise InvalidSpec(f"bad argument {item!r}; {family} takes {takes}")
+        if key in given:
+            raise InvalidSpec(f"{family} argument {key} is given twice")
+        given.add(key)
         args[key] = _model_arg(key, value)
     for key, value in args.items():
         if value is None:

@@ -55,15 +55,9 @@ own point, whose sums are taken after the block's last panel.  Products,
 masks and frexp are elementwise and the sums run over the same
 stream-length vectors, so the moments are bit for bit those of the whole
 block.  The ring, the panel buffer and the staging area are one anonymous
-memory mapping of 8 (R + 2 n_max w) bytes, where R = min(n_max S, n_max w
-+ max(2^19, n_max w)) for S samples, and the staging area is dropped when
-R holds all n_max S normals (23.7 MB at n_max = 128 and S = 1e5, where
-w = 5792, against 67.1 MB for a whole stream; 73.1 MB at n_max = 512 and
-S = 70000, where w = 4464, against 268.4 MB).  The mapping goes back to
-the system once the pass has released it, where a heap buffer below
-glibc's largest mmap threshold could stay resident.  The product vectors
-add 8 min(S, 65536) bytes per functional of each point, and as much again
-for the exponents of a functional with a growing factor.
+memory mapping, sized in ``_stream_blocks``, that goes back to the system
+once the pass has released it, where a heap buffer below glibc's largest
+mmap threshold could stay resident.
 
 Every functional of a point is evaluated on each panel: the theorem1
 product, the box indicators and, for a stationary model, the KLS product,
@@ -97,7 +91,7 @@ import mmap
 import numbers
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -140,6 +134,17 @@ def _is_real(value) -> bool:
     )
 
 
+# Each test-function kind and the parameters it takes, in label order: a
+# kind needs each of its parameters and refuses every other.
+TEST_FUNCTION_KINDS = {
+    "indicator": ("eps",),
+    "shifted_indicator": ("shift", "eps"),
+    "cosine": ("omega",),
+    "bounded_poly": ("coeffs", "clip"),
+    "grid": ("values", "half_width"),
+}
+
+
 @dataclass(frozen=True)
 class TestFunctionSpec:
     """A bounded real test function of one variable.
@@ -148,7 +153,8 @@ class TestFunctionSpec:
     eps), ``cosine`` (cos(omega x)), ``bounded_poly`` (polynomial of degree
     <= 4 clipped to [-clip, clip]), ``grid`` (piecewise-linear interpolation
     of values on [-half_width, half_width], clamped at the ends).  Every kind
-    is bounded, so all Gaussian moments are finite.
+    is bounded, so all Gaussian moments are finite.  The parameters a kind
+    does not take (``TEST_FUNCTION_KINDS``) are None.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -164,36 +170,26 @@ class TestFunctionSpec:
 
     def __post_init__(self):
         kind = self.kind
-        for name in ("eps", "shift", "omega", "clip", "half_width"):
-            value = getattr(self, name)
-            if value is not None and not _is_real(value):
-                raise InvalidSpec(f"{kind} {name} must be a finite real number, got {value!r}")
-        for name in ("coeffs", "values"):
-            seq = getattr(self, name)
-            if seq is not None and not all(_is_real(v) for v in seq):
-                raise InvalidSpec(f"{kind} {name} must be finite real numbers, got {seq!r}")
-        if kind in ("indicator", "shifted_indicator"):
-            if self.eps is None or self.eps <= 0:
-                raise InvalidSpec(f"{kind} needs eps > 0")
-            if kind == "shifted_indicator" and self.shift is None:
-                raise InvalidSpec("shifted_indicator needs a shift")
-        elif kind == "cosine":
-            if self.omega is None:
-                raise InvalidSpec("cosine needs omega")
-        elif kind == "bounded_poly":
-            if self.coeffs is None or not 1 <= len(self.coeffs) <= 5:
-                raise InvalidSpec("bounded_poly needs 1..5 coefficients (degree <= 4)")
-            if self.clip is None or self.clip <= 0:
-                raise InvalidSpec("bounded_poly needs clip > 0")
-            object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        elif kind == "grid":
-            if self.values is None or len(self.values) < 2:
-                raise InvalidSpec("grid needs at least 2 values")
-            if self.half_width is None or self.half_width <= 0:
-                raise InvalidSpec("grid needs half_width > 0")
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        else:
+        takes = TEST_FUNCTION_KINDS.get(kind) if isinstance(kind, str) else None
+        if takes is None:
             raise InvalidSpec(f"unknown test-function kind {kind!r}")
+        given = [f.name for f in fields(self)[1:] if getattr(self, f.name) is not None]
+        if set(given) != set(takes):
+            raise InvalidSpec(f"{kind} takes {', '.join(takes)}; got {', '.join(given) or 'none'}")
+        for name in takes:
+            value = getattr(self, name)
+            if name in ("coeffs", "values"):
+                if not all(_is_real(v) for v in value):
+                    raise InvalidSpec(f"{kind} {name} must be finite real numbers, got {value!r}")
+                object.__setattr__(self, name, tuple(float(v) for v in value))
+                if kind == "bounded_poly" and not 1 <= len(value) <= 5:
+                    raise InvalidSpec("bounded_poly needs 1..5 coefficients (degree <= 4)")
+                if kind == "grid" and len(value) < 2:
+                    raise InvalidSpec("grid needs at least 2 values")
+            elif not _is_real(value):
+                raise InvalidSpec(f"{kind} {name} must be a finite real number, got {value!r}")
+            elif name in ("eps", "clip", "half_width") and value <= 0:
+                raise InvalidSpec(f"{kind} needs {name} > 0")
 
     @classmethod
     def indicator(cls, eps: float) -> "TestFunctionSpec":
@@ -253,41 +249,29 @@ class TestFunctionSpec:
         return 1.0
 
     def label(self) -> str:
-        if self.kind == "indicator":
-            return f"indicator({self.eps:g})"
-        if self.kind == "shifted_indicator":
-            return f"shifted_indicator({self.shift:g},{self.eps:g})"
-        if self.kind == "cosine":
-            return f"cosine({self.omega:g})"
         if self.kind == "bounded_poly":
             return f"bounded_poly(deg{len(self.coeffs) - 1},clip={self.clip:g})"
-        return f"grid({len(self.values)}pts,L={self.half_width:g})"
+        if self.kind == "grid":
+            return f"grid({len(self.values)}pts,L={self.half_width:g})"
+        params = (format(getattr(self, name), "g") for name in TEST_FUNCTION_KINDS[self.kind])
+        return f"{self.kind}({','.join(params)})"
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind}
-        for field in ("eps", "shift", "omega", "clip", "half_width"):
-            val = getattr(self, field)
-            if val is not None:
-                out[field] = val
-        if self.coeffs is not None:
-            out["coeffs"] = list(self.coeffs)
-        if self.values is not None:
-            out["values"] = list(self.values)
+        for name in TEST_FUNCTION_KINDS[self.kind]:
+            value = getattr(self, name)
+            out[name] = list(value) if isinstance(value, tuple) else value
         return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TestFunctionSpec":
         if not isinstance(data, dict):
             raise InvalidSpec(f"a test function is a JSON object, got {data!r}")
-        data = dict(data)
-        kind = data.pop("kind", None)
+        kind = data.get("kind")
         if kind is None:
             raise InvalidSpec("test function dict needs a 'kind'")
         try:
-            for name in ("coeffs", "values"):
-                if name in data:
-                    data[name] = tuple(data[name])
-            return cls(kind=kind, **data)
+            return cls(**data)
         except TypeError as exc:
             raise InvalidSpec(f"bad test-function parameters for kind {kind!r}: {exc}") from exc
 
@@ -345,21 +329,26 @@ def _stream_blocks(factors, n_samples: int, seed: int):
     floats.  Every x is a view of one panel buffer that the next panel
     overwrites; the caller may scale it in place.
 
-    A one-worker executor draws the normals, as standard_normal(out=...)
-    fills of _DRAW_CHUNK values run in order (split where the ring ends),
-    bit for bit the one draw, into a ring that holds the streams one after
-    another: one widest panel span, width * (the widest panel), plus a lead
-    of max(2 _DRAW_CHUNK, that span) values, or all of the pass's normals if
+    A one-worker executor draws the normals, as standard_normal(out=...) fills
+    of _DRAW_CHUNK values run in order (split where the ring ends), bit for
+    bit the one draw, into a ring that holds the streams one after another:
+    one widest panel span, width * (the widest panel), plus a lead of
+    max(2 _DRAW_CHUNK, that span) values, or all of the pass's normals if
     fewer.  The ring, the panel buffer and the staging area below are one
-    anonymous mapping, unmapped when its last view is released.  A fill is
-    queued as soon as no pending panel reads the values it overwrites,
-    across stream boundaries too, so the drawer runs ahead by the lead while
-    the panels are multiplied.  A panel waits only for the fills
-    it reads (a draw error is raised again here); one whose values wrap past
-    the ring's end is first copied whole into a staging area.  The panels
-    depend on the stream size alone, never on timing, and a panel rounds the
-    same whatever the leading dimension of its output.  Raises ValueError
-    for n_samples < 1 on the first next().
+    anonymous mapping, unmapped when its last view is released, of
+    8 (R + 2 n_max w) bytes for n_max = width, the widest panel w and the
+    ring R = min(n_max S, n_max w + max(2^19, n_max w)) for S samples, less
+    the staging area's n_max w when R holds all n_max S normals: 23.7 MB at
+    n_max = 128 and S = 1e5, where w = 5792, against 67.1 MB for a whole
+    stream, and 73.1 MB at n_max = 512 and S = 70000, where w = 4464, against
+    268.4 MB.  A fill is queued as soon as no pending panel reads the values
+    it overwrites, across stream boundaries too, so the drawer runs ahead by
+    the lead while the panels are multiplied.  A panel waits only for the
+    fills it reads (a draw error is raised again here); one whose values wrap
+    past the ring's end is first copied whole into a staging area.  The
+    panels depend on the stream size alone, never on timing, and a panel
+    rounds the same whatever the leading dimension of its output.  Raises
+    ValueError for n_samples < 1 on the first next().
     """
     sizes = _stream_sizes(n_samples)
     width = max(L.shape[0] for L in factors)
@@ -567,13 +556,9 @@ def sweep_moments(points, n_samples: int, seed: int) -> list:
     accumulated stream by stream (never materializing the full sample) and
     combined by pairwise summation in stream order, so each result is
     bitwise identical to evaluating on the stacked stream blocks, and to a
-    pass over that point alone.  The ring of normals, the panel buffer and
-    the staging area are one anonymous mapping of 8 (R + 2 n_max w) bytes,
-    for the largest dimension n_max, the widest panel w and the ring R =
-    min(n_max S, n_max w + max(2^19, n_max w)) for S samples (n_max w fewer
-    when R holds all n_max S normals), which goes back to the system after
-    the pass; the product vectors add 8 min(S, 65536) bytes per functional
-    of each point, and as much again per functional whose exponents are kept.
+    pass over that point alone.  ``_stream_blocks`` sizes the buffer of normals;
+    the product vectors add 8 min(S, 65536) bytes per functional of each
+    point for S samples, and as much again per one whose exponents are kept.
 
     After each factor that can exceed 1 in size (``sup_abs() > 1``) the
     running product is split by frexp into a mantissa and an integer exponent

@@ -1094,6 +1094,11 @@ CONFIG_ERRORS = [
         ["verify", "--model", "ma1:a=0.5", "--samples", "1000"],
         {"functions": [{"kind": "cosine", "omega": "abc"}]},
     ),
+    (
+        ["verify", "--model", "ma1:a=0.5", "--samples", "1000"],
+        {"functions": [{"kind": "cosine", "omega": 1.0, "eps": 0.5}]},
+    ),
+    (["analyze", "--model", "ma1:a=0.5,a=0.7"], None),
 ]
 
 
@@ -1111,6 +1116,24 @@ class TestMalformedInput:
         assert run(argv + ["--n", "4"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"seed": 1, "seed": 2}',
+            '{"model": "ma1:a=0.5", "n_list": [4], "model": "identity"}',
+            '{"functions": [{"kind": "cosine", "omega": 0.5, "omega": 0.7}]}',
+        ],
+    )
+    def test_repeated_config_key_is_a_config_error(self, text, tmp_path, capsys):
+        # Left to itself, json.loads keeps a repeated key's last value.
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert run(["verify", "--config", str(path), "--n", "4", "--samples", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: config key '")
+        assert captured.err.endswith("' is given twice\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize(

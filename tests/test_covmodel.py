@@ -582,6 +582,8 @@ class TestParseModel:
             "ma1:a=abc",
             "ma1:a=0.5,",
             "ma1:a=0.5,b=3",
+            "ma1:a=0.5,a=0.7",  # a repeated argument
+            "constant:value=2,value=2",
             "hilbert:a=2",
             "identity:rho=0.1",
             "inverse_power:r=0.5",

@@ -1,6 +1,9 @@
 """Monte Carlo verification machinery: sampling, quadrature, reports."""
 
+import contextlib
+import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -115,12 +118,101 @@ class TestFunctionSpecs:
         for f in ALL_KINDS:
             clone = TestFunctionSpec.from_json_dict(f.to_json_dict())
             assert clone == f
+        assert [f.label() for f in ALL_KINDS] == [
+            "indicator(1)",
+            "shifted_indicator(0.5,0.8)",
+            "cosine(0.7)",
+            "bounded_poly(deg2,clip=1.5)",
+            "grid(5pts,L=2.5)",
+        ]
+        assert [f.to_json_dict() for f in ALL_KINDS] == [
+            {"kind": "indicator", "eps": 1.0},
+            {"kind": "shifted_indicator", "eps": 0.8, "shift": 0.5},
+            {"kind": "cosine", "omega": 0.7},
+            {"kind": "bounded_poly", "clip": 1.5, "coeffs": [0.4, 0.25, -0.05]},
+            {"kind": "grid", "half_width": 2.5, "values": [0.1, 0.9, 0.4, 0.9, 0.1]},
+        ]
 
     def test_all_kinds_bounded(self):
         x = np.linspace(-50, 50, 10001)
         for f in ALL_KINDS:
             assert np.all(np.isfinite(f(x)))
             assert np.abs(f(x)).max() < 10.0
+
+
+KINDS = verify_module.TEST_FUNCTION_KINDS
+SPECS = {f.kind: f for f in ALL_KINDS}
+_POSITIVE = st.one_of(st.integers(1, 50), st.floats(1e-3, 1e3))
+# A valid JSON value of each parameter, whichever kind takes it.
+PARAMETERS = {
+    "eps": _POSITIVE,
+    "shift": st.floats(-1e3, 1e3),
+    "omega": st.floats(-1e3, 1e3),
+    "coeffs": st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5),
+    "clip": _POSITIVE,
+    "values": st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=8),
+    "half_width": _POSITIVE,
+}
+
+
+@st.composite
+def _kind_and_parameters(draw, foreign: bool):
+    """A kind and JSON values of its own parameters and, if ``foreign``, one it does not take."""
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    names = list(KINDS[kind])
+    if foreign:
+        names.append(draw(st.sampled_from([name for name in PARAMETERS if name not in names])))
+    return kind, {name: draw(PARAMETERS[name]) for name in names}
+
+
+class TestKindTable:
+    """TEST_FUNCTION_KINDS is the one declaration of each kind's parameters."""
+
+    def test_table_covers_every_parameter_field(self):
+        fields = {f.name for f in dataclasses.fields(TestFunctionSpec)} - {"kind"}
+        assert set(PARAMETERS) == fields
+        assert {name for names in KINDS.values() for name in names} == fields
+        assert set(KINDS) == set(SPECS)
+
+    @given(_kind_and_parameters(foreign=True))
+    @settings(max_examples=60, deadline=None)
+    def test_foreign_parameter_is_refused(self, tmp_path_factory, case):
+        kind, params = case
+        refusal = f"^{kind} takes {', '.join(KINDS[kind])}; got "
+        args = {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()}
+        with pytest.raises(InvalidSpec, match=refusal):
+            TestFunctionSpec(kind=kind, **args)
+        with pytest.raises(InvalidSpec, match=refusal):
+            TestFunctionSpec.from_json_dict({"kind": kind, **params})
+        path = tmp_path_factory.mktemp("foreign") / "cfg.json"
+        path.write_text(json.dumps({"functions": [{"kind": kind, **params}]}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--config", str(path), "--n", "2", "--samples", "1000"])
+        assert code == 2 and out.getvalue() == ""
+        assert re.match(f"config error: functions: {refusal[1:]}", err.getvalue())
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_missing_or_unknown_parameter_is_refused(self, kind):
+        data = SPECS[kind].to_json_dict()
+        with pytest.raises(InvalidSpec, match="unexpected keyword argument 'width'"):
+            TestFunctionSpec.from_json_dict({**data, "width": 1.0})
+        with pytest.raises(InvalidSpec, match=f"^{kind} takes .*; got "):
+            TestFunctionSpec.from_json_dict({k: v for k, v in data.items() if k != KINDS[kind][0]})
+
+    @given(_kind_and_parameters(foreign=False))
+    @settings(max_examples=100, deadline=None)
+    def test_valid_spec_round_trips(self, case):
+        kind, params = case
+        f = TestFunctionSpec.from_json_dict({"kind": kind, **params})
+        data = f.to_json_dict()
+        assert list(data) == ["kind", *KINDS[kind]]
+        for clone in (
+            TestFunctionSpec.from_json_dict(data),
+            TestFunctionSpec.from_json_dict(json.loads(json.dumps(data))),
+        ):
+            assert clone == f and hash(clone) == hash(f)
+            assert clone.label() == f.label()
 
 
 class TestSampleGaussian:
