@@ -58,7 +58,7 @@ print()
 print("=" * 72)
 print("stationary decoupling inequality with the full-sequence exponent")
 print("=" * 72)
-rep = verify_kls(gamma, 5, [TestFunctionSpec.indicator(1.0)] * 5, N, SEED)
+rep = verify_kls(from_stationary(gamma, 5), p_kls, [TestFunctionSpec.indicator(1.0)] * 5, N, SEED)
 print(
     f"p_KLS = {p_kls:g}: lhs = {rep.lhs_mc:.5f} (+-{rep.lhs_stderr:.5f})  "
     f"rhs = {rep.rhs:.5f}  -> {rep.verdict}"

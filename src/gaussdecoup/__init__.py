@@ -16,7 +16,6 @@ out (``covmodel.load_matrix``, for one) belongs to that module alone.
 
 from .brascamp import (
     EbProblem,
-    eb_objective,
     eb_optimize,
     matrix_B,
 )

@@ -17,8 +17,9 @@ an error, when rounding stalls the residual on an ill-conditioned B.
 The determinant lemmas used alongside E_B (Minkowski log-concavity, the
 Hadamard-type bound for diagonally dominant matrices, the factorization
 identity det(B) = det(p*I(var) - C) / (p^n det(C) prod var_i) and the
-Gaussian extremal ratio) and a random SPD generator are test oracles, in
-``tests/oracles.py``; no command or report reads them.
+Gaussian extremal ratio), the objective at one point (``eb_objective``) and a
+random SPD generator are test oracles, in ``tests/oracles.py``; no command or
+report reads them.
 
 Everything is computed and returned in log space. Every factorization here
 is ``scipy.linalg``'s LAPACK Cholesky (``cho_factor``/``cho_solve``), imported
@@ -94,29 +95,6 @@ def matrix_B(C: CovarianceMatrix, p: float) -> np.ndarray:
     return B
 
 
-def eb_objective(B: np.ndarray, p: float, b) -> float:
-    """Log of the full E_B integrand ratio at diagonal perturbation b.
-
-    (n/2)(1-1/p) log(2 pi) + (n/(2p)) log p
-        + (1/(2p)) sum log b_i - (1/2) log det(B + diag(b)).
-
-    Raises ValueError unless p is finite and > 0.
-    """
-    if not (math.isfinite(p) and p > 0):
-        raise ValueError(f"the E_B objective needs a finite p > 0, got {p}")
-    b = np.asarray(b, dtype=float).ravel()
-    if np.any(b <= 0):
-        raise ValueError("all b_i must be strictly positive")
-    n = B.shape[0]
-    logdet = _logdet_spd(B + np.diag(b), "B + diag(b)")
-    return (
-        (n / 2.0) * (1.0 - 1.0 / p) * math.log(2.0 * math.pi)
-        + (n / (2.0 * p)) * math.log(p)
-        + float(np.sum(np.log(b))) / (2.0 * p)
-        - 0.5 * logdet
-    )
-
-
 @dataclass(frozen=True)
 class EbProblem:
     """Solved E_B supremum for one (B, p) pair, all values in log space.
@@ -183,8 +161,8 @@ def eb_optimize(B: np.ndarray, p: float) -> EbProblem:
     point's value stands as a lower estimate of the sup.  ``upper_log`` reuses
     the log det of the check that B is positive definite.
     """
-    if not p > 1:  # NaN too
-        raise ValueError(f"E_B optimization needs p > 1, got {p}")
+    if not (math.isfinite(p) and p > 1):  # NaN too
+        raise ValueError(f"E_B optimization needs a finite p > 1, got {p}")
     from scipy.linalg import cho_solve
 
     n = B.shape[0]
@@ -236,7 +214,7 @@ def eb_optimize(B: np.ndarray, p: float) -> EbProblem:
         n_iter += 1
     log_2pi_power = (n / 2.0) * (1.0 - 1.0 / p) * math.log(2.0 * math.pi)
     prefactor = log_2pi_power + (n / (2.0 * p)) * math.log(p)
-    # eb_objective(B, p, b), term for term, from the factor of B + diag(b) already held.
+    # The test oracle eb_objective(B, p, b), term for term, from the factor of B + diag(b) held.
     eb_log = prefactor + float(np.sum(np.log(b))) / (2.0 * p) - 0.5 * logdet
     return EbProblem(
         B=B,

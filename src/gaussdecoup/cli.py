@@ -287,23 +287,24 @@ def _report_row(cfg, n, p, suite, report) -> dict:
 
 
 def cmd_verify(cfg: ScenarioConfig) -> tuple[list, int]:
-    kls_g = cfg.spec.summable_gamma()
-    try:
-        kls_exp = None if kls_g is None else verify.stationary_exponent(kls_g)
-    except _ROW_ERRORS as exc:
-        kls_exp = exc  # every n reports it, after its own matrix
+    """theorem1 and Khatri-Sidak rows per n, and KLS rows where the model has a KLS exponent.
+
+    Every n's functionals come from one sampling pass. The KLS rows check the
+    stationary inequality at ``ModelSpec.kls_exponent()``, the exact exponent
+    of the whole process, on the theorem1 section's draws divided by
+    sqrt(gamma(0)), so no gamma past lag n - 1 is formed.
+    """
+    kls_exp = cfg.spec.kls_exponent()
 
     def resolve(n: int) -> tuple:
         C, p = _matrix_and_p(cfg, n, "sampling")
-        if isinstance(kls_exp, Exception):
-            raise kls_exp
         fns = [cfg.functions[i % len(cfg.functions)] for i in range(n)]
         decoupling.theorem1_log_constant(C, p)  # a p below 2 p(X) fails before sampling
         # The KLS section is C / gamma(0), so its draws are these divided by
         # sqrt(gamma(0)), evaluated last.
         functionals = [(fns, 1.0), ([verify.TestFunctionSpec.indicator(cfg.eps)] * n, 1.0)]
-        if kls_g is not None:
-            functionals.append((fns, math.sqrt(kls_g[0])))
+        if kls_exp is not None:
+            functionals.append((fns, math.sqrt(C.gamma[0])))
         return C, p, fns, functionals
 
     points = {}
@@ -339,9 +340,9 @@ def cmd_verify(cfg: ScenarioConfig) -> tuple[list, int]:
         rows.append(_report_row(cfg, n, p_ks, "khatri_sidak:upper", ks.upper))
         if ks.kls_upper is not None:
             rows.append(_report_row(cfg, n, kls_exp, "khatri_sidak:kls_upper", ks.kls_upper))
-        if kls_g is not None:
+        if kls_exp is not None:
             report = verify.verify_kls(
-                kls_g, n, fns, cfg.mc_samples, cfg.seed, moments=moments[n][2]
+                C, kls_exp, fns, cfg.mc_samples, cfg.seed, moments=moments[n][2]
             )
             rows.append(_report_row(cfg, n, kls_exp, f"kls:{suite}", report))
         return sorted(rows, key=lambda r: r["function_suite"])

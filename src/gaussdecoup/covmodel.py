@@ -1134,15 +1134,25 @@ class ModelSpec:
             return _padded(load_values(args["file"]), max_lag)
         return None
 
-    def summable_gamma(self) -> np.ndarray | None:
-        """gamma up to the lag past which it vanishes, where it is absolutely summable."""
+    def kls_exponent(self) -> float | None:
+        """1 + 2 sum_{k>=1} |gamma(k)| / gamma(0) over all lags, exact, where verify checks it.
+
+        Unit coefficients (sparse) and 1/|m|^r make gamma >= 0, so it is
+        (sum c)^2 / sum c^2: the number of offsets, and (2 zeta(r))^2 / (2 zeta(2r))
+        at r >= 2. Families past identity, ma1 and these, and r < 2, give None.
+        """
         family, args = self.family, self.args
-        horizon = {"identity": 0, "ma1": 1}.get(family)
+        if family == "identity":
+            return 1.0
+        if family == "ma1":
+            a = args["a"]
+            return 1.0 + 2.0 * (abs(a) / (1.0 + a * a))
         if family == "sparse":
-            horizon = int(np.ptp(args["support"].offsets))
+            return float(args["support"].offsets.size)
         if family == "inverse_power" and args["r"] >= 2.0:
-            horizon = 4096  # summable tail, truncated at a fixed horizon
-        return None if horizon is None else self.gamma(horizon)
+            zeta_r, zeta_2r = _zeta([args["r"], 2.0 * args["r"]])
+            return float(2.0 * zeta_r**2 / zeta_2r)
+        return None
 
     def covariance(self, n: int) -> CovarianceMatrix:
         """The validated n x n covariance matrix; a ``dense`` file gives its leading block."""

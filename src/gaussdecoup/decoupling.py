@@ -167,7 +167,7 @@ def stationary_decoupling_coefficient(gamma, n: int) -> float:
 
 def _require_condition(C: CovarianceMatrix, p: float) -> float:
     p_x = decoupling_coefficient(C)
-    if p < 2.0 * p_x:
+    if not (math.isfinite(p) and p >= 2.0 * p_x):  # NaN too
         raise ConditionViolated(p, p_x)
     return p_x
 
@@ -175,7 +175,7 @@ def _require_condition(C: CovarianceMatrix, p: float) -> float:
 def theorem1_log_constant(C: CovarianceMatrix, p: float) -> float:
     """log of 2^{(n/2)(1-1/p)} (prod sigma_i)^{1/p} / det(C)^{1/(2p)}.
 
-    Requires p >= 2 p(X) (strict hypothesis, no tolerance slack).
+    Requires a finite p >= 2 p(X) (strict hypothesis, no tolerance slack).
     """
     _require_condition(C, p)
     n = C.n
@@ -234,11 +234,12 @@ def corollary1_bound(C: CovarianceMatrix, p: float, eps) -> float:
     """2^{n/2}/det(C)^{1/(2p)} * prod (sigma_i/sqrt(2) * P{|X_i|<=eps_i})^{1/p}.
 
     Computed in log space and exponentiated by ``_exp``, which saturates to inf.
+    Requires a finite p >= 2 and p >= 2 p(X).
 
     Central probabilities are exact error-function values,
     P{|X_i| <= eps_i} = erf(eps_i / (sigma_i sqrt(2))).
     """
-    if p < 2.0:
+    if not p >= 2.0:  # NaN too
         raise ConditionViolated(p, 1.0, f"the sup-bound needs p >= 2, got p={p}")
     _require_condition(C, p)
     eps = np.asarray(eps, dtype=float).ravel()

@@ -167,7 +167,7 @@ def theorem2_constant(
 
     ``as_stated=True`` instead raises b(f) to n/(2p), matching the theorem
     statement's display (1 + delta_n) 2^{n/2} / (2 b(f) G(f))^{n/(2p)}.
-    Requires p >= 2 p(X) of the n-section.
+    Requires a finite p >= 2 p(X) of the n-section.
     """
     if not sym.strictly_positive:
         raise NonPositiveSymbol("symbol must be strictly positive")
@@ -179,7 +179,7 @@ def theorem2_constant(
     if n > sym.K:
         raise InvalidSpec(f"section n={n} exceeds resolution K={sym.K}")
     p_section = stationary_decoupling_coefficient(np.abs(sym.d), n)
-    if p < 2.0 * p_section:
+    if not (math.isfinite(p) and p >= 2.0 * p_section):  # NaN too
         raise ConditionViolated(p, p_section)
     est = szego_asymptote(sym, n)
     d0 = float(np.real(sym.d[0]))

@@ -60,7 +60,7 @@ once the pass has released it, where a heap buffer below glibc's largest
 mmap threshold could stay resident.
 
 Every functional of a point is evaluated on each panel: the theorem1
-product, the box indicators and, for a stationary model, the KLS product,
+product, the box indicators and, for a model with KLS rows, the KLS product,
 whose draws are the theorem1 draws scaled by 1/sqrt(gamma(0)) (chol(T/gamma0)
 = chol(T)/sqrt(gamma0)).  Where no factor can exceed 1, the indicator factors
 are applied first, as one mask of the samples they keep, and the other
@@ -95,7 +95,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .covmodel import CovarianceMatrix, from_stationary
+from .covmodel import CovarianceMatrix
 from .decoupling import (
     _autocovariance,
     _erf,
@@ -694,8 +694,8 @@ def marginal_p_norm(f: TestFunctionSpec, sigma: float, p: float) -> float:
     """
     if not sigma > 0:  # NaN too
         raise ValueError("sigma must be positive")
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
+    if not (math.isfinite(p) and p >= 1):  # NaN too
+        raise ValueError("p must be >= 1 and finite")
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is refused below
             norm = _marginal_norm(f, sigma, p)
@@ -1046,8 +1046,7 @@ def verify_khatri_sidak(
     upper = _hit_report(center, stderr, sup_bound, n_samples, seed, hits=hits, estimate_is_lhs=True)
     kls_upper = None
     if kls_exponent is not None:
-        if kls_exponent < 1:
-            raise ValueError("the stationary decoupling exponent is >= 1")
+        _check_kls_exponent(kls_exponent)
         kls_rhs = float(np.prod(probs ** (1.0 / kls_exponent)))
         kls_upper = _hit_report(
             center, stderr, kls_rhs, n_samples, seed, hits=hits, estimate_is_lhs=True
@@ -1055,13 +1054,20 @@ def verify_khatri_sidak(
     return KhatriSidakReports(lower=lower, upper=upper, kls_upper=kls_upper)
 
 
+def _check_kls_exponent(p) -> None:
+    if not (math.isfinite(p) and p >= 1):  # NaN too
+        raise ValueError(f"the stationary decoupling exponent is finite and >= 1, got {p}")
+
+
 def stationary_exponent(gamma) -> float:
-    """Two-sided exponent 1 + 2 sum_{k>=1} |gamma(k)| / gamma(0).
+    """Two-sided exponent 1 + 2 sum_{k>=1} |gamma(k)| / gamma(0) of the lags given.
 
     It bounds the largest eigenvalue of every correlation section of the
     stationary process, which is what the stationary decoupling inequality
     needs; the one-sided sum over k >= 0 does not (1.4 instead of 1.8 for
-    ma1:a=0.5). Raises NonFiniteInput where the sum overflows.
+    ma1:a=0.5). It is the process's exponent only where gamma vanishes past
+    the lags given; ``ModelSpec.kls_exponent`` gives a model's exactly.
+    Raises NonFiniteInput where the sum overflows.
     """
     gamma = _autocovariance(gamma)
     with np.errstate(over="ignore"):  # an overflow is refused below
@@ -1072,30 +1078,31 @@ def stationary_exponent(gamma) -> float:
 
 
 def verify_kls(
-    gamma, n: int, fns, n_samples: int, seed: int, *, moments=None
+    C: CovarianceMatrix, exponent: float, fns, n_samples: int, seed: int, *, moments=None
 ) -> VerificationReport:
-    """Check the stationary decoupling inequality with the two-sided exponent.
+    """Check the stationary decoupling inequality at the process's two-sided exponent.
 
-    ``gamma`` is the full autocovariance sequence (as far as available), not
-    just the n-section: the exponent ``stationary_exponent(gamma)`` uses every
-    lag supplied.  The section is normalized to unit variance, matching the
-    marginal norms of f_j(X_0): the draws are those of the Toeplitz section
-    of ``gamma``, divided by sqrt(gamma[0]).  ``moments`` is this product's
+    ``C`` is a stationary section and ``exponent`` 1 + 2 sum_{k>=1} |gamma(k)|
+    / gamma(0) over every lag of the process, not just the section's
+    (``ModelSpec.kls_exponent()``).  The draws are C's divided by
+    sqrt(gamma(0)), the unit-variance section that the marginal norms of
+    f_j(X_0) match; no gamma is formed.  ``moments`` is this product's
     (mean, stderr, shift) from such a pass already made with the same
     n_samples and seed; without it the check makes its own pass.  n_samples
-    and seed are integers, as in ``sweep_moments``.
+    and seed are integers, as in ``sweep_moments``.  Raises InvalidSpec unless
+    C is a stationary section, ValueError unless the exponent is finite, >= 1.
     """
     n_samples, seed = _integer(n_samples, "n_samples"), _integer(seed, "seed")
-    gamma = np.asarray(gamma, dtype=float).ravel()
-    p_kls = stationary_exponent(gamma)
+    if C.gamma is None:
+        raise InvalidSpec("the stationary decoupling inequality needs a stationary section")
+    _check_kls_exponent(exponent)
     fns = list(fns)
-    if len(fns) != n:
-        raise InvalidSpec(f"need one test function per coordinate: {len(fns)} != {n}")
+    if len(fns) != C.n:
+        raise InvalidSpec(f"need one test function per coordinate: {len(fns)} != {C.n}")
     if moments is None:
-        C = from_stationary(gamma, n)
-        [[moments]] = sweep_moments([(C, [(fns, math.sqrt(gamma[0]))])], n_samples, seed)
+        [[moments]] = sweep_moments([(C, [(fns, math.sqrt(C.gamma[0]))])], n_samples, seed)
     mean, stderr, shift = moments
-    distinct = {f: marginal_p_norm(f, 1.0, p_kls) for f in dict.fromkeys(fns)}
+    distinct = {f: marginal_p_norm(f, 1.0, exponent) for f in dict.fromkeys(fns)}
     norms = [distinct[f] for f in fns]
     rhs_scaled = _shifted_product(norms, shift)
     rhs = _shifted_product(norms, 0)

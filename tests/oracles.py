@@ -1,4 +1,5 @@
-"""Test oracles: the determinant lemmas behind E_B, a dense Toeplitz section,
+"""Test oracles: the determinant lemmas behind E_B and its objective at one
+point, a dense Toeplitz section,
 the serial Monte Carlo stream blocks, the whole Monte Carlo sample, a report
 re-judged against another right-hand side, the inverse-power autocovariance
 summed one lag at a time and the Clopper-Pearson bound and tails of a hit
@@ -14,6 +15,8 @@ package against independent routes.
   dominant A.
 - ``detB_identity_check``: the factorization identity
   det(B) = det(p*I(var) - C) / (p^n det(C) prod var_i).
+- ``eb_objective``: the log E_B ratio at one diagonal perturbation b, next
+  to ``eb_optimize``, which forms it term for term from the factor it holds.
 - ``gaussian_extremal_check``: the Gaussian extremal ratio by two routes.
 - ``random_spd``: a random SPD matrix with log-uniform eigenvalues.
 - ``toeplitz_section``: the dense n x n section of a spectral symbol, next to
@@ -99,6 +102,29 @@ def detB_identity_check(C: CovarianceMatrix, p: float) -> tuple[float, float]:
         - float(np.sum(np.log(C.variances)))
     )
     return direct, factored
+
+
+def eb_objective(B: np.ndarray, p: float, b) -> float:
+    """Log of the full E_B integrand ratio at diagonal perturbation b.
+
+    (n/2)(1-1/p) log(2 pi) + (n/(2p)) log p
+        + (1/(2p)) sum log b_i - (1/2) log det(B + diag(b)).
+
+    Raises ValueError unless p is finite and > 0.
+    """
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"the E_B objective needs a finite p > 0, got {p}")
+    b = np.asarray(b, dtype=float).ravel()
+    if np.any(b <= 0):
+        raise ValueError("all b_i must be strictly positive")
+    n = B.shape[0]
+    logdet = _logdet_spd(B + np.diag(b), "B + diag(b)")
+    return (
+        (n / 2.0) * (1.0 - 1.0 / p) * math.log(2.0 * math.pi)
+        + (n / (2.0 * p)) * math.log(p)
+        + float(np.sum(np.log(b))) / (2.0 * p)
+        - 0.5 * logdet
+    )
 
 
 def gaussian_extremal_check(B: np.ndarray, p: float, b) -> tuple[float, float]:

@@ -27,6 +27,7 @@ from gaussdecoup import (
     inverse_power_gamma_sequence,
     ma1_symbol,
     stationary_decoupling_coefficient,
+    stationary_exponent,
     szego_asymptote,
     verify_khatri_sidak,
     verify_kls,
@@ -212,8 +213,8 @@ def test_criterion_6_khatri_sidak_sandwich():
         ]
         for si, (mname, gamma, n) in enumerate(summable):
             report = verify_kls(
-                gamma, n, [TestFunctionSpec.indicator(1.0)] * n, 10**5,
-                ACCEPTANCE_SEED + 77 + si,
+                from_stationary(gamma, n), stationary_exponent(gamma),
+                [TestFunctionSpec.indicator(1.0)] * n, 10**5, ACCEPTANCE_SEED + 77 + si,
             )
             assert report.verdict == "pass", mname
 

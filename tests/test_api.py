@@ -28,6 +28,7 @@ MODULE_ONLY = {
 # Test oracles: they live in tests/oracles.py, not in the package.
 ORACLES = {
     "brascamp": (
+        "eb_objective",
         "minkowski_check",
         "ostrowski_bound",
         "detB_identity_check",
@@ -49,7 +50,11 @@ FORM_PRIVATES = {
 # (README, "Names removed").
 DELETED = {
     "brascamp": ("eb_upper_bound",),
-    "covmodel": ("SpectralSymbol.fourier_coefficient", "SpectralSymbol.c_alias_bound"),
+    "covmodel": (
+        "SpectralSymbol.fourier_coefficient",
+        "SpectralSymbol.c_alias_bound",
+        "ModelSpec.summable_gamma",
+    ),
     "decoupling": ("theorem1_constant", "stationary_p_bounds"),
     "szego": ("condition_report",),
     "verify": ("_product_moments",),

@@ -11,7 +11,6 @@ from gaussdecoup import (
     NotPositiveDefinite,
     build_dense,
     decoupling_coefficient,
-    eb_objective,
     eb_optimize,
     from_stationary,
     matrix_B,
@@ -19,6 +18,7 @@ from gaussdecoup import (
 from gaussdecoup.covmodel import parse_model
 from oracles import (
     detB_identity_check,
+    eb_objective,
     gaussian_extremal_check,
     minkowski_check,
     ostrowski_bound,
@@ -210,10 +210,10 @@ class TestEbOptimize:
             res = np.abs(1.0 / (2 * 2.5 * prob.b_opt) - 0.5 * inv_diag).max()
             assert res < 1e-9
 
-    # NaN fails `p > 1` although it passes `p <= 1`.
-    @pytest.mark.parametrize("p", [1.0, 0.5, math.nan])
+    # NaN fails `p > 1` although it passes `p <= 1`; p = inf would start at log 0.
+    @pytest.mark.parametrize("p", [1.0, 0.5, math.nan, math.inf, -math.inf])
     def test_needs_p_above_one(self, p):
-        with pytest.raises(ValueError, match="needs p > 1"):
+        with pytest.raises(ValueError, match="needs a finite p > 1"):
             eb_optimize(np.eye(2), p)
 
     def test_diagonal_start_is_exact(self):

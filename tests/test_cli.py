@@ -611,6 +611,12 @@ GOLDEN_REPORTS = [
         ["verify", "--model", "ma1:a=0.5", "--n", "13,64,129", "--samples", "70001"],
         0,
     ),
+    # KLS rows at the exact exponent 2 zeta(2)^2 / zeta(4) = 5.
+    (
+        "verify_inverse_power",
+        ["verify", "--model", "inverse_power:r=2", "--n", "5,12", "--samples", "2000"],
+        0,
+    ),
 ]
 
 
@@ -789,6 +795,24 @@ class TestBlasThreadKey:
         assert [len(panelled) for panelled, _ in grid] == [23, 23, 46, 46]
         for panelled, serial in grid:
             assert panelled == serial
+
+
+class TestKlsRows:
+    """verify's KLS rows read the model's exact exponent and the theorem1 section alone."""
+
+    def test_far_offsets_form_no_gamma_past_the_section(self, monkeypatch, capsys):
+        # gamma used to be formed to the support's span, 2e9 lags (14.9 GiB).
+        autocovariance = covmodel_module.MovingAverageSpec.autocovariance
+
+        def within_section(self, max_lag):
+            assert max_lag < 8, f"gamma formed to lag {max_lag}, past the largest section"
+            return autocovariance(self, max_lag)
+
+        monkeypatch.setattr(covmodel_module.MovingAverageSpec, "autocovariance", within_section)
+        model = "sparse:support=1+1000000000"
+        assert run(["verify", "--model", model, "--n", "4,8", "--samples", "1000"]) == 0
+        rows = [row for row in json.loads(capsys.readouterr().out) if "kls" in row["function_suite"]]
+        assert len(rows) == 4 and all(row["p"] == 4.0 for row in rows)
 
 
 class TestHilbertRowsStayVectors:

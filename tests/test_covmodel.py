@@ -33,6 +33,7 @@ from gaussdecoup import (
     ma1_symbol,
     parse_model,
     stationary_decoupling_coefficient,
+    stationary_exponent,
     symbol_from_grid,
 )
 from gaussdecoup.brascamp import matrix_B
@@ -624,7 +625,7 @@ class TestParseModel:
         spec = parse_model(f"stationary:file={path}")
         assert np.array_equal(spec.gamma(3), [1.25, 0.5, 0.0, 0.0])
         assert np.array_equal(spec.gamma(0), [1.25])
-        assert spec.summable_gamma() is None
+        assert spec.kls_exponent() is None
 
     def test_gamma_matches_covariance_builders(self):
         assert np.array_equal(parse_model("identity").gamma(2), [1.0, 0.0, 0.0])
@@ -639,26 +640,16 @@ class TestParseModel:
         for family in ("hilbert", "dense:file=m.csv", "constant", "grid:file=g.csv"):
             assert parse_model(family).gamma(3) is None
 
-    def test_summable_gamma_horizons(self):
-        assert np.array_equal(parse_model("identity").summable_gamma(), [1.0])
-        assert np.array_equal(parse_model("ma1:a=0.5").summable_gamma(), [1.25, 0.5])
-        sparse = parse_model("sparse:support=1+4").summable_gamma()
-        assert np.array_equal(sparse, sparse_gamma_oracle({1: 1.0, 4: 1.0}, range(9)))
-        inverse_power = parse_model("inverse_power:r=2").summable_gamma()
-        assert np.array_equal(inverse_power, inverse_power_gamma_sequence(4096, 2.0))
+    def test_kls_exponents(self):
+        assert parse_model("identity").kls_exponent() == 1.0
+        assert parse_model("ma1:a=0.5").kls_exponent() == pytest.approx(1.8, rel=1e-15)
+        # Unit coefficients at -4, -1, 1, 4: the exponent counts the offsets,
+        # however far apart they lie.
+        assert parse_model("sparse:support=1+4").kls_exponent() == 4.0
+        assert parse_model("sparse:support=1+1000000000").kls_exponent() == 4.0
+        assert parse_model("inverse_power:r=2").kls_exponent() == pytest.approx(5.0, rel=1e-15)
         for text in ("inverse_power:r=1.5", "equicorr:rho=0.2", "hilbert"):
-            assert parse_model(text).summable_gamma() is None
-
-    @pytest.mark.parametrize("text", ["ma1:a=0.5", "sparse:support=1+4", "inverse_power:r=2"])
-    def test_summable_gamma_is_the_covariance_column(self, text):
-        # verify's KLS rows reuse the covariance's draws scaled by
-        # 1/sqrt(gamma[0]): both must be the Toeplitz matrix of the same gamma.
-        spec = parse_model(text)
-        gamma = spec.summable_gamma()
-        for n in (1, 2, 9, 64, 128):
-            column = np.zeros(n)
-            column[: min(n, gamma.size)] = gamma[:n]
-            assert np.array_equal(spec.covariance(n).entries[0], column)
+            assert parse_model(text).kls_exponent() is None
 
     def test_dense_file_leading_block(self, tmp_path):
         path = tmp_path / "m.json"
@@ -701,6 +692,55 @@ CLAUSEN_ORDERS = st.one_of(
         st.floats(-10.0, -2.0),
     ),
 )
+
+
+class TestKlsExponent:
+    """``ModelSpec.kls_exponent`` against the sum over every lag of the model's gamma."""
+
+    @staticmethod
+    def _summed(spec: ModelSpec) -> float:
+        """stationary_exponent of gamma up to the support's span, past which it vanishes."""
+        if spec.family == "sparse":
+            span = int(np.ptp(spec.args["support"].offsets))
+        else:
+            span = {"identity": 0, "ma1": 1}[spec.family]
+        return stationary_exponent(spec.gamma(span))
+
+    def test_identity(self):
+        spec = parse_model("identity")
+        assert spec.kls_exponent() == self._summed(spec)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(a=st.floats(-10.0, 10.0))
+    def test_ma1_bit_for_bit(self, a):
+        spec = parse_model(f"ma1:a={a!r}")
+        assert spec.kls_exponent() == self._summed(spec)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(support=st.lists(st.integers(1, 100), min_size=1, max_size=30))
+    def test_sparse_bit_for_bit(self, support):
+        # Supports in 1..100: the offsets span at most 200 lags.
+        spec = parse_model("sparse:support=" + "+".join(map(str, support)))
+        assert spec.kls_exponent() == self._summed(spec) == 2 * len(set(support))
+
+    @pytest.mark.parametrize("r", [2.0, 2.5, 3.0, 4.0, 7.5])
+    def test_inverse_power_against_mpmath(self, r):
+        # gamma >= 0 sums to (2 zeta(r))^2 over all lags, and gamma(0) = 2 zeta(2r).
+        with mpmath.workdps(40):
+            exact = float(2 * mpmath.zeta(r) ** 2 / mpmath.zeta(2 * r))
+        got = parse_model(f"inverse_power:r={r}").kls_exponent()
+        assert abs(got - exact) <= 2e-15 * exact
+
+    @pytest.mark.parametrize("r", [2.0, 2.5, 3.0])
+    def test_truncated_sums_rise_to_it(self, r):
+        exact = parse_model(f"inverse_power:r={r}").kls_exponent()
+        gaps = [
+            exact - stationary_exponent(inverse_power_gamma_sequence(lags, r))
+            for lags in (16, 256, 4096)
+        ]
+        # The tail past L lags adds about 4 zeta(r) L^(1-r) / ((r-1) zeta(2r)) <= 8/L.
+        assert 0.0 < gaps[2] < gaps[1] < gaps[0] <= 8.0 / 16
+        assert gaps[2] <= 8.0 / 4096
 
 
 class TestClausenSeries:

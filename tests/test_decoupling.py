@@ -157,6 +157,12 @@ class TestTheorem1Constant:
             val = math.exp(theorem1_log_constant(C, p))
             assert math.isfinite(val) and val > 0.0
 
+    # NaN used to pass `p < 2 p(X)` and give a nan constant.
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_exponent_refused(self, p):
+        with pytest.raises(ConditionViolated):
+            theorem1_log_constant(C_half, p)
+
 
 class TestRefinedConstant:
     def test_identity_attains_generic(self):
@@ -335,6 +341,12 @@ class TestCauchyRoute:
 
 
 class TestCorollary1:
+    # NaN used to pass `p < 2` and give inf.
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_exponent_refused(self, p):
+        with pytest.raises(ConditionViolated):
+            corollary1_bound(C_half, p, [1.0, 1.0])
+
     def test_scalar_case(self):
         C = build_dense([[1.0]])
         assert corollary1_bound(C, 2.0, [1.0]) == pytest.approx(0.982582687955506, rel=1e-12)

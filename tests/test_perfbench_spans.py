@@ -26,6 +26,9 @@ UNRESOLVED = {
     "verify._product_moments",
     # Moved to tests/oracles.py; no workload reached it either.
     "verify.sample_gaussian",
+    # Moved to tests/oracles.py: eb_optimize had stopped calling it, so
+    # brascamp.starts_per_solve read 0 before the move and after it.
+    "brascamp.eb_objective",
 }
 
 

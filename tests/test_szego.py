@@ -244,6 +244,12 @@ class TestTheorem2Constant:
         with pytest.raises(ConditionViolated):
             theorem2_constant(ma1_symbol(0.5), 10, 2.0)  # needs p >= 3.6
 
+    # NaN used to pass `p < 2 p(X)` and give a nan log_value.
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_exponent_refused(self, p):
+        with pytest.raises(ConditionViolated):
+            theorem2_constant(ma1_symbol(0.5), 8, p)
+
     def test_as_stated_form_relation(self):
         # The statement's display raises b(f) to n/(2p) instead of 1/(2p).
         sym = ma1_symbol(0.5)

@@ -51,6 +51,7 @@ from oracles import (
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 IND1 = TestFunctionSpec.indicator(1.0)
+MA1 = [1.25, 0.5]  # gamma of ma1:a=0.5
 COS = TestFunctionSpec.cosine(0.7)
 POLY = TestFunctionSpec.bounded_poly((0.4, 0.25, -0.05), clip=1.5)
 GRIDF = TestFunctionSpec.from_grid((0.1, 0.9, 0.4, 0.9, 0.1), half_width=2.5)
@@ -270,7 +271,7 @@ class TestSampleGaussian:
             lambda C, m: verify_module.sweep_moments([(C, [([IND1] * 2, 1.0)])], m, 3),
             lambda C, m: verify_theorem1(C, 4.0, [IND1] * 2, m, 3),
             lambda C, m: verify_khatri_sidak(C, [1.0] * 2, 4.0, m, 3),
-            lambda C, m: verify_kls([1.25, 0.5], 2, [IND1] * 2, m, 3),
+            lambda C, m: verify_kls(C, stationary_exponent([1.25, 0.5]), [IND1] * 2, m, 3),
         ],
         ids=["sample_gaussian", "sweep_moments", "theorem1", "khatri_sidak", "kls"],
     )
@@ -358,7 +359,8 @@ class TestMarginalPNorm:
         for sigma in (-1.0, math.nan):
             with pytest.raises(ValueError, match="sigma must be positive"):
                 marginal_p_norm(IND1, sigma, 2.0)
-        for p in (0.5, math.nan):
+        # p = inf used to give 1.0 for every kind, not sup |f|.
+        for p in (0.5, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="p must be >= 1"):
                 marginal_p_norm(IND1, 1.0, p)
 
@@ -477,6 +479,13 @@ class TestVerifyKhatriSidak:
     def test_bad_eps_rejected(self):
         with pytest.raises(InvalidSpec):
             verify_khatri_sidak(build_dense(np.eye(2)), [1.0, -1.0], 2.0, 1000, 1)
+
+    # NaN used to pass `< 1` and give rhs nan and a false hard_fail.
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf, 0.5])
+    def test_kls_exponent_finite_and_at_least_one(self, exponent):
+        C = from_stationary([1.0, 0.4], 4)
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            verify_khatri_sidak(C, np.ones(4), 4.0, 1000, 1, kls_exponent=exponent)
 
 
     def test_zero_hits_pass_by_binomial_bound(self):
@@ -614,14 +623,18 @@ class TestBinomialVerdict:
 
 class TestVerifyKls:
     def test_white_noise_equality(self):
-        report = verify_kls([1.0], 4, [IND1] * 4, 10**5, seed=31)
+        report = verify_kls(
+            from_stationary([1.0], 4), stationary_exponent([1.0]), [IND1] * 4, 10**5, seed=31
+        )
         assert report.verdict == "pass"
         # p_KLS = 1 and nonnegative f: equality up to noise
         assert abs(report.lhs_mc - report.rhs) <= 4.0 * report.lhs_stderr
 
     def test_ma1_exponent(self):
         gamma = [1.25, 0.5]
-        report = verify_kls(gamma, 5, [IND1] * 5, 10**5, seed=32)
+        report = verify_kls(
+            from_stationary(gamma, 5), stationary_exponent(gamma), [IND1] * 5, 10**5, seed=32
+        )
         assert report.verdict == "pass"
         expected_rhs = marginal_p_norm(IND1, 1.0, 1.8) ** 5
         assert report.rhs == pytest.approx(expected_rhs, rel=1e-12)
@@ -652,7 +665,9 @@ class TestVerifyKls:
     def test_ma1_clipped_poly_counterexample(self):
         # The one-sided exponent 1.4 hard-failed here (z about -14).
         f = TestFunctionSpec.bounded_poly((1.0, 0.3), clip=2.0)
-        report = verify_kls([1.25, 0.5], 5, [f] * 5, 10**5, seed=20260809)
+        report = verify_kls(
+            from_stationary(MA1, 5), stationary_exponent(MA1), [f] * 5, 10**5, seed=20260809
+        )
         assert report.verdict == "pass"
         assert report.rhs == pytest.approx(marginal_p_norm(f, 1.0, 1.8) ** 5, rel=1e-12)
         one_sided = with_rhs(report, marginal_p_norm(f, 1.0, 1.4) ** 5)
@@ -660,8 +675,26 @@ class TestVerifyKls:
 
     def test_inverse_power_r2_truncated(self):
         gamma = inverse_power_gamma_sequence(500, 2.0)
-        report = verify_kls(gamma, 8, [IND1] * 8, 10**5, seed=33)
+        report = verify_kls(
+            from_stationary(gamma, 8), stationary_exponent(gamma), [IND1] * 8, 10**5, seed=33
+        )
         assert report.verdict == "pass"
+
+    def test_samples_the_section_it_is_handed(self):
+        # The draws are the section's alone: lags past n - 1 reach only the exponent.
+        gamma = inverse_power_gamma_sequence(500, 2.0)
+        p = stationary_exponent(gamma)
+        report = verify_kls(from_stationary(gamma, 8), p, [COS] * 8, 5000, seed=34)
+        assert report == verify_kls(from_stationary(gamma[:8], 8), p, [COS] * 8, 5000, seed=34)
+
+    def test_needs_a_stationary_section(self):
+        with pytest.raises(InvalidSpec, match="stationary section"):
+            verify_kls(build_dense(np.eye(2)), 1.0, [IND1] * 2, 1000, seed=1)
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf, 0.5])
+    def test_exponent_finite_and_at_least_one(self, exponent):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            verify_kls(from_stationary(MA1, 2), exponent, [IND1] * 2, 1000, seed=1)
 
 
 BIG = TestFunctionSpec.bounded_poly((1e6,), clip=1e6)
@@ -723,7 +756,9 @@ class TestProductOverflow:
         assert math.isfinite(report.z_score) and report.z_score > 0
 
     def test_kls_constant_product_past_float_range(self):
-        report = verify_kls([1.25, 0.5], 64, [BIG] * 64, 1000, seed=20260809)
+        report = verify_kls(
+            from_stationary(MA1, 64), stationary_exponent(MA1), [BIG] * 64, 1000, seed=20260809
+        )
         assert report.lhs_mc == math.inf and report.rhs == math.inf
         assert report.verdict == "pass"
         assert math.isfinite(report.z_score)
@@ -779,8 +814,8 @@ class TestOnePass:
         assert kls[0] == pytest.approx(ref[0], rel=1e-12, abs=1e-300)
         assert kls[1] == pytest.approx(ref[1], rel=1e-12, abs=1e-300)
         # Standalone checks make one single-functional pass with the same bits.
-        report = verify_kls(gamma, n, fns, samples, seed)
-        assert report == verify_kls(gamma, n, fns, samples, seed, moments=kls)
+        report = verify_kls(C, stationary_exponent(gamma), fns, samples, seed)
+        assert report == verify_kls(C, stationary_exponent(gamma), fns, samples, seed, moments=kls)
 
     def test_marginal_norms_once_per_distinct_function(self, monkeypatch):
         calls = []
@@ -796,7 +831,7 @@ class TestOnePass:
         verify_theorem1(C, 4.0, fns, 1000, seed=1)
         assert len(calls) == len(set(calls)) == 3
         calls.clear()
-        verify_kls([1.25, 0.5], 12, fns, 1000, seed=1)
+        verify_kls(C, stationary_exponent([1.25, 0.5]), fns, 1000, seed=1)
         assert len(calls) == len(set(calls)) == 3
 
 
@@ -1000,7 +1035,9 @@ SAMPLING_CALLS = {
     "khatri_sidak": lambda n_samples, seed: verify_khatri_sidak(
         C4, [1.0] * 4, 4.0, n_samples, seed
     ),
-    "kls": lambda n_samples, seed: verify_kls([1.25, 0.5], 4, [COS] * 4, n_samples, seed),
+    "kls": lambda n_samples, seed: verify_kls(
+        C4, stationary_exponent([1.25, 0.5]), [COS] * 4, n_samples, seed
+    ),
 }
 
 
@@ -1234,7 +1271,9 @@ class TestDrawingThread:
             lambda: sample_gaussian(from_stationary([1.25, 0.5], 4), 70_000, 3),
             lambda: verify_theorem1(from_stationary([1.25, 0.5], 4), 4.0, [COS] * 4, 70_000, 3),
             lambda: verify_khatri_sidak(from_stationary([1.25, 0.5], 4), [1.0] * 4, 4.0, 5000, 3),
-            lambda: verify_kls([1.25, 0.5], 4, [IND1] * 4, 5000, 3),
+            lambda: verify_kls(
+                from_stationary(MA1, 4), stationary_exponent(MA1), [IND1] * 4, 5000, 3
+            ),
             lambda: main(["verify", "--model", "ma1:a=0.5", "--n", "3,5", "--samples", "70000"]),
         ],
         ids=["sample_gaussian", "theorem1", "khatri_sidak", "kls", "cli"],
