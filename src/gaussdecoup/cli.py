@@ -21,9 +21,9 @@ it covered.  A malformed config (flag or file value) exits 2 with
 ``config error:`` before any row, and so does a report that cannot be written.
 
 szego keeps its per-symbol work on the symbol: the condition report, log
-b(f) and one Durbin recursion, whose prefix at n is the exact n-th section
+b(f) and one Schur recursion, whose prefix at n is the exact n-th section
 bit for bit, so each row is that n run alone and the sizes of a call cost
-O(n_max^2) together.  The parser is built once per process.
+O(n_max K) together.  The parser is built once per process.
 
 Each setting is a field of ``ScenarioConfig``, whose name is its key in the
 JSON config file (--config) and its flag's ``dest``.  File values are checked

@@ -4,7 +4,7 @@ Builders for the covariance families used throughout the package:
 
 - dense symmetric positive-definite matrices (validated, Cholesky-backed),
 - stationary Toeplitz matrices from an autocovariance sequence, kept as that
-  sequence and validated by Durbin's recursion in O(n^2),
+  sequence and validated by the Schur algorithm in O(n^2),
 - finite moving averages ``X_k = sum_m c_m xi_{k-m}`` of i.i.d. standard
   Gaussian innovations, the sparse family (unit c at +-m, m in A) among them,
 - the inverse-power family ``c_m = |m|^{-r}``, closed form at ``r = 1``,
@@ -38,6 +38,7 @@ pure and safe to call concurrently.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import operator
@@ -60,7 +61,7 @@ from .errors import (
 )
 
 # Dense covariance matrices (O(n^2) storage, O(n^3) factorization) and exact
-# Toeplitz determinants (Durbin's recursion, O(n^2) time) stop at this dimension.
+# Toeplitz determinants (the Schur algorithm, O(n^2) time) stop at this dimension.
 MATRIX_N_CAP = 2048
 # Rows per block of the Cauchy log-determinant pass over a Hilbert-type matrix.
 _CAUCHY_BLOCK = 256
@@ -111,9 +112,9 @@ class CovarianceMatrix:
     ----------
     log_det : float
         log det of the matrix: ``2 * sum(log(diag(chol)))`` for a dense
-        covariance, the sum of the logs of Durbin's prediction-error
-        variances for a stationary one, the Cauchy determinant for a
-        Hilbert-type one.
+        covariance, the sum of the logs of the Schur algorithm's pivots
+        (the prediction-error variances) for a stationary one, the Cauchy
+        determinant for a Hilbert-type one.
     gamma : (n,) ndarray or None
         gamma(0..n-1), the first row of a stationary section; None otherwise.
     entries : (n, n) ndarray
@@ -236,21 +237,32 @@ def build_dense(entries) -> CovarianceMatrix:
     return _validate_spd(entries)
 
 
-class _Durbin:
-    """Durbin's recursion on one Hermitian Toeplitz first row, run as far as asked.
+class _Schur:
+    """The Schur algorithm on one Hermitian Toeplitz first row, run as far as asked.
 
-    Durbin 1960; Golub & Van Loan, Matrix Computations, section 4.7: O(n^2)
-    time and O(n) memory, no matrix formed. The prediction-error variances
-    v_0 = row[0] >= v_1 >= ... are the pivots of the Cholesky factorization
-    (v_k = det T_{k+1} / det T_k), so the leading n x n section T_n has
-    log det T_n = sum_{k<n} log v_k and smallest pivot v_{n-1}. A complex
-    row (a non-even symbol) uses the Hermitian form.
+    Schur 1917; Kailath & Sayed, Fast Reliable Algorithms for Matrices with
+    Structure (1999), chapter 1: O(n N) time for a row of length N and O(N)
+    memory, no matrix formed. From the generator pair u = w = row, order k
+    takes the reflection coefficient kappa = -w[k]/v and, for j >= k,
+
+        u[j] <- u[j-1] + conj(kappa) w[j],    w[j] <- w[j] + kappa u[j-1],
+
+    (the conj only matters on a complex row, a non-even symbol's), and the
+    new pivot is v = u[k], which is v (1 - |kappa|^2). These are Durbin's
+    reflection coefficients and prediction-error variances v_0 = row[0] >=
+    v_1 >= ..., the pivots of the Cholesky factorization (v_k = det T_{k+1}
+    / det T_k), so the leading n x n section T_n has log det T_n =
+    sum_{k<n} log v_k and smallest pivot v_{n-1}; unlike Durbin's recursion
+    no step is a sequential dot product. u sits in a frame that moves one
+    place per order (``_u[i]`` holds u[k-1+i]), so both updates are
+    contiguous slices: four ufunc calls per order, whose new w lands in a
+    second buffer that then trades places with w.
 
     ``prefix(n)`` extends the recursion from where it stopped to order n and
-    reads the running log det and pivot there. Order k reads only row[:k+1],
-    so every prefix is bit for bit the recursion on ``row[:n]`` alone, and
-    the sections of one row share one O(N^2) run instead of costing
-    sum n^2. The state holds the predictor, v, the running log dets and
+    reads the running log det and pivot there. Each update is elementwise
+    and index j reads only row[:j+1], so every prefix is bit for bit the
+    recursion on ``row[:n]`` alone, and the sections of one row share one
+    run. The state holds the generators, v, the running log dets and
     pivots, and the first failure (its order and |kappa|); a lock makes it
     safe to share between threads.  The CLI runs one n at a time; the lock
     serves library callers who share one symbol across their own threads.
@@ -258,21 +270,31 @@ class _Durbin:
     Raises ``numpy.linalg.LinAlgError`` when row[0] is not positive (at
     construction), or from ``prefix(n)`` when a reflection coefficient of
     order below n reaches |kappa| >= 1, i.e. T_n is not positive definite.
+    On a real row |kappa| < 1 makes the new pivot positive in floating point
+    too; a complex row can round one to <= 0 with |kappa| just below 1, and
+    that order fails the same way.
 
-    Accuracy: the recursion is weakly stable (Cybenko 1980); its error grows
-    with cond(T), faster than Cholesky's. For ``sparse:support=1+4``
-    at n = 512 (cond(T) about 1e7) log det is within 1e-11 relative of a
-    40-digit reference (measured 4.2e-12; Cholesky 1.8e-13). At n = 2048 it
-    differs from Cholesky by 8e-10 relative there, and by at most 2e-12 for
-    the ma1, equicorr and inverse-power families.
+    Accuracy: the plain Schur loop is stable for symmetric positive-definite
+    Toeplitz matrices (Bojanczyk, Brent, de Hoog & Sweet 1995), where
+    Durbin's recursion is only weakly stable. For ``ma1:a=0.5`` log det is
+    0, 3.9e-16 and 3.9e-16 relative from log((1 - a^(2n+2))/(1 - a^2)) at
+    n = 4, 64 and 2048 (Durbin 1.5e-15, 4.8e-14 and 1.6e-12). For
+    ``sparse:support=1+4`` at n = 512 (cond(T) about 1e7) it is within
+    1e-11 relative of a 40-digit reference (measured 5.2e-12; Durbin
+    4.2e-12, Cholesky 1.8e-13). At n = 2048 it differs from numpy's Cholesky
+    by 9.3e-10 relative there (Durbin 7.6e-10), and by at most 6.0e-14 for
+    ma1:a=0.5, equicorr:rho=0.3 and inverse_power:r=1 and 1.5 (Durbin up to
+    1.6e-12); it misses equicorr's closed form by 1.3e-15, where Durbin
+    happens to be exact.
     """
 
     def __init__(self, row: np.ndarray):
         v = float(row[0].real)
         if not v > 0:
             raise np.linalg.LinAlgError(f"leading entry {v:.3e} is not positive")
-        self.row = row
-        self._a = np.zeros(row.size, dtype=row.dtype)  # predictor a[1..k-1] of order k-1
+        self._u = row.copy()  # [i]: u[k-1+i] at order k
+        self._w = row.copy()
+        self._spare = np.empty_like(row)  # receives the next w
         self._v = v
         self._log_dets = [math.log(v)]  # [k - 1]: log det T_k
         self._pivots = [v]  # [k - 1]: smallest pivot of T_k
@@ -293,23 +315,39 @@ class _Durbin:
     def _extend(self, n: int) -> None:
         if self._failure is not None:
             return
-        row, a, v = self.row, self._a, self._v
-        hermitian = np.iscomplexobj(row)  # a real row needs no conjugated copy
-        log_det = self._log_dets[-1]
-        for k in range(len(self._log_dets), n):
-            kappa = -(row[k] + a[1:k] @ row[k - 1 : 0 : -1]) / v
-            shrink = 1.0 - abs(kappa) ** 2
-            if not shrink > 0:
+        u, w, spare, v = self._u, self._w, self._spare, self._v
+        size = w.size
+        hermitian = np.iscomplexobj(w)
+        # kappa and conj(kappa) as 0-d arrays: a ufunc converts a Python scalar
+        # operand on every call, which costs as much as the product itself.
+        kappa_0d = np.empty((), w.dtype)
+        conj_0d = np.empty((), w.dtype) if hermitian else kappa_0d
+        multiply, add = np.multiply, np.add
+        pivots = self._pivots
+        start = len(pivots)
+        for k in range(start, n):
+            kappa = -w.item(k) / v
+            if not abs(kappa) < 1.0:
                 self._failure = (k, abs(kappa))
                 break
-            reflected = a[k - 1 : 0 : -1]
-            a[1:k] += kappa * (np.conj(reflected) if hermitian else reflected)
-            a[k] = kappa
-            v *= shrink
-            log_det += math.log(v)
-            self._log_dets.append(log_det)
-            self._pivots.append(v)
-        self._v = v
+            kappa_0d[()] = kappa
+            if hermitian:
+                conj_0d[()] = kappa.conjugate()
+            u_k, w_k, next_w = u[: size - k], w[k:], spare[k:]
+            multiply(u_k, kappa_0d, out=next_w)
+            add(w_k, next_w, out=next_w)  # w[j] + kappa u[j-1]
+            multiply(w_k, conj_0d, out=w_k)
+            add(u_k, w_k, out=u_k)  # u[j-1] + conj(kappa) w[j]
+            w, spare = spare, w
+            v = u.item(0).real
+            if not v > 0:  # a complex row can round |kappa| just below 1 and v to <= 0
+                self._failure = (k, abs(kappa))
+                break
+            pivots.append(v)
+        self._w, self._spare, self._v = w, spare, v
+        # The running sum of log v_k, added in order as the loop would.
+        sums = itertools.accumulate(map(math.log, pivots[start:]), initial=self._log_dets[-1])
+        self._log_dets.extend(itertools.islice(sums, 1, None))
 
 
 def _toeplitz_row_sums(gamma: np.ndarray, n: int) -> np.ndarray:
@@ -355,16 +393,16 @@ class _ToeplitzMatrix(CovarianceMatrix):
         return _freeze(_toeplitz_row_sums(self.gamma, self.gamma.size))
 
     def shifted_log_det(self, p: float) -> float:
-        """Durbin's recursion on the Toeplitz row ((p-1) gamma(0), -gamma(1), ...), O(n^2)."""
+        """The Schur algorithm on the Toeplitz row ((p-1) gamma(0), -gamma(1), ...), O(n^2)."""
         g = self.gamma
-        return _Durbin(np.concatenate([[p * g[0] - g[0]], -g[1:]])).prefix(g.size)[0]
+        return _Schur(np.concatenate([[p * g[0] - g[0]], -g[1:]])).prefix(g.size)[0]
 
 
 def from_stationary(gamma, n: int) -> CovarianceMatrix:
     """Toeplitz covariance with entries gamma(|i-j|), validated without forming it.
 
     ``gamma`` is indexed from lag 0; shorter sequences are zero-padded,
-    longer ones truncated to the first ``n`` lags. Durbin's recursion gives
+    longer ones truncated to the first ``n`` lags. The Schur algorithm gives
     log det and the Cholesky pivots in O(n^2); the pivot floor is the dense
     builder's, 1e-12 * trace/n = 1e-12 * gamma(0).
 
@@ -380,9 +418,9 @@ def from_stationary(gamma, n: int) -> CovarianceMatrix:
         raise NonPositiveDiagonal("gamma[0] (the variance) must be strictly positive")
     row = _freeze(_padded(gamma, n - 1))
     try:
-        log_det, smallest = _Durbin(row).prefix(n)
+        log_det, smallest = _Schur(row).prefix(n)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Durbin recursion failed: {exc}") from exc
+        raise NotPositiveDefinite(f"Schur recursion failed: {exc}") from exc
     _check_pivot_floor(smallest, 1e-12 * row[0])
     return _ToeplitzMatrix(log_det, row)
 
@@ -852,12 +890,18 @@ class SpectralSymbol:
         return float(np.sum(k * (self.c[1:] * np.conj(self.c[1:])).real))
 
     @cached_property
-    def _durbin(self) -> _Durbin:
-        """Durbin's recursion on d_0..d_{K-1}: section n reads its prefix."""
-        return _Durbin(self.d[: self.K])
+    def _schur(self) -> _Schur:
+        """The Schur algorithm on d_0..d_{K-1}: section n reads its prefix."""
+        return _Schur(self.d[: self.K])
 
     def section_log_det(self, n: int) -> float:
-        """log det of the n-th section {d_{j-i}}, 1 <= n <= K: a prefix of one Durbin recursion."""
+        """log det of the n-th section {d_{j-i}}, 1 <= n <= K: a prefix of one Schur recursion.
+
+        Every order of the recursion updates the generators out to lag K - 1,
+        so the first call at n costs O(n K), not O(n^2): a small section of a
+        fine grid pays for the whole row, and a later, larger n pays only for
+        the orders past the largest one asked so far.
+        """
         if n < 1:
             raise ValueError("section size must be >= 1")
         if n > self.K:
@@ -866,7 +910,7 @@ class SpectralSymbol:
                 "use a finer grid"
             )
         try:
-            return self._durbin.prefix(n)[0]
+            return self._schur.prefix(n)[0]
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefinite(
                 f"Toeplitz section n={n} of the truncated symbol (K={self.K}) is not positive "

@@ -16,8 +16,8 @@ determinant measured rather than assumed.
 The symbol owns the numbers this module reads, each computed once and kept
 on it: ``c``, the condition report (``sym.condition``), log b(f)
 (``sym.log_b``) and the exact sections (``sym.section_log_det(n)``, the
-prefixes of one Durbin recursion), so the sizes of one ``szego`` call cost
-O(n_max^2) together and each size's numbers are those of a call at that
+prefixes of one Schur recursion), so the sizes of one ``szego`` call cost
+O(n_max K) together and each size's numbers are those of a call at that
 size alone.
 
 All quantities that scale with n are kept in log space.

@@ -21,6 +21,9 @@ package against independent routes.
 - ``random_spd``: a random SPD matrix with log-uniform eigenvalues.
 - ``toeplitz_section``: the dense n x n section of a spectral symbol, next to
   the package's O(n^2) recursion that never forms it.
+- ``_Durbin`` and ``_durbin_loop``: Durbin's recursion on a Toeplitz first
+  row, resumable and one-shot, next to the package's Schur algorithm, which
+  gives the same reflection coefficients and pivots by another rounding.
 - ``stream_blocks``: verify's stream blocks drawn and multiplied on one
   thread, each in one unpanelled GEMM, next to the package's generator
   whose normals a helper thread draws while the caller multiplies and
@@ -47,6 +50,7 @@ The four lemma checks return their determinants and ratios in log space.
 from __future__ import annotations
 
 import math
+import threading
 
 import mpmath
 import numpy as np
@@ -188,6 +192,89 @@ def toeplitz_section(sym: SpectralSymbol, n: int) -> np.ndarray:
     if sym.even:
         return toeplitz(d)
     return toeplitz(np.conj(d), d)
+
+
+class _Durbin:
+    """Durbin's recursion on one Hermitian Toeplitz first row, run as far as asked.
+
+    Durbin 1960; Golub & Van Loan, Matrix Computations, section 4.7: O(n^2)
+    time and O(n) memory. The prediction-error variances v_0 = row[0] >= v_1
+    >= ... are the Cholesky pivots, so T_n has log det sum_{k<n} log v_k and
+    smallest pivot v_{n-1}. ``prefix(n)`` extends the recursion to order n,
+    under a lock; order k reads only row[:k+1], so every prefix is bit for
+    bit ``_durbin_loop(row[:n])``. The errors are the package's: LinAlgError
+    for a non-positive leading entry, and from ``prefix(n)`` for the first
+    order below n with |kappa| >= 1. Weakly stable (Cybenko 1980): for
+    ``sparse:support=1+4`` at n = 512, log det is 4.2e-12 relative from a
+    40-digit reference, and ``ma1:a=0.5`` at n = 2048 is 1.6e-12 from its
+    closed form.
+    """
+
+    def __init__(self, row: np.ndarray):
+        v = float(row[0].real)
+        if not v > 0:
+            raise np.linalg.LinAlgError(f"leading entry {v:.3e} is not positive")
+        self.row = row
+        self._a = np.zeros(row.size, dtype=row.dtype)  # predictor a[1..k-1] of order k-1
+        self._v = v
+        self._log_dets = [math.log(v)]  # [k - 1]: log det T_k
+        self._pivots = [v]  # [k - 1]: smallest pivot of T_k
+        self._failure = None  # (order, |kappa|) of the first |kappa| >= 1
+        self._lock = threading.Lock()
+
+    def prefix(self, n: int) -> tuple[float, float]:
+        """(log det, smallest pivot) of the leading n x n section."""
+        with self._lock:
+            self._extend(n)
+            failure = self._failure
+        if failure is not None and failure[0] < n:
+            raise np.linalg.LinAlgError(
+                f"reflection coefficient |kappa| = {failure[1]:.6g} >= 1 at order {failure[0]}"
+            )
+        return self._log_dets[n - 1], self._pivots[n - 1]
+
+    def _extend(self, n: int) -> None:
+        if self._failure is not None:
+            return
+        row, a, v = self.row, self._a, self._v
+        hermitian = np.iscomplexobj(row)  # a real row needs no conjugated copy
+        log_det = self._log_dets[-1]
+        for k in range(len(self._log_dets), n):
+            kappa = -(row[k] + a[1:k] @ row[k - 1 : 0 : -1]) / v
+            shrink = 1.0 - abs(kappa) ** 2
+            if not shrink > 0:
+                self._failure = (k, abs(kappa))
+                break
+            reflected = a[k - 1 : 0 : -1]
+            a[1:k] += kappa * (np.conj(reflected) if hermitian else reflected)
+            a[k] = kappa
+            v *= shrink
+            log_det += math.log(v)
+            self._log_dets.append(log_det)
+            self._pivots.append(v)
+        self._v = v
+
+
+def _durbin_loop(row):
+    """(log det, smallest pivot) of the whole section of ``row``: Durbin's recursion in one loop."""
+    n = row.size
+    v = float(row[0].real)
+    if not v > 0:
+        raise np.linalg.LinAlgError(f"leading entry {v:.3e} is not positive")
+    a = np.zeros(n, dtype=row.dtype)
+    log_det = math.log(v)
+    for k in range(1, n):
+        kappa = -(row[k] + a[1:k] @ row[k - 1 : 0 : -1]) / v
+        shrink = 1.0 - abs(kappa) ** 2
+        if not shrink > 0:
+            raise np.linalg.LinAlgError(
+                f"reflection coefficient |kappa| = {abs(kappa):.6g} >= 1 at order {k}"
+            )
+        a[1:k] += kappa * np.conj(a[k - 1 : 0 : -1])
+        a[k] = kappa
+        v *= shrink
+        log_det += math.log(v)
+    return log_det, v
 
 
 def stream_blocks(factors, n_samples: int, seed: int):

@@ -35,16 +35,14 @@ ORACLES = {
         "gaussian_extremal_check",
         "random_spd",
     ),
-    "covmodel": ("inverse_power_gamma",),
+    "covmodel": ("inverse_power_gamma", "_Durbin", "_durbin_loop"),
     "szego": ("toeplitz_section",),
     "verify": ("with_rhs", "hit_bound", "sample_gaussian"),
 }
 
 # covmodel's private forms and their numerics: decoupling reads a covariance
 # through its row sums and shifted log det alone, whatever its form.
-FORM_PRIVATES = {
-    "_CauchyMatrix", "_ToeplitzMatrix", "_Durbin", "_levinson_durbin", "_cholesky_log_det"
-}
+FORM_PRIVATES = {"_CauchyMatrix", "_ToeplitzMatrix", "_Schur", "_cholesky_log_det"}
 
 # Deleted outright: each caller reads a route the package already had
 # (README, "Names removed").

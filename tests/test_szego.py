@@ -27,7 +27,7 @@ from gaussdecoup import (
     theorem1_log_constant,
     theorem2_constant,
 )
-from gaussdecoup.covmodel import _Durbin
+from gaussdecoup.covmodel import _Schur
 from oracles import toeplitz_section
 
 DATA = Path(__file__).parent / "data"
@@ -404,12 +404,22 @@ class TestPerSymbolWork:
         with pytest.raises(NonConvergent, match="tail of sum k"):
             b_constant(sym)
 
+    @pytest.mark.parametrize(
+        "grid_size, sizes", [(1024, (512, 3, 100, 1, 511)), (4096, (1, 7, 256, 2048, 7))]
+    )
     @pytest.mark.parametrize("even", [True, False])
-    def test_sections_are_one_shot_recursions(self, even):
-        t = grid_points(1024)
+    def test_sections_are_one_shot_recursions(self, even, grid_size, sizes, monkeypatch):
+        import gaussdecoup.covmodel as covmodel_module
+
+        # Each section is bit for bit a recursion on that section alone, and
+        # all of them read one recursion on d_0..d_{K-1}.
+        rows = []
+        monkeypatch.setattr(covmodel_module, "_Schur", lambda row: rows.append(row.size) or _Schur(row))
+        t = grid_points(grid_size)
         f = 2.0 + np.cos(t) + (0.0 if even else 0.4 * np.sin(3.0 * t))
         sym = symbol_from_grid(f)
-        for n in (512, 3, 100, 1, 511):
-            fresh = symbol_from_grid(f)
-            assert sym.section_log_det(n) == _Durbin(fresh.d[:n]).prefix(n)[0]
-            assert szego_asymptote(sym, n) == szego_asymptote(fresh, n)
+        for n in sizes:
+            assert sym.section_log_det(n) == _Schur(symbol_from_grid(f).d[:n]).prefix(n)[0]
+        assert rows == [sym.K]
+        for n in sizes:
+            assert szego_asymptote(sym, n) == szego_asymptote(symbol_from_grid(f), n)
